@@ -9,6 +9,7 @@
 // writes BENCH_engine.json so the perf trajectory is tracked across PRs.
 #include "bench_util.hpp"
 
+#include <atomic>
 #include <chrono>
 
 #include "common/rng.hpp"
@@ -166,18 +167,53 @@ std::string trace_name(const std::optional<TraceDetail>& trace) {
   return "?";
 }
 
+/// A fixed multiply-add chain; the result keeps it from being folded away.
+std::uint64_t spin(std::uint64_t steps) {
+  std::uint64_t x = 1;
+  for (std::uint64_t i = 0; i < steps; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+  }
+  return x;
+}
+
+/// Parallelism the host grants right now: a ~50 ms spin on one thread
+/// divided by the wall time of the same steps split over 4 threads. Reads
+/// ~4.0 when four cores are really there and ~1.0 when a VM withholds
+/// them, whatever hardware_concurrency() claims.
+double parallelism_probe() {
+  constexpr std::uint64_t kSteps = 40'000'000;
+  constexpr int kThreads = 4;
+  std::atomic<std::uint64_t> sink{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  sink += spin(kSteps);
+  const auto t1 = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sink] { sink += spin(kSteps / kThreads); });
+  }
+  for (auto& th : threads) th.join();
+  const auto t2 = std::chrono::steady_clock::now();
+  if (sink.load() == 0) std::printf("parallelism probe: degenerate chain\n");
+  return std::chrono::duration<double>(t1 - t0).count() /
+         std::chrono::duration<double>(t2 - t1).count();
+}
+
 /// Thread-scaling section: the canonical message-heavy case (Luby on
 /// GNP 32768) at 1/2/4/8 delivery threads, each row paired with a
 /// profiled twin run so the table shows where the round pipeline spends
-/// its time per thread count. Returns false only when `check` is set, the
-/// host has >= 4 cores, and 4 threads fail to beat serial by the CI floor
-/// (1.3x; the design target on a quiet >= 4-core host is 2.0x).
+/// its time per thread count, and with a parallelism probe taken just
+/// before it. Returns false only when `check` is set, the probes of both
+/// the 1- and the 4-thread row read >= 3.5x, and 4 threads fail to beat
+/// serial by the CI floor (1.3x; the design target on a quiet >= 4-core
+/// host is 2.0x).
 bool run_scaling(JsonRecorder& out, bool check) {
   banner("ENGINE / THREAD SCALING",
          "luby/gnp-32768 at 1/2/4/8 delivery threads; per-phase ms from a "
-         "profiled twin run (wall_ms reps stay profiler-free).");
-  Table table({"threads", "wall_ms", "speedup", "send_ms", "scatter_ms",
-               "link_ms", "trace_ms", "receive_ms", "mutate_ms"});
+         "profiled twin run (wall_ms reps stay profiler-free); probe = "
+         "spin-loop speedup on 4 threads measured before the row.");
+  Table table({"threads", "probe", "wall_ms", "speedup", "send_ms",
+               "scatter_ms", "link_ms", "trace_ms", "receive_ms",
+               "mutate_ms"});
   table.print_header();
   auto luby = [] { return luby_mis_algorithm(42); };
   Rng rng(1000 + 32768);
@@ -185,12 +221,20 @@ bool run_scaling(JsonRecorder& out, bool check) {
   randomize_ids(g, rng);
   double serial_ms = 0;
   double speedup4 = 0;
+  double gate_probe = 0;  // min of the 1- and 4-thread rows' probes
   for (int t : {1, 2, 4, 8}) {
+    const double probe = parallelism_probe();
     const CaseResult r = run_case(g, luby, 2, t, std::nullopt, true);
-    if (t == 1) serial_ms = r.wall_ms;
+    if (t == 1) {
+      serial_ms = r.wall_ms;
+      gate_probe = probe;
+    }
     const double speedup = r.wall_ms > 0 ? serial_ms / r.wall_ms : 0;
-    if (t == 4) speedup4 = speedup;
-    table.print_row({fmt(t), fmt(r.wall_ms), fmt(speedup),
+    if (t == 4) {
+      speedup4 = speedup;
+      gate_probe = std::min(gate_probe, probe);
+    }
+    table.print_row({fmt(t), fmt(probe), fmt(r.wall_ms), fmt(speedup),
                      fmt(phase_ms(r.phase.send_ns)),
                      fmt(phase_ms(r.phase.scatter_ns)),
                      fmt(phase_ms(r.phase.link_ns)),
@@ -203,6 +247,7 @@ bool run_scaling(JsonRecorder& out, bool check) {
     out.field("workload", "luby");
     out.field("n", static_cast<std::int64_t>(32768));
     out.field("threads", t);
+    out.field("probe", probe);
     out.field("wall_ms", r.wall_ms);
     out.field("speedup_vs_1t", speedup);
     out.field("send_ms", phase_ms(r.phase.send_ns));
@@ -213,23 +258,24 @@ bool run_scaling(JsonRecorder& out, bool check) {
     out.field("mutate_ms", phase_ms(r.phase.mutate_ns));
   }
   if (!check) return true;
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw < 4) {
+  if (gate_probe < 3.5) {
     std::printf(
-        "\nSCALING CHECK SKIPPED: hardware_concurrency() = %u < 4 — this "
-        "host cannot demonstrate parallel speedup (determinism across "
-        "thread counts is still asserted by the test suite).\n",
-        hw);
+        "\nSCALING CHECK SKIPPED (probe %.2fx): the host did not grant four "
+        "cores, so speedup is not measurable (determinism across thread "
+        "counts is still asserted by the test suite).\n",
+        gate_probe);
     return true;
   }
   if (speedup4 < 1.3) {
     std::printf(
-        "\nSCALING CHECK FAILED: 4 threads gave %.2fx over serial on a "
-        "%u-core host (floor 1.3x).\n",
-        speedup4, hw);
+        "\nSCALING CHECK FAILED: 4 threads gave %.2fx over serial with "
+        "probe %.2fx (floor 1.3x).\n",
+        speedup4, gate_probe);
     return false;
   }
-  std::printf("\nscaling check ok: 4 threads = %.2fx over serial\n", speedup4);
+  std::printf("\nscaling check ok: 4 threads = %.2fx over serial (probe "
+              "%.2fx)\n",
+              speedup4, gate_probe);
   return true;
 }
 

@@ -10,10 +10,12 @@ namespace dgap {
 
 namespace {
 
-std::unordered_map<Value, NodeId> index_by_id(const Graph& g) {
+std::unordered_map<Value, NodeId> index_by_id(const std::vector<Value>& ids) {
   std::unordered_map<Value, NodeId> by_id;
-  by_id.reserve(static_cast<std::size_t>(g.num_nodes()));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) by_id.emplace(g.id(v), v);
+  by_id.reserve(ids.size());
+  for (std::size_t v = 0; v < ids.size(); ++v) {
+    by_id.emplace(ids[v], static_cast<NodeId>(v));
+  }
   return by_id;
 }
 
@@ -21,7 +23,7 @@ std::unordered_map<Value, NodeId> index_by_id(const Graph& g) {
 
 Graph apply_edits(const Graph& g, const EditBatch& batch) {
   DGAP_REQUIRE(batch.add_nodes >= 0, "add_nodes must be non-negative");
-  const auto by_id = index_by_id(g);
+  const auto by_id = index_by_id(g.ids());
   auto lookup = [&](Value id) {
     auto it = by_id.find(id);
     DGAP_REQUIRE(it != by_id.end(), "edit references an unknown identifier");
@@ -64,10 +66,7 @@ Graph apply_edits(const Graph& g, const EditBatch& batch) {
   for (std::int64_t k = 0; k < batch.add_nodes; ++k) {
     ids.push_back(g.id_bound() + 1 + k);
   }
-  Graph next(static_cast<NodeId>(ids.size()));
-  next.set_ids(std::move(ids));
-  next.set_id_bound(g.id_bound() + batch.add_nodes);
-
+  GraphBuilder builder(static_cast<NodeId>(ids.size()));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const NodeId nu = old_to_new[static_cast<std::size_t>(u)];
     if (nu == kNoNode) continue;
@@ -75,19 +74,22 @@ Graph apply_edits(const Graph& g, const EditBatch& batch) {
       if (u >= v) continue;
       const NodeId nv = old_to_new[static_cast<std::size_t>(v)];
       if (nv == kNoNode || removed_edges.count(edge_key(u, v))) continue;
-      next.add_edge(nu, nv);
+      builder.add_edge(nu, nv);
     }
   }
 
-  const auto next_by_id = index_by_id(next);
+  const auto next_by_id = index_by_id(ids);
   for (const auto& [a, b] : batch.add_edges) {
     auto ia = next_by_id.find(a);
     auto ib = next_by_id.find(b);
     DGAP_REQUIRE(ia != next_by_id.end() && ib != next_by_id.end(),
                  "added edge references an identifier absent from the "
                  "edited graph");
-    next.add_edge(ia->second, ib->second);  // REQUIREs no dup / self-loop
+    builder.add_edge(ia->second, ib->second);  // REQUIREs no self-loop
   }
+  Graph next = builder.build();  // REQUIREs no duplicate edge
+  next.set_ids(std::move(ids));
+  next.set_id_bound(g.id_bound() + batch.add_nodes);
   return next;
 }
 

@@ -267,10 +267,8 @@ std::vector<std::vector<Value>> sequential_edge_coloring(const Graph& g) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     out[v].assign(g.neighbors(v).size(), 0);
   }
-  auto slot = [&g](NodeId v, NodeId u) {
-    const auto& nb = g.neighbors(v);
-    return static_cast<std::size_t>(
-        std::lower_bound(nb.begin(), nb.end(), u) - nb.begin());
+  auto slot = [&g](NodeId v, NodeId u) -> std::size_t {
+    return g.edge_slot(v, u) - g.row_begin(v);
   };
   for (auto [u, v] : g.edges()) {
     std::vector<bool> used(static_cast<std::size_t>(palette + 1), false);

@@ -29,36 +29,38 @@ NodeId checked_node_count(std::int64_t n, const char* what) {
 }  // namespace
 
 Graph make_line(NodeId n) {
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  return g;
+  return g.build();
 }
 
 Graph make_ring(NodeId n) {
   DGAP_REQUIRE(n >= 3, "a ring needs at least 3 nodes");
-  Graph g = make_line(n);
+  GraphBuilder g(n);
+  for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
   g.add_edge(n - 1, 0);
-  return g;
+  return g.build();
 }
 
 Graph make_clique(NodeId n) {
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
   }
-  return g;
+  return g.build();
 }
 
 Graph make_star(NodeId n) {
   DGAP_REQUIRE(n >= 1, "a star needs at least 1 node");
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId v = 1; v < n; ++v) g.add_edge(0, v);
-  return g;
+  return g.build();
 }
 
 Graph make_wheel_fk(NodeId k) {
   DGAP_REQUIRE(k >= 3, "F_k needs at least 3 rim nodes");
-  Graph g(checked_node_count(2 * static_cast<std::int64_t>(k) + 1, "F_k"));
+  GraphBuilder g(
+      checked_node_count(2 * static_cast<std::int64_t>(k) + 1, "F_k"));
   const NodeId hub = 0;
   for (NodeId i = 0; i < k; ++i) {
     const NodeId mid = 1 + i;
@@ -71,12 +73,12 @@ Graph make_wheel_fk(NodeId k) {
     const NodeId next = 1 + k + (i + 1) % k;
     g.add_edge(rim, next);
   }
-  return g;
+  return g.build();
 }
 
 Graph make_grid(NodeId w, NodeId h) {
   DGAP_REQUIRE(w >= 1 && h >= 1, "grid dimensions must be positive");
-  Graph g(checked_node_count(
+  GraphBuilder g(checked_node_count(
       static_cast<std::int64_t>(w) * static_cast<std::int64_t>(h), "grid"));
   for (NodeId y = 0; y < h; ++y) {
     for (NodeId x = 0; x < w; ++x) {
@@ -84,41 +86,41 @@ Graph make_grid(NodeId w, NodeId h) {
       if (y + 1 < h) g.add_edge(grid_index(w, x, y), grid_index(w, x, y + 1));
     }
   }
-  return g;
+  return g.build();
 }
 
 Graph make_hypercube(int dims) {
   DGAP_REQUIRE(dims >= 0 && dims < 20, "hypercube dimension out of range");
   const NodeId n = static_cast<NodeId>(1) << dims;
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId v = 0; v < n; ++v) {
     for (int b = 0; b < dims; ++b) {
       NodeId u = v ^ (static_cast<NodeId>(1) << b);
       if (v < u) g.add_edge(v, u);
     }
   }
-  return g;
+  return g.build();
 }
 
 Graph make_complete_bipartite(NodeId a, NodeId b) {
-  Graph g(checked_node_count(
+  GraphBuilder g(checked_node_count(
       static_cast<std::int64_t>(a) + static_cast<std::int64_t>(b),
       "complete bipartite"));
   for (NodeId u = 0; u < a; ++u) {
     for (NodeId v = 0; v < b; ++v) g.add_edge(u, a + v);
   }
-  return g;
+  return g.build();
 }
 
 Graph make_gnp(NodeId n, double p, Rng& rng) {
   DGAP_REQUIRE(p >= 0.0 && p <= 1.0, "probability out of range");
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
       if (rng.flip(p)) g.add_edge(u, v);
     }
   }
-  return g;
+  return g.build();
 }
 
 namespace {
@@ -158,13 +160,19 @@ std::int64_t generator_blocks(std::int64_t size) {
   return std::clamp<std::int64_t>(size / 8192, 1, 64);
 }
 
+/// Packed key of the unordered pair {u, v} over n nodes.
+std::uint64_t pair_key(NodeId u, NodeId v, NodeId n) {
+  return static_cast<std::uint64_t>(std::min(u, v)) *
+             static_cast<std::uint64_t>(n) +
+         static_cast<std::uint64_t>(std::max(u, v));
+}
+
 }  // namespace
 
 Graph make_gnp_sparse(NodeId n, double p, Rng& rng, int num_threads) {
   DGAP_REQUIRE(p >= 0.0 && p <= 1.0, "probability out of range");
   DGAP_REQUIRE(num_threads >= 1, "num_threads must be >= 1");
-  Graph g(n);
-  if (n < 2 || p <= 0.0) return g;
+  if (n < 2 || p <= 0.0) return Graph(n);
   // Batagelj–Brandes geometric skipping: enumerate the pairs (v, w),
   // w < v, in lexicographic order and jump ahead by a Geometric(p) gap per
   // present edge. One rng draw per edge (plus the final overshoot), so
@@ -219,10 +227,15 @@ Graph make_gnp_sparse(NodeId n, double p, Rng& rng, int num_threads) {
       if (v < end) out.emplace_back(v, static_cast<NodeId>(w));
     }
   });
-  for (const auto& edges : block_edges) {
+  GraphBuilder g(n);
+  std::size_t total = 0;
+  for (const auto& edges : block_edges) total += edges.size();
+  g.reserve(total);
+  for (auto& edges : block_edges) {
     for (const auto& [v, w] : edges) g.add_edge(v, w);
+    std::vector<std::pair<NodeId, NodeId>>().swap(edges);  // lower the peak
   }
-  return g;
+  return g.build();
 }
 
 Graph make_gnm(NodeId n, std::int64_t m, Rng& rng, int num_threads) {
@@ -230,8 +243,7 @@ Graph make_gnm(NodeId n, std::int64_t m, Rng& rng, int num_threads) {
       static_cast<std::int64_t>(n) * (n - 1) / 2;
   DGAP_REQUIRE(m >= 0 && m <= pairs, "edge count out of range");
   DGAP_REQUIRE(num_threads >= 1, "num_threads must be >= 1");
-  Graph g(n);
-  if (m == 0) return g;
+  if (m == 0) return Graph(n);
   // Rejection sampling over the pair space, deduplicated by a packed key.
   // Expected draws m / (1 - m/pairs): O(m) while m is well below pairs/2
   // (the sparse regime this generator exists for).
@@ -253,10 +265,7 @@ Graph make_gnm(NodeId n, std::int64_t m, Rng& rng, int num_threads) {
           r.next_below(static_cast<std::uint64_t>(n)));
       const NodeId v = static_cast<NodeId>(
           r.next_below(static_cast<std::uint64_t>(n)));
-      if (u == v) continue;
-      const NodeId lo = std::min(u, v), hi = std::max(u, v);
-      return static_cast<std::uint64_t>(lo) * static_cast<std::uint64_t>(n) +
-             static_cast<std::uint64_t>(hi);
+      if (u != v) return pair_key(u, v, n);
     }
   };
   std::vector<std::vector<std::uint64_t>> block_keys(
@@ -274,6 +283,8 @@ Graph make_gnm(NodeId n, std::int64_t m, Rng& rng, int num_threads) {
       if (local.insert(key).second) keys.push_back(key);
     }
   });
+  GraphBuilder g(n);
+  g.reserve(static_cast<std::size_t>(m));
   std::unordered_set<std::uint64_t> chosen;
   chosen.reserve(static_cast<std::size_t>(m) * 2);
   std::int64_t added = 0;
@@ -288,16 +299,16 @@ Graph make_gnm(NodeId n, std::int64_t m, Rng& rng, int num_threads) {
     for (const std::uint64_t key : keys) add_key(key);
   }
   while (added < m) add_key(draw_key(topup_rng));
-  return g;
+  return g.build();
 }
 
 Graph make_random_tree(NodeId n, Rng& rng) {
   DGAP_REQUIRE(n >= 1, "a tree needs at least one node");
-  Graph g(n);
-  if (n == 1) return g;
+  GraphBuilder g(n);
+  if (n == 1) return g.build();
   if (n == 2) {
     g.add_edge(0, 1);
-    return g;
+    return g.build();
   }
   // Prüfer decoding.
   std::vector<NodeId> prufer(static_cast<std::size_t>(n - 2));
@@ -317,23 +328,31 @@ Graph make_random_tree(NodeId n, Rng& rng) {
   NodeId u = *leaves.begin();
   NodeId v = *std::next(leaves.begin());
   g.add_edge(u, v);
-  return g;
+  return g.build();
 }
 
 Graph make_random_connected(NodeId n, std::int64_t extra_edges, Rng& rng) {
-  Graph g = make_random_tree(n, rng);
+  const Graph tree = make_random_tree(n, rng);
+  GraphBuilder g(n);
+  for (const auto& [u, v] : tree.edges()) g.add_edge(u, v);
   const std::int64_t max_extra =
       static_cast<std::int64_t>(n) * (n - 1) / 2 - (n - 1);
   extra_edges = std::min(extra_edges, max_extra);
+  // The pairs chosen so far are the tree's edges plus `extra`, so the
+  // accept/reject sequence (and every rng draw) is the in-place one.
+  std::unordered_set<std::uint64_t> extra;
   std::int64_t added = 0;
   while (added < extra_edges) {
     NodeId u = static_cast<NodeId>(rng.next_below(n));
     NodeId v = static_cast<NodeId>(rng.next_below(n));
-    if (u == v || g.has_edge(u, v)) continue;
+    if (u == v || tree.has_edge(u, v) ||
+        !extra.insert(pair_key(u, v, n)).second) {
+      continue;
+    }
     g.add_edge(u, v);
     ++added;
   }
-  return g;
+  return g.build();
 }
 
 RootedTree make_rooted_line(NodeId n) {
@@ -345,33 +364,40 @@ RootedTree make_rooted_line(NodeId n) {
   return t;
 }
 
+namespace {
+
+/// A rooted tree from its parent array (parent[root] == kNoNode).
+RootedTree rooted_tree_from_parents(std::vector<NodeId> parent, NodeId root) {
+  const NodeId n = static_cast<NodeId>(parent.size());
+  GraphBuilder g(n);
+  for (NodeId v = 0; v < n; ++v) {
+    if (parent[v] != kNoNode) g.add_edge(parent[v], v);
+  }
+  RootedTree t;
+  t.graph = g.build();
+  t.parent = std::move(parent);
+  t.root = root;
+  return t;
+}
+
+}  // namespace
+
 RootedTree make_rooted_binary_tree(int height) {
   DGAP_REQUIRE(height >= 0 && height < 22, "height out of range");
   const NodeId n = static_cast<NodeId>((1LL << (height + 1)) - 1);
-  RootedTree t;
-  t.graph = Graph(n);
-  t.parent.assign(static_cast<std::size_t>(n), kNoNode);
-  for (NodeId v = 1; v < n; ++v) {
-    NodeId p = (v - 1) / 2;
-    t.graph.add_edge(p, v);
-    t.parent[v] = p;
-  }
-  t.root = 0;
-  return t;
+  std::vector<NodeId> parent(static_cast<std::size_t>(n), kNoNode);
+  for (NodeId v = 1; v < n; ++v) parent[v] = (v - 1) / 2;
+  return rooted_tree_from_parents(std::move(parent), 0);
 }
 
 RootedTree make_rooted_random_tree(NodeId n, Rng& rng) {
   DGAP_REQUIRE(n >= 1, "a tree needs at least one node");
-  RootedTree t;
-  t.graph = Graph(n);
-  t.parent.assign(static_cast<std::size_t>(n), kNoNode);
+  std::vector<NodeId> parent(static_cast<std::size_t>(n), kNoNode);
   for (NodeId v = 1; v < n; ++v) {
-    NodeId p = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(v)));
-    t.graph.add_edge(p, v);
-    t.parent[v] = p;
+    parent[v] =
+        static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(v)));
   }
-  t.root = 0;
-  return t;
+  return rooted_tree_from_parents(std::move(parent), 0);
 }
 
 RootedTree make_rooted_kary_tree(int arity, int levels) {
@@ -383,33 +409,30 @@ RootedTree make_rooted_kary_tree(int arity, int levels) {
     DGAP_REQUIRE(n64 < (1LL << 26), "k-ary tree too large");
   }
   const NodeId n = static_cast<NodeId>(n64);
-  RootedTree t;
-  t.graph = Graph(n);
-  t.parent.assign(static_cast<std::size_t>(n), kNoNode);
   // Breadth-first layout: children of v are arity*v + 1 .. arity*v + arity.
-  for (NodeId v = 1; v < n; ++v) {
-    NodeId p = (v - 1) / arity;
-    t.graph.add_edge(p, v);
-    t.parent[v] = p;
-  }
-  t.root = 0;
-  return t;
+  std::vector<NodeId> parent(static_cast<std::size_t>(n), kNoNode);
+  for (NodeId v = 1; v < n; ++v) parent[v] = (v - 1) / arity;
+  return rooted_tree_from_parents(std::move(parent), 0);
 }
 
 Graph make_caterpillar(NodeId spine, NodeId legs) {
   DGAP_REQUIRE(spine >= 1 && legs >= 0, "bad caterpillar parameters");
-  Graph g(checked_node_count(
+  GraphBuilder g(checked_node_count(
       static_cast<std::int64_t>(spine) * (static_cast<std::int64_t>(legs) + 1),
       "caterpillar"));
   for (NodeId s = 0; s + 1 < spine; ++s) g.add_edge(s, s + 1);
   for (NodeId s = 0; s < spine; ++s) {
     for (NodeId l = 0; l < legs; ++l) g.add_edge(s, spine + s * legs + l);
   }
-  return g;
+  return g.build();
 }
 
 Graph disjoint_union(const Graph& a, const Graph& b) {
-  Graph g(a.num_nodes() + b.num_nodes());
+  GraphBuilder builder(a.num_nodes() + b.num_nodes());
+  for (auto [u, v] : a.edges()) builder.add_edge(u, v);
+  for (auto [u, v] : b.edges())
+    builder.add_edge(a.num_nodes() + u, a.num_nodes() + v);
+  Graph g = builder.build();
   std::vector<Value> ids;
   ids.reserve(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId v = 0; v < a.num_nodes(); ++v) ids.push_back(a.id(v));
@@ -417,9 +440,6 @@ Graph disjoint_union(const Graph& a, const Graph& b) {
     ids.push_back(a.id_bound() + b.id(v));
   g.set_ids(std::move(ids));
   g.set_id_bound(a.id_bound() + b.id_bound());
-  for (auto [u, v] : a.edges()) g.add_edge(u, v);
-  for (auto [u, v] : b.edges())
-    g.add_edge(a.num_nodes() + u, a.num_nodes() + v);
   return g;
 }
 

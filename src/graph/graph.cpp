@@ -1,7 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <numeric>
 
 #include "common/require.hpp"
 
@@ -9,9 +9,9 @@ namespace dgap {
 
 Graph::Graph(NodeId n) {
   DGAP_REQUIRE(n >= 0, "graph size must be non-negative");
-  adj_.resize(static_cast<std::size_t>(n));
+  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   ids_.resize(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) ids_[v] = v + 1;
+  std::iota(ids_.begin(), ids_.end(), Value{1});
   id_bound_ = n;
 }
 
@@ -23,49 +23,40 @@ void Graph::set_id_bound(std::int64_t d) {
 }
 
 void Graph::set_ids(std::vector<Value> ids) {
-  DGAP_REQUIRE(ids.size() == adj_.size(), "one identifier per node");
-  std::unordered_set<Value> seen;
-  std::int64_t max_id = 0;
-  for (Value id : ids) {
-    DGAP_REQUIRE(id >= 1, "identifiers are positive");
-    DGAP_REQUIRE(seen.insert(id).second, "identifiers must be distinct");
-    max_id = std::max(max_id, id);
-  }
+  DGAP_REQUIRE(ids.size() == ids_.size(), "one identifier per node");
+  std::vector<Value> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  DGAP_REQUIRE(sorted.empty() || sorted.front() >= 1,
+               "identifiers are positive");
+  DGAP_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                   sorted.end(),
+               "identifiers must be distinct");
+  if (!sorted.empty()) id_bound_ = std::max(id_bound_, sorted.back());
   ids_ = std::move(ids);
-  id_bound_ = std::max(id_bound_, max_id);
 }
 
 void Graph::check_node(NodeId v) const {
   DGAP_REQUIRE(v >= 0 && v < num_nodes(), "node index out of range");
 }
 
-void Graph::add_edge(NodeId u, NodeId v) {
-  check_node(u);
-  check_node(v);
-  DGAP_REQUIRE(u != v, "no self-loops in a simple graph");
-  DGAP_REQUIRE(!has_edge(u, v), "edge already present");
-  adj_[u].insert(std::lower_bound(adj_[u].begin(), adj_[u].end(), v), v);
-  adj_[v].insert(std::lower_bound(adj_[v].begin(), adj_[v].end(), u), u);
-  ++num_edges_;
-}
-
 bool Graph::has_edge(NodeId u, NodeId v) const {
   check_node(u);
   check_node(v);
-  return std::binary_search(adj_[u].begin(), adj_[u].end(), v);
+  return edge_slot(u, v) != kNoSlot;
 }
 
-int Graph::max_degree() const {
-  int d = 0;
-  for (const auto& nb : adj_) d = std::max(d, static_cast<int>(nb.size()));
-  return d;
+std::uint32_t Graph::edge_slot(NodeId v, NodeId u) const {
+  const auto nb = neighbors(v);
+  const auto it = std::lower_bound(nb.begin(), nb.end(), u);
+  if (it == nb.end() || *it != u) return kNoSlot;
+  return offsets_[v] + static_cast<std::uint32_t>(it - nb.begin());
 }
 
 std::vector<std::pair<NodeId, NodeId>> Graph::edges() const {
   std::vector<std::pair<NodeId, NodeId>> es;
-  es.reserve(static_cast<std::size_t>(num_edges_));
+  es.reserve(static_cast<std::size_t>(num_edges()));
   for (NodeId u = 0; u < num_nodes(); ++u) {
-    for (NodeId v : adj_[u]) {
+    for (NodeId v : neighbors(u)) {
       if (u < v) es.emplace_back(u, v);
     }
   }
@@ -83,19 +74,67 @@ std::pair<Graph, std::vector<NodeId>> Graph::induced(
     old_to_new[v] = static_cast<NodeId>(new_to_old.size());
     new_to_old.push_back(v);
   }
-  Graph sub(static_cast<NodeId>(new_to_old.size()));
+  GraphBuilder b(static_cast<NodeId>(new_to_old.size()));
   std::vector<Value> ids;
   ids.reserve(new_to_old.size());
-  for (NodeId old : new_to_old) ids.push_back(ids_[old]);
-  sub.set_ids(std::move(ids));
-  sub.set_id_bound(id_bound_);
-  for (NodeId nu = 0; nu < sub.num_nodes(); ++nu) {
-    for (NodeId old_nb : adj_[new_to_old[nu]]) {
+  for (NodeId nu = 0; nu < b.num_nodes(); ++nu) {
+    ids.push_back(ids_[new_to_old[nu]]);
+    for (NodeId old_nb : neighbors(new_to_old[nu])) {
       NodeId nv = old_to_new[old_nb];
-      if (nv >= 0 && nu < nv) sub.add_edge(nu, nv);
+      if (nv >= 0 && nu < nv) b.add_edge(nu, nv);
     }
   }
+  Graph sub = b.build();
+  sub.set_ids(std::move(ids));
+  sub.set_id_bound(id_bound_);
   return {std::move(sub), std::move(new_to_old)};
+}
+
+GraphBuilder::GraphBuilder(NodeId n) : n_(n) {
+  DGAP_REQUIRE(n >= 0, "graph size must be non-negative");
+}
+
+void GraphBuilder::add_edge(NodeId u, NodeId v) {
+  DGAP_REQUIRE(u >= 0 && u < n_ && v >= 0 && v < n_,
+               "node index out of range");
+  DGAP_REQUIRE(u != v, "no self-loops in a simple graph");
+  edges_.emplace_back(u, v);
+}
+
+Graph GraphBuilder::build() {
+  DGAP_REQUIRE(edges_.size() <= UINT32_MAX / 2,
+               "2m directed edges must fit the 32-bit CSR offsets");
+  Graph g(n_);
+  auto& off = g.offsets_;
+  for (const auto& [u, v] : edges_) {
+    ++off[static_cast<std::size_t>(u) + 1];
+    ++off[static_cast<std::size_t>(v) + 1];
+  }
+  std::uint32_t max_degree = 0;
+  for (std::size_t v = 1; v < off.size(); ++v) {
+    max_degree = std::max(max_degree, off[v]);
+    off[v] += off[v - 1];
+  }
+  // Counting sort of both directions by source; a row fills in edge-list
+  // order, so rows of generators that emit edges lexicographically are
+  // already ascending and the per-row sort below only confirms it.
+  std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
+  g.adj_.resize(edges_.size() * 2);
+  for (const auto& [u, v] : edges_) {
+    g.adj_[cursor[static_cast<std::size_t>(u)]++] = v;
+    g.adj_[cursor[static_cast<std::size_t>(v)]++] = u;
+  }
+  std::vector<std::pair<NodeId, NodeId>>().swap(edges_);
+  std::vector<std::uint32_t>().swap(cursor);
+  for (std::size_t v = 0; v + 1 < off.size(); ++v) {
+    const auto row_begin = g.adj_.begin() + off[v];
+    const auto row_end = g.adj_.begin() + off[v + 1];
+    if (!std::is_sorted(row_begin, row_end)) std::sort(row_begin, row_end);
+    DGAP_REQUIRE(std::adjacent_find(row_begin, row_end) == row_end,
+                 "edge already present");
+  }
+  g.max_degree_ = static_cast<int>(max_degree);
+  return g;
 }
 
 }  // namespace dgap

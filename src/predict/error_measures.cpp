@@ -299,10 +299,8 @@ std::vector<std::vector<bool>> edge_coloring_base_colored(
       proposes[v][i] = unique;
     }
   }
-  auto slot = [&g](NodeId v, NodeId u) {
-    const auto& nb = g.neighbors(v);
-    return static_cast<std::size_t>(
-        std::lower_bound(nb.begin(), nb.end(), u) - nb.begin());
+  auto slot = [&g](NodeId v, NodeId u) -> std::size_t {
+    return g.edge_slot(v, u) - g.row_begin(v);
   };
   std::vector<std::vector<bool>> colored(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
@@ -323,10 +321,8 @@ std::vector<std::vector<bool>> edge_coloring_base_colored(
 std::vector<std::vector<NodeId>> edge_coloring_error_components(
     const Graph& g, const Predictions& pred) {
   auto colored = edge_coloring_base_colored(g, pred);
-  auto slot = [&g](NodeId v, NodeId u) {
-    const auto& nb = g.neighbors(v);
-    return static_cast<std::size_t>(
-        std::lower_bound(nb.begin(), nb.end(), u) - nb.begin());
+  auto slot = [&g](NodeId v, NodeId u) -> std::size_t {
+    return g.edge_slot(v, u) - g.row_begin(v);
   };
   // Union-find over nodes, joining endpoints of uncolored edges.
   std::vector<NodeId> parent(static_cast<std::size_t>(g.num_nodes()));

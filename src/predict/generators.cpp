@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <unordered_set>
 
 #include "common/require.hpp"
 #include "graph/exact.hpp"
@@ -28,10 +29,9 @@ std::vector<std::size_t> distinct_indices(std::size_t count, std::size_t bound,
   return all;
 }
 
+/// Position of u in v's neighbor row.
 std::size_t slot_of(const Graph& g, NodeId v, NodeId u) {
-  const auto& nb = g.neighbors(v);
-  return static_cast<std::size_t>(
-      std::lower_bound(nb.begin(), nb.end(), u) - nb.begin());
+  return g.edge_slot(v, u) - g.row_begin(v);
 }
 
 }  // namespace
@@ -101,24 +101,34 @@ Graph perturb_edges(const Graph& g, int remove_edges, int add_edges,
   rng.shuffle(edges);
   const std::size_t keep_from =
       std::min(edges.size(), static_cast<std::size_t>(std::max(remove_edges, 0)));
-  Graph out(g.num_nodes());
-  out.set_ids(g.ids());
-  out.set_id_bound(g.id_bound());
+  const NodeId n = g.num_nodes();
+  GraphBuilder out(n);
+  // The pairs chosen so far (kept edges, then accepted additions) decide
+  // rejections exactly as querying the graph under construction would.
+  const auto key = [n](NodeId u, NodeId v) {
+    return static_cast<std::uint64_t>(std::min(u, v)) *
+               static_cast<std::uint64_t>(n) +
+           static_cast<std::uint64_t>(std::max(u, v));
+  };
+  std::unordered_set<std::uint64_t> chosen;
   for (std::size_t i = keep_from; i < edges.size(); ++i) {
     out.add_edge(edges[i].first, edges[i].second);
+    chosen.insert(key(edges[i].first, edges[i].second));
   }
   int added = 0;
   int attempts = 0;
-  const NodeId n = g.num_nodes();
   while (added < add_edges && attempts < 100 * (add_edges + 1) && n >= 2) {
     ++attempts;
     NodeId u = static_cast<NodeId>(rng.next_below(n));
     NodeId v = static_cast<NodeId>(rng.next_below(n));
-    if (u == v || out.has_edge(u, v)) continue;
+    if (u == v || !chosen.insert(key(u, v)).second) continue;
     out.add_edge(u, v);
     ++added;
   }
-  return out;
+  Graph perturbed = out.build();
+  perturbed.set_ids(g.ids());
+  perturbed.set_id_bound(g.id_bound());
+  return perturbed;
 }
 
 // ---- Maximal Matching -------------------------------------------------------

@@ -1,7 +1,5 @@
 #include "predict/predictions.hpp"
 
-#include <algorithm>
-
 #include "common/require.hpp"
 
 namespace dgap {
@@ -31,10 +29,9 @@ Value Predictions::node(NodeId v) const {
 Value Predictions::edge(const Graph& g, NodeId v, NodeId u) const {
   DGAP_REQUIRE(static_cast<std::size_t>(v) < edge_.size(),
                "no edge predictions for this node");
-  const auto& nb = g.neighbors(v);
-  auto it = std::lower_bound(nb.begin(), nb.end(), u);
-  DGAP_REQUIRE(it != nb.end() && *it == u, "edge(v,u) not in the graph");
-  return edge_[v][static_cast<std::size_t>(it - nb.begin())];
+  const std::uint32_t slot = g.edge_slot(v, u);
+  DGAP_REQUIRE(slot != Graph::kNoSlot, "edge(v,u) not in the graph");
+  return edge_[v][slot - g.row_begin(v)];
 }
 
 }  // namespace dgap

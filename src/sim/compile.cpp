@@ -11,23 +11,13 @@ Skeleton compute_skeleton(const Graph& g) {
   const NodeId n = g.num_nodes();
   const std::size_t nu = static_cast<std::size_t>(n);
   Skeleton sk;
-  sk.offset.resize(nu + 1);
-  std::size_t total_adj = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    sk.offset[static_cast<std::size_t>(v)] =
-        static_cast<std::uint32_t>(total_adj);
-    total_adj += g.neighbors(v).size();
-  }
-  sk.offset[nu] = static_cast<std::uint32_t>(total_adj);
-  sk.edge_in_skeleton.assign(total_adj, 0);
+  sk.edge_in_skeleton.assign(g.adjacency().size(), 0);
   sk.parent.assign(nu, kNoNode);
 
   const auto mark = [&](NodeId v, NodeId u) {
-    const auto& nb = g.neighbors(v);
-    const auto it = std::lower_bound(nb.begin(), nb.end(), u);
-    DGAP_ASSERT(it != nb.end() && *it == u, "tree edge is not in the graph");
-    sk.edge_in_skeleton[sk.offset[static_cast<std::size_t>(v)] +
-                        static_cast<std::uint32_t>(it - nb.begin())] = 1;
+    const std::uint32_t slot = g.edge_slot(v, u);
+    DGAP_ASSERT(slot != Graph::kNoSlot, "tree edge is not in the graph");
+    sk.edge_in_skeleton[slot] = 1;
   };
 
   // Seed BFS roots in ascending identifier order (identifiers, not

@@ -52,12 +52,11 @@
 namespace dgap {
 
 /// A deterministic spanning skeleton: a BFS forest rooted at each
-/// component's minimum-identifier node. The edge bitmap shares the engine's
-/// adjacency CSR numbering (directed edge j of node v is the edge to
-/// g.neighbors(v)[j], flag index offset[v] + j), so membership tests in the
-/// broadcast hot path are one load.
+/// component's minimum-identifier node. The edge bitmap is indexed by the
+/// graph's CSR slot (Graph::edge_slot: directed edge j of node v is the
+/// edge to g.neighbors(v)[j], flag index g.row_begin(v) + j), so
+/// membership tests in the broadcast hot path are one load.
 struct Skeleton {
-  std::vector<std::uint32_t> offset;          // n+1 adjacency CSR offsets
   std::vector<std::uint8_t> edge_in_skeleton;  // per directed edge
   std::vector<NodeId> parent;                  // kNoNode at forest roots
   std::int64_t tree_edges = 0;                 // undirected tree edge count

@@ -40,7 +40,7 @@ std::int64_t NodeContext::d() const { return engine_->graph_.id_bound(); }
 int NodeContext::delta() const { return engine_->graph_.max_degree(); }
 int NodeContext::round() const { return engine_->round_; }
 
-const std::vector<NodeId>& NodeContext::neighbors() const {
+std::span<const NodeId> NodeContext::neighbors() const {
   return engine_->graph_.neighbors(index_);
 }
 
@@ -51,7 +51,8 @@ Value NodeContext::neighbor_id(NodeId u) const {
 
 std::span<const NodeId> NodeContext::active_neighbors() const {
   const EngineScratch& s = engine_->s_;
-  return {s.an_pool.data() + s.an_begin[index_], s.an_count[index_]};
+  return {s.an_pool.data() + engine_->graph_.row_begin(index_),
+          s.an_count[index_]};
 }
 
 bool NodeContext::neighbor_active(NodeId u) const {
@@ -152,8 +153,8 @@ void NodeContext::broadcast(const Value* words, std::size_t count,
     // active-neighbor view against the full adjacency to recover each
     // neighbor's CSR slot; both are ascending, so one merge pass suffices.
     const Skeleton& sk = *engine_->compile_skeleton_;
-    const auto& nb = engine_->graph_.neighbors(index_);
-    const std::uint32_t base = sk.offset[static_cast<std::size_t>(index_)];
+    const auto nb = engine_->graph_.neighbors(index_);
+    const std::uint32_t base = engine_->graph_.row_begin(index_);
     std::size_t j = 0;
     for (NodeId u : an) {
       while (nb[j] != u) ++j;
@@ -273,13 +274,6 @@ void NodeContext::idle() {
 // Engine — struct-of-arrays edge outputs.
 // ---------------------------------------------------------------------------
 
-std::uint32_t Engine::adjacency_slot(NodeId v, NodeId key) const {
-  const auto& nb = graph_.neighbors(v);
-  const auto it = std::lower_bound(nb.begin(), nb.end(), key);
-  if (it == nb.end() || *it != key) return UINT32_MAX;
-  return s_.an_begin[v] + static_cast<std::uint32_t>(it - nb.begin());
-}
-
 void Engine::ensure_edge_out_pool() {
   if (edge_out_ready_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(edge_out_init_mutex_);
@@ -291,15 +285,15 @@ void Engine::ensure_edge_out_pool() {
 
 Value Engine::edge_output_lookup(NodeId v, NodeId key) const {
   if (!edge_out_ready_.load(std::memory_order_acquire)) return kUndefined;
-  const std::uint32_t slot = adjacency_slot(v, key);
-  if (slot == UINT32_MAX) return kUndefined;
+  const std::uint32_t slot = graph_.edge_slot(v, key);
+  if (slot == Graph::kNoSlot) return kUndefined;
   return s_.edge_out_pool[slot];
 }
 
 void Engine::edge_output_store(NodeId v, NodeId key, Value value) {
   ensure_edge_out_pool();
-  const std::uint32_t slot = adjacency_slot(v, key);
-  DGAP_REQUIRE(slot != UINT32_MAX,
+  const std::uint32_t slot = graph_.edge_slot(v, key);
+  DGAP_REQUIRE(slot != Graph::kNoSlot,
                "edge outputs are keyed by a neighbor index");
   Value& cell = s_.edge_out_pool[slot];
   if (cell == kUndefined) ++s_.edge_out_count[v];
@@ -316,8 +310,8 @@ void Engine::materialize_edge_outputs(
   out.clear();
   if (!edge_out_ready_.load(std::memory_order_acquire)) return;
   if (s_.edge_out_count[v] == 0) return;
-  const auto& nb = graph_.neighbors(v);
-  const std::uint32_t base = s_.an_begin[v];
+  const auto nb = graph_.neighbors(v);
+  const std::uint32_t base = graph_.row_begin(v);
   for (std::size_t j = 0; j < nb.size(); ++j) {
     const Value val = s_.edge_out_pool[base + j];
     if (val != kUndefined) out.emplace_back(nb[j], val);
@@ -344,26 +338,20 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   programs_.reserve(nu);
   s_.awake_nodes.clear();
   s_.awake_nodes.reserve(nu);
-  // Struct-of-arrays node state. The CSR offsets mirror the graph's
-  // adjacency, and every pool slot in [0, total) is rewritten below, so a
-  // reused scratch cannot leak a previous (larger) graph's tails into this
-  // run (tests/scratch_reuse_test.cpp sweeps decreasing sizes to pin it).
+  // Struct-of-arrays node state. The active-neighbor pool is a mutable
+  // copy of the graph's CSR neighbor array, addressed by the graph's own
+  // row offsets; assign() rewrites every slot, so a reused scratch cannot
+  // leak a previous (larger) graph's tails into this run
+  // (tests/scratch_reuse_test.cpp sweeps decreasing sizes to pin it).
   s_.node_output.assign(nu, kUndefined);
-  s_.an_begin.resize(nu + 1);
-  std::size_t total_adj = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    s_.an_begin[v] = static_cast<std::uint32_t>(total_adj);
-    total_adj += g.neighbors(v).size();
-  }
-  s_.an_begin[nu] = static_cast<std::uint32_t>(total_adj);
-  s_.an_pool.resize(total_adj);
+  const std::vector<NodeId>& adjacency = g.adjacency();
+  const std::size_t total_adj = adjacency.size();
+  s_.an_pool.assign(adjacency.begin(), adjacency.end());
   s_.an_count.resize(nu);
   for (NodeId v = 0; v < n; ++v) {
     programs_.push_back(factory(v));
     DGAP_REQUIRE(programs_.back() != nullptr, "factory returned null");
-    const auto& nb = g.neighbors(v);
-    std::copy(nb.begin(), nb.end(), s_.an_pool.begin() + s_.an_begin[v]);
-    s_.an_count[v] = static_cast<std::uint32_t>(nb.size());
+    s_.an_count[v] = static_cast<std::uint32_t>(g.degree(v));
     s_.awake_nodes.push_back(v);
   }
   active_count_ = n;
@@ -447,13 +435,12 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   }
   // Message-reduction compilation (sim/compile.hpp). The knobs are cached
   // as flat flags for the per-send / per-record checks; the per-directed-
-  // edge cache reuses the adjacency CSR, so slot lookup is adjacency_slot.
+  // edge cache is indexed by the graph's CSR slot (Graph::edge_slot).
   compile_cache_ = options_.compile.cache_resends;
   compile_defaults_ = options_.compile.decode_defaults;
   compile_skeleton_ = options_.compile.skeleton;
   if (compile_skeleton_ != nullptr) {
-    DGAP_REQUIRE(compile_skeleton_->offset.size() == nu + 1 &&
-                     compile_skeleton_->edge_in_skeleton.size() == total_adj,
+    DGAP_REQUIRE(compile_skeleton_->edge_in_skeleton.size() == total_adj,
                  "skeleton does not match the graph");
   }
   if (compile_cache_) {
@@ -881,8 +868,8 @@ bool Engine::cache_check_and_update(detail::SendRecord& r) {
   // last message delivered on this edge?". A hit means the receiver can
   // reconstruct the payload from its own memory, so the re-send need not
   // cross the wire.
-  const std::uint32_t slot = adjacency_slot(r.from, r.to);
-  DGAP_ASSERT(slot != UINT32_MAX, "send record addresses a non-neighbor");
+  const std::uint32_t slot = graph_.edge_slot(r.from, r.to);
+  DGAP_ASSERT(slot != Graph::kNoSlot, "send record addresses a non-neighbor");
   constexpr std::uint32_t kCap = detail::SendRecord::kInlineCap;
   const bool small = r.len <= kCap;
   const std::uint8_t want_state = small ? 1 : 2;
@@ -1020,7 +1007,7 @@ void Engine::process_terminations(const std::vector<NodeId>& recv,
     // promise it made is void.
     for (const NodeId u : s_.touched_receivers) {
       s_.recv_count[u] = 0;
-      NodeId* live = s_.an_pool.data() + s_.an_begin[u];
+      NodeId* live = s_.an_pool.data() + graph_.row_begin(u);
       const std::uint32_t count = s_.an_count[u];
       std::uint32_t w = 0;
       for (std::uint32_t i = 0; i < count; ++i) {
@@ -1138,7 +1125,7 @@ void Engine::process_terminations_parallel(
       }
       for (const NodeId u : rs.touched) {
         s_.recv_count[u] = 0;
-        NodeId* live = s_.an_pool.data() + s_.an_begin[u];
+        NodeId* live = s_.an_pool.data() + graph_.row_begin(u);
         const std::uint32_t count = s_.an_count[u];
         std::uint32_t w = 0;
         for (std::uint32_t i = 0; i < count; ++i) {

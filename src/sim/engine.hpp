@@ -249,10 +249,10 @@ class LinkLayer;  // per-edge bandwidth scheduler (sim/link_layer.hpp)
 ///
 /// Per-node state is struct-of-arrays (docs/MODEL.md, "Memory model"): one
 /// flat output array, and the active-neighbor sets as live prefixes of a
-/// CSR pool mirroring the graph's adjacency — termination compacts a
-/// node's prefix in place instead of erasing from a per-node vector, so
-/// the termination sweep and delivery checks touch dense cache-resident
-/// arrays even at n = 10^6-10^7.
+/// mutable copy of the graph's CSR neighbor array, addressed by the graph's
+/// own row offsets — termination compacts a node's prefix in place instead
+/// of erasing from a per-node vector, so the termination sweep and delivery
+/// checks touch dense cache-resident arrays even at n = 10^6-10^7.
 struct EngineScratch {
   std::vector<std::uint8_t> node_active;     // hot flag, 1 = active
   std::vector<std::uint8_t> terminate_flag;  // hot flag, 1 = requested
@@ -266,7 +266,6 @@ struct EngineScratch {
   std::vector<NodeId> newly_terminated;   // scratch for termination pass
   // --- struct-of-arrays node state ---
   std::vector<Value> node_output;         // key-0 outputs; kUndefined unset
-  std::vector<std::uint32_t> an_begin;    // CSR offsets (n + 1), adjacency
   std::vector<NodeId> an_pool;            // active-neighbor live prefixes
   std::vector<std::uint32_t> an_count;    // live prefix length per node
   std::vector<Value> edge_out_pool;       // lazy; one slot / directed edge
@@ -284,7 +283,7 @@ struct EngineScratch {
   std::vector<std::uint32_t> send_base;   // global index base per send shard
   std::vector<std::size_t> merge_pos;     // touched-list merge cursor scratch
   // --- message-reduction compiler state (EngineOptions::compile), SoA per
-  // directed edge, addressed by the CSR adjacency slot of (from, to). The
+  // directed edge, addressed by the graph's CSR slot of (from, to). The
   // cache models the receiver's one-slot memory of the link's previous
   // message: (channel, len, payload). Payloads up to SendRecord::kInlineCap
   // words — the common case — live in the flat cache_words pool; longer
@@ -317,7 +316,7 @@ class NodeContext {
   int round() const;
 
   /// All neighbors in the input graph (internal indices, ascending).
-  const std::vector<NodeId>& neighbors() const;
+  std::span<const NodeId> neighbors() const;
   Value neighbor_id(NodeId u) const;
   int degree() const { return static_cast<int>(neighbors().size()); }
 
@@ -654,10 +653,9 @@ class Engine {
   void trace_deliveries();
 
   // --- struct-of-arrays edge-output accessors. The pool (one Value slot
-  // per directed edge, addressed by the CSR adjacency position of the key)
-  // is allocated lazily on the first store, so node-valued workloads never
+  // per directed edge, addressed by the graph's CSR slot of the key) is
+  // allocated lazily on the first store, so node-valued workloads never
   // pay for it; allocation is guarded for the sharded receive phase.
-  std::uint32_t adjacency_slot(NodeId v, NodeId key) const;
   void ensure_edge_out_pool();
   Value edge_output_lookup(NodeId v, NodeId key) const;
   void edge_output_store(NodeId v, NodeId key, Value value);

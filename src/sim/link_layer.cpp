@@ -16,13 +16,7 @@ LinkLayer::LinkLayer(const Graph& g, CongestPolicy policy, int budget_words)
   DGAP_REQUIRE(budget_words > 0,
                "enforcing congest policies need a positive word budget "
                "(EngineOptions::congest_word_limit)");
-  const NodeId n = g.num_nodes();
-  link_offset_.resize(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    link_offset_[static_cast<std::size_t>(v) + 1] =
-        link_offset_[v] + g.neighbors(v).size();
-  }
-  const std::size_t total_links = link_offset_.back();
+  const std::size_t total_links = g.adjacency().size();
   if (policy_ == CongestPolicy::kDefer) {
     links_.resize(total_links);
     queued_flag_.assign(total_links, 0);
@@ -32,11 +26,9 @@ LinkLayer::LinkLayer(const Graph& g, CongestPolicy policy, int budget_words)
 }
 
 std::size_t LinkLayer::link_index(NodeId from, NodeId to) const {
-  const auto& nb = graph_.neighbors(from);
-  const auto it = std::lower_bound(nb.begin(), nb.end(), to);
-  DGAP_ASSERT(it != nb.end() && *it == to, "send to a non-neighbor link");
-  return link_offset_[from] +
-         static_cast<std::size_t>(std::distance(nb.begin(), it));
+  const std::uint32_t slot = graph_.edge_slot(from, to);
+  DGAP_ASSERT(slot != Graph::kNoSlot, "send to a non-neighbor link");
+  return slot;
 }
 
 void LinkLayer::begin_round(int round) {

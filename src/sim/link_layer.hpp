@@ -124,6 +124,8 @@ class LinkLayer {
     std::int64_t backlog = 0;  // sum of words_remaining over the queue
   };
 
+  /// The directed link from -> to is numbered by its CSR slot,
+  /// Graph::edge_slot(from, to).
   std::size_t link_index(NodeId from, NodeId to) const;
   void deliver(NodeId to, NodeId from, std::int32_t channel,
                const Value* words, std::uint32_t len, bool truncated);
@@ -132,10 +134,6 @@ class LinkLayer {
   const CongestPolicy policy_;
   const std::uint32_t budget_;
   int round_ = 0;
-
-  // CSR over directed edges: out-link j of node v is the edge to
-  // g.neighbors(v)[j], numbered link_offset_[v] + j.
-  std::vector<std::size_t> link_offset_;
 
   // kDefer state.
   std::vector<Link> links_;

@@ -100,12 +100,13 @@ TEST(EngineDeterminism, ThreadCountInvariant) {
 /// travel with the nodes, so the logical graph is unchanged).
 Graph permute_indices(const Graph& g, const std::vector<NodeId>& perm) {
   const NodeId n = g.num_nodes();
-  Graph h(n);
+  GraphBuilder b(n);
+  for (const auto& [u, v] : g.edges()) b.add_edge(perm[u], perm[v]);
+  Graph h = b.build();
   std::vector<Value> ids(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) ids[perm[v]] = g.id(v);
   h.set_ids(std::move(ids));
   h.set_id_bound(g.id_bound());
-  for (const auto& [u, v] : g.edges()) h.add_edge(perm[u], perm[v]);
   return h;
 }
 

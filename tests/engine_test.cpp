@@ -309,8 +309,9 @@ TEST(Engine, CompletionRoundPerComponent) {
   // Two components: a clique (max-id terminates round 1, rest round 2ish)
   // and an isolated node (round 1). Use OutputIdProgram: everyone in
   // round 1.
-  Graph g(4);
-  g.add_edge(0, 1);
+  GraphBuilder b(4);
+  b.add_edge(0, 1);
+  const Graph g = b.build();
   auto result = run_algorithm(
       g, [](NodeId) { return std::make_unique<OutputIdProgram>(); });
   auto per_comp = completion_round_per_component(g, result);

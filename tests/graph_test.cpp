@@ -4,12 +4,17 @@
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "graph/edits.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/properties.hpp"
 #include "graph/spec.hpp"
+#include "predict/generators.hpp"
 
 namespace dgap {
 namespace {
@@ -27,9 +32,10 @@ TEST(Graph, DefaultIdsAreOneBased) {
 }
 
 TEST(Graph, AddAndQueryEdges) {
-  Graph g(4);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
+  GraphBuilder b(4);
+  b.add_edge(0, 2);
+  b.add_edge(2, 3);
+  const Graph g = b.build();
   EXPECT_TRUE(g.has_edge(0, 2));
   EXPECT_TRUE(g.has_edge(2, 0));
   EXPECT_FALSE(g.has_edge(0, 1));
@@ -39,11 +45,69 @@ TEST(Graph, AddAndQueryEdges) {
 }
 
 TEST(Graph, RejectsSelfLoopAndDuplicates) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_THROW(g.add_edge(1, 1), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(1, 0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(0, 5), std::invalid_argument);
+  GraphBuilder b(3);
+  b.add_edge(0, 1);
+  EXPECT_THROW(b.add_edge(1, 1), std::invalid_argument);
+  EXPECT_THROW(b.add_edge(0, 5), std::invalid_argument);
+  EXPECT_THROW(b.add_edge(-1, 0), std::invalid_argument);
+  b.add_edge(1, 0);  // duplicates are caught at build()
+  EXPECT_THROW(b.build(), std::invalid_argument);
+}
+
+TEST(GraphBuilder, RejectsDuplicatesInEitherOrientationFarApart) {
+  for (const bool reversed : {false, true}) {
+    GraphBuilder b(50);
+    b.add_edge(3, 17);
+    for (NodeId v = 20; v < 49; ++v) b.add_edge(v, v + 1);
+    if (reversed) {
+      b.add_edge(17, 3);
+    } else {
+      b.add_edge(3, 17);
+    }
+    EXPECT_THROW(b.build(), std::invalid_argument) << reversed;
+  }
+}
+
+TEST(GraphBuilder, KeepsIsolatedNodesAndSortsRows) {
+  GraphBuilder b(7);
+  b.add_edge(4, 0);
+  b.add_edge(2, 4);
+  b.add_edge(4, 1);
+  b.add_edge(6, 2);
+  const Graph g = b.build();
+  EXPECT_EQ(g.num_nodes(), 7);
+  EXPECT_EQ(g.num_edges(), 4);
+  EXPECT_EQ(g.degree(3), 0);
+  EXPECT_EQ(g.degree(5), 0);
+  EXPECT_TRUE(g.neighbors(3).empty());
+  EXPECT_EQ(g.id(5), 6);
+  EXPECT_EQ(g.id_bound(), 7);
+  EXPECT_EQ(g.max_degree(), 3);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto nb = g.neighbors(v);
+    EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end())) << v;
+  }
+  const auto nb4 = g.neighbors(4);
+  EXPECT_EQ(std::vector<NodeId>(nb4.begin(), nb4.end()),
+            (std::vector<NodeId>{0, 1, 2}));
+}
+
+TEST(GraphBuilder, EdgeSlotFindsEdgesAndMissesNonEdges) {
+  const Graph g = make_star(5);  // hub 0, leaves 1..4
+  ASSERT_EQ(g.adjacency().size(), 8u);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto nb = g.neighbors(v);
+    for (std::size_t j = 0; j < nb.size(); ++j) {
+      const std::uint32_t slot = g.edge_slot(v, nb[j]);
+      EXPECT_EQ(slot, g.row_begin(v) + j);
+      EXPECT_EQ(g.adjacency()[slot], nb[j]);
+    }
+  }
+  EXPECT_EQ(g.edge_slot(0, 3), 2u);
+  EXPECT_EQ(g.edge_slot(3, 0), g.row_begin(3));
+  EXPECT_EQ(g.edge_slot(1, 2), Graph::kNoSlot);
+  EXPECT_EQ(g.edge_slot(2, 2), Graph::kNoSlot);
+  EXPECT_EQ(g.edge_slot(0, 9), Graph::kNoSlot);
 }
 
 TEST(Graph, SetIdsValidatesDistinctness) {
@@ -305,11 +369,153 @@ TEST(Generators, SparseIdsWithinDomain) {
   EXPECT_EQ(g.id_bound(), 1000);
 }
 
+std::uint64_t fnv1a_mix(std::uint64_t h, const void* data, std::size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t instance_digest(const Graph& g) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const Value id : g.ids()) h = fnv1a_mix(h, &id, sizeof(id));
+  const std::int64_t d = g.id_bound();
+  h = fnv1a_mix(h, &d, sizeof(d));
+  for (const auto& [u, v] : g.edges()) {
+    h = fnv1a_mix(h, &u, sizeof(u));
+    h = fnv1a_mix(h, &v, sizeof(v));
+  }
+  const int delta = g.max_degree();
+  return fnv1a_mix(h, &delta, sizeof(delta));
+}
+
+std::vector<std::pair<std::string, Graph>> pinned_instances() {
+  std::vector<std::pair<std::string, Graph>> out;
+  const auto add = [&out](std::string name, Graph g) {
+    out.emplace_back(std::move(name), std::move(g));
+  };
+  add("ring", make_ring(9));
+  add("wheel_fk", make_wheel_fk(6));
+  add("grid", make_grid(5, 4));
+  add("hypercube", make_hypercube(4));
+  add("complete_bipartite", make_complete_bipartite(3, 5));
+  {
+    Rng rng(11);
+    Graph g = make_gnp(80, 0.08, rng);
+    randomize_ids(g, rng);
+    add("gnp", std::move(g));
+  }
+  for (const int threads : {1, 4}) {
+    Rng rng(12);
+    Graph g = make_gnp_sparse(20000, 6.0 / 20000, rng, threads);
+    randomize_ids_sparse(g, 50000, rng);
+    add("gnp_sparse_t" + std::to_string(threads), std::move(g));
+  }
+  {
+    Rng rng(13);
+    add("gnm", make_gnm(3000, 9000, rng, 2));
+  }
+  {
+    Rng rng(14);
+    add("random_connected", make_random_connected(200, 150, rng));
+  }
+  {
+    Rng rng(15);
+    add("rooted_random_tree", make_rooted_random_tree(120, rng).graph);
+  }
+  add("rooted_binary_tree", make_rooted_binary_tree(5).graph);
+  add("rooted_kary_tree", make_rooted_kary_tree(3, 4).graph);
+  add("rooted_line", make_rooted_line(12).graph);
+  add("caterpillar", make_caterpillar(7, 3));
+  {
+    Rng rng(16);
+    Graph a = make_gnp(30, 0.2, rng);
+    randomize_ids(a, rng);
+    add("disjoint_union", disjoint_union(a, make_ring(7)));
+  }
+  {
+    Rng rng(17);
+    Graph g = make_gnp(90, 0.07, rng);
+    randomize_ids(g, rng);
+    std::vector<NodeId> keep;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (rng.flip(0.6)) keep.push_back(v);
+    }
+    add("induced", g.induced(keep).first);
+  }
+  {
+    Rng rng(18);
+    Graph g = make_gnp(100, 0.06, rng);
+    add("perturb_edges", perturb_edges(g, 12, 15, rng));
+  }
+  {
+    Rng rng(19);
+    Graph g = make_gnp_sparse(600, 8.0 / 600, rng);
+    randomize_ids(g, rng);
+    ChurnSpec churn;
+    churn.seed = 20;
+    churn.edge_remove_frac = 0.05;
+    churn.edge_add_frac = 0.05;
+    churn.node_remove_frac = 0.02;
+    churn.node_add_frac = 0.02;
+    for (int epoch = 1; epoch <= 3; ++epoch) {
+      g = apply_edits(g, churn.generate(g, epoch));
+      add("churn_epoch" + std::to_string(epoch), g);
+    }
+  }
+  return out;
+}
+
+// Every producer now builds through GraphBuilder's CSR. These digests of
+// (ids, id_bound, edges(), max_degree()) were recorded from the earlier
+// per-node sorted-insert construction, so they pin that each family's
+// instances (and every rng draw behind them) are bit-identical.
+TEST(Generators, InstancesUnchanged) {
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"ring", 0x0e0f35ca709d7fb9ULL},
+      {"wheel_fk", 0x54404faeae4c4782ULL},
+      {"grid", 0x46e9c2ebd8f3ab9cULL},
+      {"hypercube", 0x0bcb332f69ca8d17ULL},
+      {"complete_bipartite", 0x647adc4868168296ULL},
+      {"gnp", 0x2955157895eefd98ULL},
+      {"gnp_sparse_t1", 0xd35b534ace3650aaULL},
+      {"gnp_sparse_t4", 0xd35b534ace3650aaULL},
+      {"gnm", 0xb0a2442dac78fc9eULL},
+      {"random_connected", 0x192d753f2459f97fULL},
+      {"rooted_random_tree", 0xbc29a3ddbf802c81ULL},
+      {"rooted_binary_tree", 0xfbcdb2b0ca561bb0ULL},
+      {"rooted_kary_tree", 0x180dc2cdf7d956fbULL},
+      {"rooted_line", 0x47d02cd96406880aULL},
+      {"caterpillar", 0x90ba0b8d1b0f3960ULL},
+      {"disjoint_union", 0xdee031b757f60bc6ULL},
+      {"induced", 0x067a6a79c1e28f80ULL},
+      {"perturb_edges", 0xb5edd735e0d1204aULL},
+      {"churn_epoch1", 0xe7f652c9fac73685ULL},
+      {"churn_epoch2", 0x3f33bcf580f0c9e1ULL},
+      {"churn_epoch3", 0x19339136d6e05147ULL},
+  };
+  const auto instances = pinned_instances();
+  ASSERT_EQ(instances.size(), expected.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const auto& [name, g] = instances[i];
+    EXPECT_EQ(name, expected[i].first);
+    EXPECT_EQ(instance_digest(g), expected[i].second) << name;
+    int delta = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      delta = std::max(delta, g.degree(v));
+    }
+    EXPECT_EQ(g.max_degree(), delta) << name;
+  }
+}
+
 TEST(Properties, ConnectedComponents) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
+  GraphBuilder b(6);
+  b.add_edge(0, 1);
+  b.add_edge(2, 3);
+  b.add_edge(3, 4);
+  const Graph g = b.build();
   auto comps = connected_components(g);
   ASSERT_EQ(comps.size(), 3u);
   EXPECT_EQ(comps[0], (std::vector<NodeId>{0, 1}));
@@ -321,8 +527,9 @@ TEST(Properties, BfsDistances) {
   Graph g = make_line(5);
   auto dist = bfs_distances(g, 0);
   EXPECT_EQ(dist[4], 4);
-  Graph h(3);
-  h.add_edge(0, 1);
+  GraphBuilder b(3);
+  b.add_edge(0, 1);
+  const Graph h = b.build();
   auto d2 = bfs_distances(h, 0);
   EXPECT_EQ(d2[2], -1);
 }
