@@ -37,38 +37,39 @@ LinialSchedule linial_schedule(std::int64_t d, int delta,
     m = m_new;
   }
   s.final_colors = m;
-  // Build the per-round reduction plan.
-  auto class_tail = [&](std::vector<LinialReductionStep>& plan,
-                        std::int64_t colors) {
-    const Value floor = reduce_all_classes ? 0 : delta + 1;
-    for (Value c = colors - 1; c >= floor; --c) plan.push_back({0, c, false});
+  // The class tail of a palette of `colors` examines classes colors − 1
+  // down to the floor, one per round.
+  const Value floor = reduce_all_classes ? 0 : delta + 1;
+  const auto tail_length = [floor](std::int64_t colors) {
+    return std::max<std::int64_t>(colors - floor, 0);
   };
+  std::int64_t tail_colors = m;
   if (kw_reduction) {
     // Kuhn–Wattenhofer block stages cost Δ+1 rounds each and roughly halve
-    // the palette; they only pay off while the palette is large, so build
-    // the KW plan AND the plain plan and keep the shorter (both are pure
-    // functions of (d, Δ), so every node picks the same one).
-    std::vector<LinialReductionStep> kw_plan;
+    // the palette; they only pay off while the palette is large, so keep
+    // them only when KW plus its tail is shorter than the plain tail (both
+    // are pure functions of (d, Δ), so every node picks the same plan).
+    std::vector<LinialReductionStep> kw_steps;
     std::int64_t mk = m;
     const Value block = 2 * (static_cast<Value>(delta) + 1);
     while (mk > block) {
       // Stop doubling down when finishing by classes is already cheaper.
       if (mk - (delta + 1) <= delta + 1) break;
       for (Value t = 0; t <= delta; ++t) {
-        kw_plan.push_back(
+        kw_steps.push_back(
             {block, static_cast<Value>(delta) + 1 + t, t == delta});
       }
       mk = ceil_div(mk, block) * (delta + 1);
     }
-    class_tail(kw_plan, mk);
-    std::vector<LinialReductionStep> plain_plan;
-    class_tail(plain_plan, m);
-    s.reduction = kw_plan.size() < plain_plan.size() ? std::move(kw_plan)
-                                                     : std::move(plain_plan);
-  } else {
-    class_tail(s.reduction, m);
+    if (static_cast<std::int64_t>(kw_steps.size()) + tail_length(mk) <
+        tail_length(m)) {
+      s.block_steps = std::move(kw_steps);
+      tail_colors = mk;
+    }
   }
-  s.reduction_rounds = static_cast<int>(s.reduction.size());
+  s.tail_first = tail_colors - 1;
+  s.tail_count = static_cast<int>(tail_length(tail_colors));
+  s.reduction_rounds = static_cast<int>(s.block_steps.size()) + s.tail_count;
   s.total_rounds = static_cast<int>(s.steps.size()) + s.reduction_rounds + 1;
   return s;
 }
@@ -154,8 +155,8 @@ PhaseProgram::Status LinialColoringPhase::on_receive(NodeContext& ctx,
                 "q > kΔ guarantees a separating evaluation point");
     color_ = chosen_x * q + poly_eval(color_, k, q, chosen_x);
   } else if (step_ <= num_steps + schedule_.reduction_rounds) {
-    const auto& op = schedule_.reduction[static_cast<std::size_t>(
-        step_ - num_steps - 1)];
+    const LinialReductionStep op =
+        schedule_.reduction_step(step_ - num_steps - 1);
     const Value delta = ctx.delta();
     if (op.block > 0) {
       // Kuhn–Wattenhofer step: the scheduled offset of every block

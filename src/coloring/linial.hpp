@@ -54,12 +54,25 @@ struct LinialReductionStep {
   bool relabel = false;
 };
 
+/// The reduction stage runs one operation per round: the Kuhn–Wattenhofer
+/// block steps (O(Δ log Δ), stored explicitly), then the class-by-class
+/// tail, stored as a range — classes tail_first, tail_first − 1, … — since
+/// it can span O(Δ²) classes.
 struct LinialSchedule {
   std::vector<LinialStep> steps;            // one round each
-  std::int64_t final_colors;                // palette size after the steps
-  std::vector<LinialReductionStep> reduction;  // one round each
-  int reduction_rounds;                     // == reduction.size()
-  int total_rounds;                         // steps + reduction + 1
+  std::int64_t final_colors = 0;            // palette size after the steps
+  std::vector<LinialReductionStep> block_steps;
+  Value tail_first = 0;
+  int tail_count = 0;
+  int reduction_rounds = 0;                 // block_steps + tail_count
+  int total_rounds = 0;                     // steps + reduction + 1
+
+  /// Operation of reduction round i, 0 <= i < reduction_rounds.
+  LinialReductionStep reduction_step(int i) const {
+    const int blocks = static_cast<int>(block_steps.size());
+    if (i < blocks) return block_steps[static_cast<std::size_t>(i)];
+    return {0, tail_first - (i - blocks), false};
+  }
 };
 
 /// Deterministic schedule for identifiers in {1..d} and max degree Δ.

@@ -88,6 +88,7 @@ void NodeContext::send(NodeId to, const Value* words, std::size_t count,
   DGAP_REQUIRE(engine_->graph_.has_edge(index_, to),
                "can only send to a neighbor");
   auto& sh = *shard_;
+  if (!sh.node_on_records) leave_pull_path();
   if (channel < sh.last_channel) sh.channels_monotone = false;
   sh.last_channel = channel;
   detail::SendRecord r;
@@ -123,28 +124,49 @@ void NodeContext::send(NodeId to, std::initializer_list<Value> words,
 void NodeContext::broadcast(const Value* words, std::size_t count,
                             int channel) {
   DGAP_REQUIRE(engine_->in_send_phase_, "broadcast() is only valid in onSend");
-  const auto an = active_neighbors();
-  if (an.empty()) return;
+  if (active_neighbors().empty()) return;
   auto& sh = *shard_;
-  if (channel < sh.last_channel) sh.channels_monotone = false;
+  if (channel < sh.last_channel) {
+    sh.channels_monotone = false;
+    if (!sh.node_on_records) leave_pull_path();
+  }
   sh.last_channel = channel;
+  // One copy of the payload (inline, or once in the arena) per broadcast,
+  // whatever the degree.
+  detail::PullEntry e;
+  e.channel = channel;
+  e.len = static_cast<std::uint32_t>(count);
+  e.offset = 0;
+  e.flags = engine_->compile_defaults_ &&
+                    matches_default(sh, channel, words, count)
+                ? detail::SendRecord::kSuppressed
+                : 0;
+  if (count <= detail::SendRecord::kInlineCap) {
+    for (std::size_t i = 0; i < count; ++i) e.inline_words[i] = words[i];
+  } else {
+    e.offset = sh.arena.append(words, count);
+  }
+  if (sh.node_on_records) {
+    push_broadcast_records(e);
+  } else {
+    sh.outbox.push_back(e);
+  }
+}
+
+void NodeContext::push_broadcast_records(const detail::PullEntry& e) {
+  auto& sh = *shard_;
   detail::SendRecord r;
   r.from = index_;
-  r.channel = channel;
-  r.len = static_cast<std::uint32_t>(count);
-  r.offset = 0;
+  r.channel = e.channel;
+  r.len = e.len;
+  r.offset = e.offset;
   r.words = nullptr;
-  r.flags = 0;
-  if (engine_->compile_defaults_ &&
-      matches_default(sh, channel, words, count)) {
-    r.flags = detail::SendRecord::kSuppressed;
+  r.flags = e.flags;
+  for (std::uint32_t i = 0; i < e.len && i < detail::SendRecord::kInlineCap;
+       ++i) {
+    r.inline_words[i] = e.inline_words[i];
   }
-  if (count <= detail::SendRecord::kInlineCap) {
-    for (std::size_t i = 0; i < count; ++i) r.inline_words[i] = words[i];
-  } else {
-    // One arena copy of the payload, shared by every per-neighbor record.
-    r.offset = sh.arena.append(words, count);
-  }
+  const auto an = active_neighbors();
   if (engine_->compile_skeleton_ != nullptr && sh.skeleton_relay) {
     // Skeleton relay: the payload physically crosses only skeleton edges;
     // records for the pruned edges are flagged kSkeletonDrop (charged as
@@ -171,6 +193,15 @@ void NodeContext::broadcast(const Value* words, std::size_t count,
     r.to = u;
     sh.sends.push_back(r);
   }
+}
+
+void NodeContext::leave_pull_path() {
+  auto& sh = *shard_;
+  sh.node_on_records = true;
+  for (std::size_t i = sh.node_outbox_begin; i < sh.outbox.size(); ++i) {
+    push_broadcast_records(sh.outbox[i]);
+  }
+  sh.outbox.resize(sh.node_outbox_begin);
 }
 
 void NodeContext::broadcast(const std::vector<Value>& words, int channel) {
@@ -211,9 +242,17 @@ void NodeContext::relay_on_skeleton() {
 }
 
 std::span<const Message> NodeContext::inbox() const {
-  const auto& ref = engine_->s_.inbox_ref[index_];
-  if (ref.round_stamp != engine_->round_) return {};
-  return {engine_->s_.inbox_flat.data() + ref.begin, ref.count};
+  // A round without pull entries (round_has_pulls_ is also false during
+  // the send phase) needs only the record slice; otherwise the node's
+  // first call gathers its inbox into the shard buffer and later calls in
+  // the same hook reuse it.
+  if (!engine_->round_has_pulls_) return engine_->record_inbox(index_);
+  auto& sh = *shard_;
+  if (sh.gathered_node != index_) {
+    engine_->gather_inbox(index_, sh.gathered);
+    sh.gathered_node = index_;
+  }
+  return sh.gathered;
 }
 
 void NodeContext::set_output(Value v) {
@@ -365,6 +404,7 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   // previous run, and a stale stamp equal to this run's current round
   // would resurrect a dead inbox slice.
   s_.inbox_ref.assign(nu, detail::InboxRef{});
+  s_.outbox_ref.assign(nu, detail::OutboxRef{});
   // A previous run that died mid-round (an exception out of a program
   // hook) can leave nonzero counts / stale worklists behind, so restore
   // every between-rounds invariant explicitly.
@@ -381,6 +421,10 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   for (auto& sh : s_.shards) {
     sh.arena.clear();
     sh.sends.clear();
+    sh.outbox.clear();
+    sh.pull_senders.clear();
+    sh.gathered.clear();
+    sh.gathered_node = kNoNode;
     sh.channels_monotone = true;
     sh.any_idle = false;
     sh.route_idx.clear();
@@ -450,6 +494,11 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
     s_.cache_words.assign(total_adj * detail::SendRecord::kInlineCap, 0);
     s_.cache_long.clear();  // lazily sized on the first long payload
   }
+  // The pull path skips per-edge delivery: the link layer's queues and
+  // budgets, the resend cache's per-edge memory and the skeleton's per-edge
+  // drops all need one record per copy.
+  pull_enabled_ = link_ == nullptr && !compile_cache_ &&
+                  compile_skeleton_ == nullptr;
   // Trace spine: the classic record_* options are a private rounds-level
   // sink; a user sink rides alongside. No sinks => no virtual calls.
   if (options_.record_active_per_round || options_.record_terminations) {
@@ -490,21 +539,47 @@ void Engine::run_sharded(std::size_t worklist_size, const Body& body) {
 
 void Engine::send_phase() {
   in_send_phase_ = true;
+  round_has_pulls_ = false;
+  const int congest_limit = options_.congest_word_limit;
   run_sharded(s_.awake_nodes.size(),
-              [this](int s, std::size_t lo, std::size_t hi) {
+              [this, congest_limit](int s, std::size_t lo, std::size_t hi) {
     auto& sh = s_.shards[static_cast<std::size_t>(s)];
     sh.arena.clear();
     sh.sends.clear();
+    sh.outbox.clear();
+    sh.pull_senders.clear();
+    sh.acct = detail::CongestAccount{};
     for (std::size_t i = lo; i < hi; ++i) {
       const NodeId v = s_.awake_nodes[i];
       sh.last_channel = INT_MIN;
       sh.default_active = false;   // declarations last one node-round
       sh.skeleton_relay = false;
+      sh.node_on_records = !pull_enabled_;
+      const auto begin = static_cast<std::uint32_t>(sh.outbox.size());
+      sh.node_outbox_begin = begin;
       NodeContext ctx(this, v, &sh);
       programs_[v]->on_send(ctx);
+      const auto end = static_cast<std::uint32_t>(sh.outbox.size());
+      if (end == begin) continue;
+      // Publish the node's pull broadcasts and charge each one for every
+      // active neighbor, exactly what the per-copy records would cost.
+      s_.outbox_ref[v] = {begin, end - begin, static_cast<std::uint32_t>(s),
+                          round_};
+      sh.pull_senders.push_back(v);
+      const std::int64_t copies = s_.an_count[v];
+      for (std::uint32_t j = begin; j < end; ++j) {
+        const detail::PullEntry& e = sh.outbox[j];
+        sh.acct.charge(e.len, e.channel, congest_limit,
+                       (e.flags & detail::SendRecord::kSuppressed) != 0,
+                       copies);
+      }
     }
   });
   in_send_phase_ = false;
+  for (const auto& sh : s_.shards) {
+    acct_.merge_from(sh.acct);
+    round_has_pulls_ |= !sh.pull_senders.empty();
+  }
 }
 
 // Applies fn to every send record of the round in canonical order:
@@ -903,12 +978,28 @@ const std::vector<NodeId>& Engine::collect_delivery_wakes() {
   // A delivery to a sleeping node wakes it for this round's receive phase
   // (it skipped the send phase, which is consistent with its quiescence
   // promise — the wake event postdates the send phase anyway). Receivers
-  // in touched_receivers are already filtered to active nodes.
+  // in touched_receivers are already filtered to active nodes, and so are
+  // the active-neighbor prefixes a pull broadcast reaches; those are only
+  // walked when some node sleeps.
   s_.woken.clear();
   for (const NodeId to : s_.touched_receivers) {
     if (!s_.node_awake[to]) {
       s_.node_awake[to] = 1;
       s_.woken.push_back(to);
+    }
+  }
+  if (round_has_pulls_ &&
+      s_.awake_nodes.size() < static_cast<std::size_t>(active_count_)) {
+    for (const auto& sh : s_.shards) {
+      for (const NodeId u : sh.pull_senders) {
+        const NodeId* an = s_.an_pool.data() + graph_.row_begin(u);
+        for (std::uint32_t i = 0; i < s_.an_count[u]; ++i) {
+          if (!s_.node_awake[an[i]]) {
+            s_.node_awake[an[i]] = 1;
+            s_.woken.push_back(an[i]);
+          }
+        }
+      }
     }
   }
   if (s_.woken.empty()) return s_.awake_nodes;  // the common, no-idle case
@@ -921,20 +1012,86 @@ const std::vector<NodeId>& Engine::collect_delivery_wakes() {
 }
 
 void Engine::trace_deliveries() {
-  // Walk the freshly scattered inbox slices — receivers in first-touch
-  // order, each slice already in canonical (sender, channel, send order) —
-  // so the emitted stream is exactly the round's inbox contents and is
-  // bit-identical across num_threads (the scatter itself is). Runs between
-  // delivery and the receive phase, on the main thread.
+  // Emit every receiver's inbox — receivers in first-touch order, each
+  // inbox in canonical (sender, channel, send order) — so the stream is
+  // exactly the round's inbox contents and is bit-identical across
+  // num_threads. Runs between delivery and the receive phase, on the main
+  // thread. Without pull entries touched_receivers already holds the
+  // first-touch order. Otherwise rebuild it over the raw canonical sender
+  // sequence the record path would have scattered: senders ascending, a
+  // record sender's records in send order, and a pull sender's broadcasts,
+  // which reach its active-neighbor prefix in ascending order. The
+  // recv_count scratch (all zero between rounds) marks receivers seen.
+  if (round_has_pulls_) {
+    s_.touched_receivers.clear();
+    const auto touch = [this](NodeId to) {
+      if (s_.recv_count[to]++ == 0) s_.touched_receivers.push_back(to);
+    };
+    for (const auto& sh : s_.shards) {
+      std::size_t ri = 0, pi = 0;
+      const std::size_t rn = sh.sends.size(), pn = sh.pull_senders.size();
+      while (ri < rn || pi < pn) {
+        if (ri >= rn || (pi < pn && sh.pull_senders[pi] < sh.sends[ri].from)) {
+          const NodeId u = sh.pull_senders[pi++];
+          const NodeId* an = s_.an_pool.data() + graph_.row_begin(u);
+          for (std::uint32_t i = 0; i < s_.an_count[u]; ++i) touch(an[i]);
+        } else {
+          const detail::SendRecord& r = sh.sends[ri++];
+          if (s_.node_active[r.to]) touch(r.to);
+        }
+      }
+    }
+    for (const NodeId to : s_.touched_receivers) s_.recv_count[to] = 0;
+  }
   for (const NodeId to : s_.touched_receivers) {
-    const auto& ref = s_.inbox_ref[to];
-    for (std::uint32_t i = 0; i < ref.count; ++i) {
-      const Message& m = s_.inbox_flat[ref.begin + i];
+    std::span<const Message> inbox = record_inbox(to);
+    if (round_has_pulls_) {
+      gather_inbox(to, trace_inbox_);
+      inbox = trace_inbox_;
+    }
+    for (const Message& m : inbox) {
       const TraceMessage tm{round_, m.from, to, m.channel, m.words,
                             m.truncated, m.suppressed};
       for (TraceSink* sink : message_sinks_) sink->on_message(tm);
     }
   }
+}
+
+std::span<const Message> Engine::record_inbox(NodeId v) const {
+  const auto& ref = s_.inbox_ref[v];
+  if (ref.round_stamp != round_) return {};
+  return {s_.inbox_flat.data() + ref.begin, ref.count};
+}
+
+void Engine::gather_inbox(NodeId v, std::vector<Message>& out) const {
+  // Merge by sender: the record slice is sorted by (sender, channel, send
+  // order), the active-neighbor prefix ascends, and each sender's round is
+  // wholly on records or wholly on the pull path, so no sender appears in
+  // both. A pull sender's entries are already in (channel, send order).
+  const std::span<const Message> records = record_inbox(v);
+  out.clear();
+  std::size_t ri = 0;
+  const NodeId* an = s_.an_pool.data() + graph_.row_begin(v);
+  for (std::uint32_t i = 0; i < s_.an_count[v]; ++i) {
+    const NodeId u = an[i];
+    const detail::OutboxRef& o = s_.outbox_ref[u];
+    if (o.round_stamp != round_) continue;
+    while (ri < records.size() && records[ri].from < u) {
+      out.push_back(records[ri++]);
+    }
+    const detail::SendShard& src = s_.shards[o.shard];
+    for (std::uint32_t j = o.begin; j < o.begin + o.count; ++j) {
+      const detail::PullEntry& e = src.outbox[j];
+      const Value* words = e.len <= detail::SendRecord::kInlineCap
+                               ? e.inline_words
+                               : src.arena.data() + e.offset;
+      out.push_back(Message{u, static_cast<int>(e.channel),
+                            WordSpan(words, e.len), false,
+                            (e.flags & detail::SendRecord::kSuppressed) != 0});
+    }
+  }
+  out.insert(out.end(), records.begin() + static_cast<std::ptrdiff_t>(ri),
+             records.end());
 }
 
 void Engine::receive_phase(const std::vector<NodeId>& recv) {
@@ -948,6 +1105,7 @@ void Engine::receive_phase(const std::vector<NodeId>& recv) {
                                          std::size_t hi) {
     auto& sh = s_.shards[static_cast<std::size_t>(s)];
     sh.any_idle = false;
+    sh.gathered_node = kNoNode;  // last round's gather is stale
     for (std::size_t i = lo; i < hi; ++i) {
       const NodeId v = recv[i];
       NodeContext ctx(this, v, &sh);

@@ -87,9 +87,10 @@ inline int message_width(std::size_t payload_words, int channel) {
 /// Message-metric accumulator shared by every accounting site — the
 /// delivery passes, the termination-notice charges, and the link scheduler
 /// — so the CONGEST bookkeeping cannot drift between the paths. The serial
-/// paths charge the engine's member account directly; the parallel
-/// delivery and termination passes charge one instance per receiver shard
-/// and merge them into the member account in fixed shard order each round.
+/// paths charge the engine's member account directly; the send phase
+/// charges pull broadcasts to one instance per send shard, and the
+/// parallel delivery and termination passes one per receiver shard, all
+/// merged into the member account in fixed shard order each round.
 /// Every counter is an order-independent reduction (sums, plus one max),
 /// so the merged totals are *exactly* — not approximately — the serial
 /// ones for any num_threads; folded into the RunResult once per run.
@@ -109,21 +110,22 @@ struct CongestAccount {
   int max_width = 0;
   std::int64_t violations = 0;
 
-  /// Charge one message. `word_limit` <= 0 disables violation counting;
-  /// `suppressed` messages are charged to the nominal totals but never to
-  /// the wire-side audits (width, violations).
+  /// Charge `copies` identical messages (a pull broadcast charges one per
+  /// active neighbor at once). `word_limit` <= 0 disables violation
+  /// counting; `suppressed` messages are charged to the nominal totals but
+  /// never to the wire-side audits (width, violations).
   void charge(std::size_t payload_words, int channel, int word_limit,
-              bool suppressed = false) {
-    ++messages;
+              bool suppressed = false, std::int64_t copies = 1) {
+    messages += copies;
     const int width = message_width(payload_words, channel);
-    words += width;
+    words += copies * width;
     if (suppressed) {
-      ++messages_suppressed;
-      words_suppressed += width;
+      messages_suppressed += copies;
+      words_suppressed += copies * width;
       return;
     }
     if (width > max_width) max_width = width;
-    if (word_limit > 0 && width > word_limit) ++violations;
+    if (word_limit > 0 && width > word_limit) violations += copies;
   }
 
   /// Merge another account into this one (the fixed-shard-order reduction
@@ -144,9 +146,11 @@ struct CongestAccount {
   void fold_into(RunResult& m) const;
 };
 
-/// One queued send. Payloads of at most kInlineCap words — the common case
-/// for every algorithm in docs/ALGORITHMS.md — are stored inline in the
-/// record itself and never touch the arena; larger payloads record the
+/// One queued point-to-point message: a send(), or one copy of a broadcast
+/// from a node-round that left the pull path (see PullEntry) or a run that
+/// keeps per-edge state. Payloads of at most kInlineCap words — the common
+/// case for every algorithm in docs/ALGORITHMS.md — are stored inline in
+/// the record itself and never touch the arena; larger payloads record the
 /// (offset, len) of their arena copy. `words` is filled in after the send
 /// phase, once both the arena and the shard's record vector are frozen
 /// (either may still grow — and move — while the phase runs, which is why
@@ -171,15 +175,55 @@ struct SendRecord {
   std::uint8_t flags;
 };
 
+/// One broadcast on the pull path: stored once at the sender, whatever its
+/// degree, and gathered by each active neighbor when it reads its inbox
+/// (docs/MODEL.md, "Delivery order"). Payload storage follows SendRecord:
+/// inline up to kInlineCap words, else an arena offset. `flags` carries
+/// SendRecord::kSuppressed only.
+struct PullEntry {
+  std::int32_t channel;
+  std::uint32_t len;
+  std::uint32_t offset;  // arena offset; unused when len <= kInlineCap
+  std::uint8_t flags;
+  Value inline_words[SendRecord::kInlineCap];
+};
+
+/// A node's pull broadcasts of one round: entries [begin, begin + count) of
+/// send shard `shard`'s outbox. Only a stamp equal to the current round is
+/// live, so the array is never cleared between rounds.
+struct OutboxRef {
+  std::uint32_t begin = 0;
+  std::uint32_t count = 0;
+  std::uint32_t shard = 0;
+  int round_stamp = -1;
+};
+
 /// Outgoing traffic of one contiguous slice of the awake worklist. Serial
 /// runs use a single shard; parallel runs give each thread its own, merged
 /// in slice order so the round buffer is identical to the serial one.
+///
+/// A node-round's broadcasts take the pull path — one PullEntry each in
+/// `outbox`, charged here for every active neighbor — while everything the
+/// node sends is a broadcast on non-decreasing channels. Its first send()
+/// or channel decrease flushes those entries into per-neighbor `sends`
+/// records in send order, and the rest of its round uses records. Runs
+/// whose delivery keeps per-edge state (an enforcing link layer, the resend
+/// cache, a skeleton) put every broadcast on records.
 struct SendShard {
   MessageArena arena;
   std::vector<SendRecord> sends;
+  std::vector<PullEntry> outbox;     // pull broadcasts, grouped by sender
+  std::vector<NodeId> pull_senders;  // nodes with outbox entries, ascending
+  CongestAccount acct;               // charges of this round's outbox
+  bool node_on_records = false;      // current node-round left the pull path
+  std::uint32_t node_outbox_begin = 0;  // current node's first outbox entry
   bool channels_monotone = true;  // every sender's channels non-decreasing?
   int last_channel = 0;           // channel of the current node's last send
   bool any_idle = false;          // some node on this slice called idle()
+  // Receive phase: the gathered inbox of `gathered_node` (this shard's
+  // node currently in on_receive), materialized on its first inbox() call.
+  std::vector<Message> gathered;
+  NodeId gathered_node = kNoNode;
   // declare_default / relay_on_skeleton state of the node currently in its
   // on_send hook (reset per node, like last_channel). Shard-local, so the
   // parallel send phase needs no shared state.
@@ -238,7 +282,7 @@ class LinkLayer;  // per-edge bandwidth scheduler (sim/link_layer.hpp)
 
 /// The engine's reusable data-plane buffers: hot flags, worklists, the
 /// struct-of-arrays node state, the per-thread send shards (with their
-/// payload arenas) and the flat inbox. An Engine normally owns one
+/// payload arenas, outboxes and gather buffers) and the flat inbox. An Engine normally owns one
 /// privately; sweeps that construct thousands of short-lived engines can
 /// instead hand the same scratch to consecutive engines — one live engine
 /// at a time, never two — so arena, worklist, and node-state capacity is
@@ -273,8 +317,9 @@ struct EngineScratch {
   // --- message data plane ---
   std::vector<detail::SendShard> shards;  // one per engine thread
   std::vector<detail::SendRecord> sorted_sends;  // rare channel-repair path
-  std::vector<Message> inbox_flat;        // receiver-grouped round buffer
+  std::vector<Message> inbox_flat;        // receiver-grouped record messages
   std::vector<detail::InboxRef> inbox_ref;  // per node, stamped by round
+  std::vector<detail::OutboxRef> outbox_ref;  // per node, stamped by round
   std::vector<std::uint32_t> recv_count;  // scratch; all-zero between rounds
   std::vector<NodeId> touched_receivers;  // receivers seen this round
   // --- receiver-shard ownership (parallel delivery/mutation passes) ---
@@ -344,7 +389,9 @@ class NodeContext {
   void send(NodeId to, const std::vector<Value>& words, int channel = 0);
   void send(NodeId to, std::initializer_list<Value> words, int channel = 0);
   /// Send the same message to every active neighbor. Only valid in onSend.
-  /// The payload is stored once in the arena regardless of the degree.
+  /// The payload is stored once regardless of the degree, and usually so
+  /// is the message: each receiver gathers it (docs/MODEL.md, "Delivery
+  /// order").
   void broadcast(const Value* words, std::size_t count, int channel = 0);
   void broadcast(const std::vector<Value>& words, int channel = 0);
   void broadcast(std::initializer_list<Value> words, int channel = 0);
@@ -377,7 +424,8 @@ class NodeContext {
 
   /// Messages received this round, ordered by (sender, channel, send
   /// order). Only meaningful in onReceive; the underlying storage is
-  /// reused across rounds, so copy anything that must outlive the round.
+  /// reused for the next node and round, so copy anything that must
+  /// outlive this hook.
   std::span<const Message> inbox() const;
 
   /// Assign this node's (key-0) output value.
@@ -421,6 +469,11 @@ class NodeContext {
   friend class Engine;
   NodeContext(Engine* e, NodeId index, detail::SendShard* shard)
       : engine_(e), index_(index), shard_(shard) {}
+  /// Queue broadcast `e` as one record per active neighbor.
+  void push_broadcast_records(const detail::PullEntry& e);
+  /// Move this node-round off the pull path: its outbox entries become
+  /// records in send order, and later broadcasts go to records directly.
+  void leave_pull_path();
   Engine* engine_;
   NodeId index_;
   // Outgoing-traffic sink; null outside the send phase.
@@ -648,9 +701,14 @@ class Engine {
   /// when the record repeats the edge's previous message — the caller
   /// marks it suppressed.
   bool cache_check_and_update(detail::SendRecord& r);
-  /// Emit this round's delivered messages (the freshly scattered inbox
-  /// slices) to the sinks. Only called when a sink wants message detail.
+  /// Emit this round's delivered messages to the sinks, receivers in
+  /// first-touch order over the canonical sender sequence. Only called
+  /// when a sink wants message detail.
   void trace_deliveries();
+  /// Node v's full inbox this round into `out`: its record slice merged,
+  /// by sender, with the pull entries of its active neighbors.
+  void gather_inbox(NodeId v, std::vector<Message>& out) const;
+  std::span<const Message> record_inbox(NodeId v) const;
 
   // --- struct-of-arrays edge-output accessors. The pool (one Value slot
   // per directed edge, addressed by the graph's CSR slot of the key) is
@@ -681,6 +739,11 @@ class Engine {
   bool compile_cache_ = false;
   bool compile_defaults_ = false;
   const Skeleton* compile_skeleton_ = nullptr;
+  // Broadcasts may take the pull path (no per-edge delivery state), and
+  // whether some node-round of the current round did.
+  bool pull_enabled_ = false;
+  bool round_has_pulls_ = false;
+  std::vector<Message> trace_inbox_;  // trace_deliveries' gather buffer
   // Lazy edge-output pool handshake: readers that see `false` short-circuit
   // to kUndefined; the release store publishes the initialized pool.
   std::atomic<bool> edge_out_ready_{false};

@@ -13,11 +13,15 @@
 //     above: its schedule is computed serially between the sharded send
 //     and receive phases, so num_threads and node-order shuffles cannot
 //     change what arrives when.
+//  5. Pull broadcasts (gathered by each receiver) deliver exactly what
+//     per-neighbor send records deliver, inbox by inbox.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -344,6 +348,140 @@ TEST(EngineDeterminism, CompiledRoundsTranscriptIsThreadCountInvariant) {
     EXPECT_EQ(serial.transcript, parallel.transcript)
         << "num_threads = " << threads;
     expect_identical(serial.result, parallel.result);
+  }
+}
+
+/// Seeded random traffic for the pull-versus-record comparison. Each
+/// node-round draws, from (seed, identifier, round, everything received so
+/// far), a few operations: broadcasts on channels 0–3 (so some sequences
+/// decrease), point-to-point sends to any neighbor (terminated ones
+/// included), payloads of 0–5 words (crossing SendRecord::kInlineCap), and
+/// a declared default that some payloads match. Received messages fold
+/// into a digest that steers later draws, idle() calls and terminations
+/// (some with an edge output), so any delivery difference changes the run.
+class RandomTrafficProgram final : public NodeProgram {
+ public:
+  explicit RandomTrafficProgram(std::uint64_t seed) : seed_(seed) {}
+
+  void on_send(NodeContext& ctx) override {
+    Rng rng = draw(ctx, 1);
+    if (rng.flip(0.4)) {
+      ctx.declare_default({static_cast<Value>(rng.next_below(2))},
+                          static_cast<int>(rng.next_below(4)));
+    }
+    const auto nb = ctx.neighbors();
+    const int ops = static_cast<int>(rng.next_below(4));
+    for (int k = 0; k < ops; ++k) {
+      const int channel = static_cast<int>(rng.next_below(4));
+      const std::size_t len = rng.next_below(6);
+      Value words[5];
+      for (std::size_t i = 0; i < len; ++i) {
+        words[i] = static_cast<Value>(rng.next_below(3));
+      }
+      if (nb.empty() || rng.flip(0.7)) {
+        ctx.broadcast(words, len, channel);
+      } else {
+        ctx.send(nb[rng.next_below(nb.size())], words, len, channel);
+      }
+    }
+  }
+
+  void on_receive(NodeContext& ctx) override {
+    for (const Message& m : ctx.inbox()) {
+      digest_ = digest_ * 1315423911u +
+                static_cast<std::uint64_t>(ctx.neighbor_id(m.from));
+      digest_ = digest_ * 31u + static_cast<std::uint64_t>(m.channel);
+      for (const Value w : m.words) {
+        digest_ = digest_ * 31u + static_cast<std::uint64_t>(w);
+      }
+      digest_ = digest_ * 31u + m.words.size();
+    }
+    Rng rng = draw(ctx, 2);
+    const auto an = ctx.active_neighbors();
+    if (ctx.round() >= 4 && rng.flip(0.25)) {
+      ctx.set_output(static_cast<Value>(digest_ >> 1));
+      if (!an.empty() && rng.flip(0.5)) {
+        ctx.set_output_for(an[rng.next_below(an.size())],
+                           static_cast<Value>(digest_ & 0xff));
+      }
+      ctx.terminate();
+    } else if (!an.empty() && rng.flip(0.15)) {
+      ctx.idle();
+    }
+  }
+
+ private:
+  Rng draw(const NodeContext& ctx, std::uint64_t salt) const {
+    return Rng(seed_ ^
+               (static_cast<std::uint64_t>(ctx.id()) * 0x9e3779b97f4a7c15ULL) ^
+               (static_cast<std::uint64_t>(ctx.round()) * 0xbf58476d1ce4e5b9ULL) ^
+               (digest_ * 0x94d049bb133111ebULL) ^ salt);
+  }
+
+  std::uint64_t seed_;
+  std::uint64_t digest_ = 1;
+};
+
+/// Every receiver's per-round message sequence from a kPayloads transcript.
+using InboxKey = std::pair<int, NodeId>;  // (round, receiver)
+using InboxEntry = std::tuple<NodeId, int, std::vector<Value>, bool>;
+std::map<InboxKey, std::vector<InboxEntry>> inboxes_of(
+    const std::vector<std::uint8_t>& bytes) {
+  std::map<InboxKey, std::vector<InboxEntry>> out;
+  for (const TranscriptRound& r : decode_transcript(bytes).rounds) {
+    for (const TranscriptMessage& m : r.messages) {
+      out[{r.round, m.to}].emplace_back(m.from, m.channel, m.words,
+                                        m.suppressed);
+    }
+  }
+  return out;
+}
+
+// Broadcasts take the pull path under kCount; kFail with a budget no
+// link's round traffic reaches keeps every broadcast on per-neighbor
+// records through the link layer. The two must agree on the RunResult and,
+// receiver by receiver, on every round's inbox. (Whole transcripts differ
+// in their headers, and in receiver order on rounds with decreasing
+// channels, where the link layer sees the repaired order.)
+TEST(EngineDeterminism, PullBroadcastsMatchRecordDeliveryPerReceiver) {
+  Rng graph_rng(41);
+  Graph g = make_random_connected(96, 160, graph_rng);
+  randomize_ids(g, graph_rng);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const ProgramFactory factory = [seed](NodeId) {
+      return std::make_unique<RandomTrafficProgram>(seed);
+    };
+    for (const bool defaults : {false, true}) {
+      EngineOptions records = recording_options(1);
+      records.max_rounds = 60;
+      records.compile.decode_defaults = defaults;
+      records.congest_policy = CongestPolicy::kFail;
+      records.congest_word_limit = 1000;
+      const RecordedRun reference =
+          record_run(g, {}, factory, records, TraceDetail::kPayloads);
+      EXPECT_GT(reference.result.rounds, 4);
+      EXPECT_GT(reference.result.total_messages, 0);
+      EXPECT_EQ(reference.result.messages_suppressed > 0, defaults);
+      const auto want = inboxes_of(reference.transcript);
+      std::vector<std::uint8_t> serial_pull;
+      for (int threads : {1, 2, 4}) {
+        EngineOptions pull = records;
+        pull.congest_policy = CongestPolicy::kCount;
+        pull.num_threads = threads;
+        const RecordedRun run =
+            record_run(g, {}, factory, pull, TraceDetail::kPayloads);
+        const std::string where = "seed " + std::to_string(seed) +
+                                  " defaults " + std::to_string(defaults) +
+                                  " threads " + std::to_string(threads);
+        expect_identical(reference.result, run.result);
+        EXPECT_TRUE(want == inboxes_of(run.transcript)) << where;
+        if (threads == 1) {
+          serial_pull = run.transcript;
+        } else {
+          EXPECT_EQ(serial_pull, run.transcript) << where;
+        }
+      }
+    }
   }
 }
 

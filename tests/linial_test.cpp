@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "coloring/checkers.hpp"
 #include "coloring/linial.hpp"
 #include "common/math_util.hpp"
@@ -156,6 +159,105 @@ TEST(LinialColoring, FaultTolerantUnderMidRunCrashes) {
     }
     EXPECT_TRUE(is_proper_partial_coloring(g, outputs, g.max_degree() + 1))
         << "trial " << trial << " kill_round " << kill_round;
+  }
+}
+
+/// The schedule as it used to be built: every reduction round as one
+/// materialized step, KW and plain plans both built in full and the shorter
+/// kept. The compact schedule must reproduce it round for round.
+struct MaterializedSchedule {
+  std::vector<LinialStep> steps;
+  std::int64_t final_colors = 0;
+  std::vector<LinialReductionStep> reduction;
+};
+
+MaterializedSchedule materialized_schedule(std::int64_t d, int delta,
+                                           bool reduce_all_classes,
+                                           bool kw_reduction) {
+  MaterializedSchedule s;
+  if (delta == 0) {
+    s.final_colors = 1;
+    return s;
+  }
+  std::int64_t m = d;
+  while (true) {
+    std::int64_t k = 1, q = 0;
+    for (;; ++k) {
+      q = next_prime(k * delta + 1);
+      if (ipow_sat(q, static_cast<int>(k + 1)) >= m) break;
+    }
+    if (q * q >= m) break;
+    s.steps.push_back({k, q});
+    m = q * q;
+  }
+  s.final_colors = m;
+  auto class_tail = [&](std::vector<LinialReductionStep>& plan,
+                        std::int64_t colors) {
+    const Value floor = reduce_all_classes ? 0 : delta + 1;
+    for (Value c = colors - 1; c >= floor; --c) plan.push_back({0, c, false});
+  };
+  std::vector<LinialReductionStep> plain_plan;
+  class_tail(plain_plan, m);
+  s.reduction = plain_plan;
+  if (kw_reduction) {
+    std::vector<LinialReductionStep> kw_plan;
+    std::int64_t mk = m;
+    const Value block = 2 * (static_cast<Value>(delta) + 1);
+    while (mk > block && mk - (delta + 1) > delta + 1) {
+      for (Value t = 0; t <= delta; ++t) {
+        kw_plan.push_back(
+            {block, static_cast<Value>(delta) + 1 + t, t == delta});
+      }
+      mk = ceil_div(mk, block) * (delta + 1);
+    }
+    class_tail(kw_plan, mk);
+    if (kw_plan.size() < plain_plan.size()) s.reduction = kw_plan;
+  }
+  return s;
+}
+
+TEST(LinialSchedule, CompactPlanMatchesMaterializedPlanRoundForRound) {
+  struct Flags {
+    bool reduce_all_classes;
+    bool kw_reduction;
+  };
+  for (const std::int64_t d :
+       {std::int64_t{1}, std::int64_t{2}, std::int64_t{10}, std::int64_t{100},
+        std::int64_t{1000}, std::int64_t{257} * 257, std::int64_t{1'000'000},
+        std::int64_t{1'000'000'000}}) {
+    for (const int delta : {0, 1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 18, 30, 34}) {
+      for (const Flags f : {Flags{false, false}, Flags{true, false},
+                            Flags{false, true}}) {
+        const LinialSchedule s =
+            linial_schedule(d, delta, f.reduce_all_classes, f.kw_reduction);
+        const MaterializedSchedule ref = materialized_schedule(
+            d, delta, f.reduce_all_classes, f.kw_reduction);
+        const std::string where = "d=" + std::to_string(d) +
+                                  " delta=" + std::to_string(delta) +
+                                  " all=" + std::to_string(f.reduce_all_classes) +
+                                  " kw=" + std::to_string(f.kw_reduction);
+        ASSERT_EQ(s.steps.size(), ref.steps.size()) << where;
+        for (std::size_t i = 0; i < ref.steps.size(); ++i) {
+          EXPECT_EQ(s.steps[i].k, ref.steps[i].k) << where;
+          EXPECT_EQ(s.steps[i].q, ref.steps[i].q) << where;
+        }
+        EXPECT_EQ(s.final_colors, ref.final_colors) << where;
+        ASSERT_EQ(s.reduction_rounds, static_cast<int>(ref.reduction.size()))
+            << where;
+        EXPECT_EQ(s.total_rounds,
+                  static_cast<int>(ref.steps.size() + ref.reduction.size()) + 1)
+            << where;
+        for (int i = 0; i < s.reduction_rounds; ++i) {
+          const LinialReductionStep got = s.reduction_step(i);
+          const LinialReductionStep& want =
+              ref.reduction[static_cast<std::size_t>(i)];
+          ASSERT_EQ(got.block, want.block) << where << " round " << i;
+          ASSERT_EQ(got.target_or_offset, want.target_or_offset)
+              << where << " round " << i;
+          ASSERT_EQ(got.relabel, want.relabel) << where << " round " << i;
+        }
+      }
+    }
   }
 }
 

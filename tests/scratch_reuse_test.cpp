@@ -31,10 +31,39 @@ struct Step {
   ProgramFactory (*make)();
 };
 
+/// Nodes with an odd identifier broadcast (id, round) for four rounds; every
+/// node folds what it hears into its output. Run right after a step where
+/// every node broadcast, a stale outbox stamp of the previous engine would
+/// make an even-identifier node look like a sender: an extra message.
+class ParityBroadcastProgram final : public NodeProgram {
+ public:
+  void on_send(NodeContext& ctx) override {
+    if (ctx.id() % 2 == 1) ctx.broadcast({ctx.id(), Value{ctx.round()}});
+  }
+  void on_receive(NodeContext& ctx) override {
+    for (const Message& m : ctx.inbox()) {
+      digest_ = digest_ * 31 + static_cast<std::uint64_t>(m.words.at(0));
+      digest_ = digest_ * 31 + static_cast<std::uint64_t>(m.words.at(1));
+    }
+    if (ctx.round() == 4) {
+      ctx.set_output(static_cast<Value>(digest_ >> 1));
+      ctx.terminate();
+    }
+  }
+
+ private:
+  std::uint64_t digest_ = 1;
+};
+
+ProgramFactory parity_broadcast_algorithm() {
+  return [](NodeId) { return std::make_unique<ParityBroadcastProgram>(); };
+}
+
 /// Strictly decreasing sizes, alternating workloads so the scratch's
-/// message arena, idle/wake worklists, and SoA prefixes all shrink:
-/// Luby broadcasts on every round; greedy on a sorted ring exercises the
-/// idle path with most nodes parked.
+/// message arena, outbox, idle/wake worklists, and SoA prefixes all
+/// shrink: Luby broadcasts from every node in its first round, the parity
+/// step from only some; greedy on a sorted ring exercises the idle path
+/// with most nodes parked.
 std::vector<Step> decreasing_steps() {
   std::vector<Step> steps;
   {
@@ -52,6 +81,13 @@ std::vector<Step> decreasing_steps() {
     steps.push_back({"grid256/luby", std::move(g), +[] {
                        return luby_mis_algorithm(7);
                      }});
+  }
+  {
+    Rng rng(74);
+    Graph g = make_gnp(192, 8.0 / 192, rng);
+    randomize_ids(g, rng);
+    steps.push_back(
+        {"gnp192/parity", std::move(g), &parity_broadcast_algorithm});
   }
   {
     Rng rng(73);
