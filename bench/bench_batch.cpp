@@ -146,18 +146,20 @@ bool run_sweep(const Sweep& sweep, int reps, Table& table, JsonRecorder& out) {
   }
   const std::uint64_t serial_sum = results_checksum(serial_results);
 
-  auto report = [&](const char* mode, int workers, double ms,
+  auto report = [&](const char* mode, int workers, double probe, double ms,
                     std::uint64_t sum) {
     const double jps = ms > 0 ? 1000.0 * static_cast<double>(sweep.jobs) / ms : 0;
     const double speedup = ms > 0 ? serial_ms / ms : 0;
     const bool match = sum == serial_sum;
     table.print_row({sweep.name, mode, fmt(workers),
+                     workers > 1 ? fmt(probe) : "-",
                      fmt(static_cast<int>(sweep.jobs)), fmt(ms), fmt(jps),
                      fmt(speedup), match ? "yes" : "NO"});
     out.begin_record();
     out.field("sweep", sweep.name);
     out.field("mode", mode);
     out.field("workers", workers);
+    if (workers > 1) out.field("probe", probe);
     out.field("jobs", static_cast<std::int64_t>(sweep.jobs));
     out.field("wall_ms", ms);
     out.field("jobs_per_sec", jps);
@@ -168,8 +170,10 @@ bool run_sweep(const Sweep& sweep, int reps, Table& table, JsonRecorder& out) {
     return match;
   };
 
-  bool ok = report("serial", 0, serial_ms, serial_sum);
+  bool ok = report("serial", 0, 0, serial_ms, serial_sum);
   for (int workers : {1, 2, 4}) {
+    // A speedup is read next to the cores the host granted just before.
+    const double probe = workers > 1 ? parallelism_probe() : 0;
     BatchRunner runner({workers});
     double best_ms = 0;
     std::uint64_t sum = 0;
@@ -184,7 +188,7 @@ bool run_sweep(const Sweep& sweep, int reps, Table& table, JsonRecorder& out) {
       DGAP_ASSERT(r == 0 || s == sum, "batch checksum varies across reps");
       sum = s;
     }
-    ok = report("batch", workers, best_ms, sum) && ok;
+    ok = report("batch", workers, probe, best_ms, sum) && ok;
   }
   return ok;
 }
@@ -194,9 +198,10 @@ bool run_all(bool json) {
          "Sweep throughput through the batch runner vs the serial loop. "
          "`match` asserts the batch checksum equals the serial one — "
          "bit-identical results for any worker count is the contract; "
-         "speedup depends on hw_threads (recorded in the JSON).");
-  Table table({"sweep", "mode", "workers", "jobs", "wall_ms", "jobs_per_s",
-               "speedup", "match"},
+         "speedup depends on the cores the host grants (probe = spin-loop "
+         "speedup on 4 threads, taken before each multi-worker row).");
+  Table table({"sweep", "mode", "workers", "probe", "jobs", "wall_ms",
+               "jobs_per_s", "speedup", "match"},
               11);
   table.print_header();
   JsonRecorder out(json, "BENCH_batch.json");

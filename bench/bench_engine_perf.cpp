@@ -9,7 +9,6 @@
 // writes BENCH_engine.json so the perf trajectory is tracked across PRs.
 #include "bench_util.hpp"
 
-#include <atomic>
 #include <chrono>
 
 #include "common/rng.hpp"
@@ -165,37 +164,6 @@ std::string trace_name(const std::optional<TraceDetail>& trace) {
     case TraceDetail::kPayloads: return "payloads";
   }
   return "?";
-}
-
-/// A fixed multiply-add chain; the result keeps it from being folded away.
-std::uint64_t spin(std::uint64_t steps) {
-  std::uint64_t x = 1;
-  for (std::uint64_t i = 0; i < steps; ++i) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-  }
-  return x;
-}
-
-/// Parallelism the host grants right now: a ~50 ms spin on one thread
-/// divided by the wall time of the same steps split over 4 threads. Reads
-/// ~4.0 when four cores are really there and ~1.0 when a VM withholds
-/// them, whatever hardware_concurrency() claims.
-double parallelism_probe() {
-  constexpr std::uint64_t kSteps = 40'000'000;
-  constexpr int kThreads = 4;
-  std::atomic<std::uint64_t> sink{0};
-  const auto t0 = std::chrono::steady_clock::now();
-  sink += spin(kSteps);
-  const auto t1 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&sink] { sink += spin(kSteps / kThreads); });
-  }
-  for (auto& th : threads) th.join();
-  const auto t2 = std::chrono::steady_clock::now();
-  if (sink.load() == 0) std::printf("parallelism probe: degenerate chain\n");
-  return std::chrono::duration<double>(t1 - t0).count() /
-         std::chrono::duration<double>(t2 - t1).count();
 }
 
 /// Thread-scaling section: the canonical message-heavy case (Luby on

@@ -210,20 +210,23 @@ int run_all(bool json, bool smoke, bool n10m) {
          "Million-node engine scale: sparse generators, SoA data plane, "
          "streaming transcripts. Every row carries a hard VmHWM budget "
          "(bytes/node); the bench fails if a row exceeds it.");
-  Table table({"family", "workload", "n", "build_ms", "wall_ms", "rounds",
-               "k_msgs", "mmsgs_per_s", "hwm_mb", "budget_mb", "stream_kb"});
+  Table table({"family", "workload", "n", "probe", "build_ms", "wall_ms",
+               "rounds", "k_msgs", "mmsgs_per_s", "hwm_mb", "budget_mb",
+               "stream_kb"});
   table.print_header();
   JsonRecorder out(json, "BENCH_huge.json");
   bool ok = true;
   for (const HugeCase& c : build_cases(smoke, n10m)) {
+    // Taken just before the row: its graph build uses up to 4 threads.
+    const double probe = parallelism_probe();
     const RowResult r = run_case(c);
     const double secs = r.wall_ms / 1000.0;
     const double mps = secs > 0 ? static_cast<double>(r.messages) / secs : 0;
     const std::int64_t budget_bytes =
         c.budget_bytes_per_node * c.n + kBudgetSlackBytes;
     table.print_row({c.family, c.workload, fmt(static_cast<std::int64_t>(c.n)),
-                     fmt(r.build_ms), fmt(r.wall_ms), fmt(r.rounds),
-                     fmt(r.messages / 1000), fmt(mps / 1e6),
+                     fmt(probe), fmt(r.build_ms), fmt(r.wall_ms),
+                     fmt(r.rounds), fmt(r.messages / 1000), fmt(mps / 1e6),
                      fmt(r.hwm_bytes / (1 << 20)),
                      fmt(budget_bytes / (1 << 20)),
                      fmt(r.transcript_bytes / 1024)});
@@ -255,6 +258,7 @@ int run_all(bool json, bool smoke, bool n10m) {
     out.field("family", c.family);
     out.field("workload", c.workload);
     out.field("n", static_cast<std::int64_t>(c.n));
+    out.field("probe", probe);
     out.field("build_ms", r.build_ms);
     out.field("wall_ms", r.wall_ms);
     out.field("rounds", r.rounds);

@@ -9,6 +9,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -242,6 +244,43 @@ class JsonRecorder {
   const char* path_;
   JsonRecords records_;
 };
+
+// ---------------------------------------------------------------------------
+// Parallelism probe. Every threaded BENCH row records it, so a speedup (or
+// a threaded build time) is read next to the cores the host granted at
+// that moment.
+// ---------------------------------------------------------------------------
+
+/// A fixed multiply-add chain; the result keeps it from being folded away.
+inline std::uint64_t spin(std::uint64_t steps) {
+  std::uint64_t x = 1;
+  for (std::uint64_t i = 0; i < steps; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+  }
+  return x;
+}
+
+/// Parallelism the host grants right now: a ~50 ms spin on one thread
+/// divided by the wall time of the same steps split over 4 threads. Reads
+/// ~4.0 when four cores are really there and ~1.0 when a VM withholds
+/// them, whatever hardware_concurrency() claims.
+inline double parallelism_probe() {
+  constexpr std::uint64_t kSteps = 40'000'000;
+  constexpr int kThreads = 4;
+  std::atomic<std::uint64_t> sink{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  sink += spin(kSteps);
+  const auto t1 = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sink] { sink += spin(kSteps / kThreads); });
+  }
+  for (auto& th : threads) th.join();
+  const auto t2 = std::chrono::steady_clock::now();
+  if (sink.load() == 0) std::printf("parallelism probe: degenerate chain\n");
+  return std::chrono::duration<double>(t1 - t0).count() /
+         std::chrono::duration<double>(t2 - t1).count();
+}
 
 /// True iff `--json` appears in argv; removes it so google-benchmark does
 /// not see an unknown flag. The bench then writes its JsonRecords file.

@@ -45,29 +45,18 @@ Predictions mis_correct_prediction(const Graph& g, Rng& rng) {
   return Predictions(std::move(x));
 }
 
-namespace {
-
-Predictions flip_bits_impl(std::vector<Value> x, int flips, Rng& rng) {
+Predictions flip_bits(const Graph& g, const Predictions& base, int flips,
+                      Rng& rng) {
+  DGAP_REQUIRE(base.node_values().size() ==
+                   static_cast<std::size_t>(g.num_nodes()),
+               "flip_bits: prediction size must match the graph");
+  std::vector<Value> x = base.node_values();
   for (std::size_t i :
        distinct_indices(static_cast<std::size_t>(std::max(flips, 0)),
                         x.size(), rng)) {
     x[i] = x[i] == 0 ? 1 : 0;
   }
   return Predictions(std::move(x));
-}
-
-}  // namespace
-
-Predictions flip_bits(const Graph& g, const Predictions& base, int flips,
-                      Rng& rng) {
-  DGAP_REQUIRE(base.node_values().size() ==
-                   static_cast<std::size_t>(g.num_nodes()),
-               "flip_bits: prediction size must match the graph");
-  return flip_bits_impl(base.node_values(), flips, rng);
-}
-
-Predictions flip_bits(const Predictions& base, int flips, Rng& rng) {
-  return flip_bits_impl(base.node_values(), flips, rng);
 }
 
 Predictions all_same(const Graph& g, Value value) {

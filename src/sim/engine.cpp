@@ -14,6 +14,26 @@ namespace dgap {
 
 namespace {
 
+// Latency-hiding lookahead (docs/MODEL.md, "Memory latency at scale").
+// From 2^16 nodes on, the gather's 16-B stamps and 32-B outbox entries
+// (~3 MB) outgrow a 2 MB per-core L2, so the round loop's random reads
+// miss and prefetching them ahead pays. Below it they stay cache resident
+// and the prefetches are overhead: Luby on G(n, 8/n) with the lookahead
+// forced on ran 9% slower at n = 8192 and 4% slower at 32768, but 11%
+// faster at 65536 and 14% at 131072.
+constexpr NodeId kLookaheadMinNodes = NodeId{1} << 16;
+// The gather is a two-stage pipeline over the receive worklist: the
+// neighbors' OutboxRef stamps of the receiver kStampLookahead places ahead,
+// then the stamped neighbors' PullEntry of the one kEntryLookahead ahead,
+// whose stamps have arrived by then. Stage gaps of 3 receivers (~24
+// neighbor reads each) cover a memory latency; 4/2, 8/3, 8/4, 12/4 and
+// 12/6 all measured slower than 6/3 on the 10^6-node Luby run.
+constexpr std::size_t kStampLookahead = 6;
+constexpr std::size_t kEntryLookahead = 3;
+// Touched receivers ahead whose prefix row and count the compaction of the
+// termination pass prefetches; 4 hid too little latency, 16 gained nothing.
+constexpr std::size_t kCompactLookahead = 8;
+
 /// Does (channel, payload) match the default the current node declared on
 /// its shard this round?
 bool matches_default(const detail::SendShard& sh, int channel,
@@ -50,9 +70,7 @@ Value NodeContext::neighbor_id(NodeId u) const {
 }
 
 std::span<const NodeId> NodeContext::active_neighbors() const {
-  const EngineScratch& s = engine_->s_;
-  return {s.an_pool.data() + engine_->graph_.row_begin(index_),
-          s.an_count[index_]};
+  return engine_->active_prefix(index_);
 }
 
 bool NodeContext::neighbor_active(NodeId u) const {
@@ -499,6 +517,7 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   // drops all need one record per copy.
   pull_enabled_ = link_ == nullptr && !compile_cache_ &&
                   compile_skeleton_ == nullptr;
+  lookahead_ = n >= kLookaheadMinNodes;
   // Trace spine: the classic record_* options are a private rounds-level
   // sink; a user sink rides alongside. No sinks => no virtual calls.
   if (options_.record_active_per_round || options_.record_terminations) {
@@ -518,10 +537,6 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
 }
 
 Engine::~Engine() = default;
-
-void Engine::charge(std::size_t payload_words, int channel) {
-  acct_.charge(payload_words, channel, options_.congest_word_limit);
-}
 
 template <typename Body>
 void Engine::run_sharded(std::size_t worklist_size, const Body& body) {
@@ -992,11 +1007,10 @@ const std::vector<NodeId>& Engine::collect_delivery_wakes() {
       s_.awake_nodes.size() < static_cast<std::size_t>(active_count_)) {
     for (const auto& sh : s_.shards) {
       for (const NodeId u : sh.pull_senders) {
-        const NodeId* an = s_.an_pool.data() + graph_.row_begin(u);
-        for (std::uint32_t i = 0; i < s_.an_count[u]; ++i) {
-          if (!s_.node_awake[an[i]]) {
-            s_.node_awake[an[i]] = 1;
-            s_.woken.push_back(an[i]);
+        for (const NodeId x : active_prefix(u)) {
+          if (!s_.node_awake[x]) {
+            s_.node_awake[x] = 1;
+            s_.woken.push_back(x);
           }
         }
       }
@@ -1032,9 +1046,7 @@ void Engine::trace_deliveries() {
       const std::size_t rn = sh.sends.size(), pn = sh.pull_senders.size();
       while (ri < rn || pi < pn) {
         if (ri >= rn || (pi < pn && sh.pull_senders[pi] < sh.sends[ri].from)) {
-          const NodeId u = sh.pull_senders[pi++];
-          const NodeId* an = s_.an_pool.data() + graph_.row_begin(u);
-          for (std::uint32_t i = 0; i < s_.an_count[u]; ++i) touch(an[i]);
+          for (const NodeId x : active_prefix(sh.pull_senders[pi++])) touch(x);
         } else {
           const detail::SendRecord& r = sh.sends[ri++];
           if (s_.node_active[r.to]) touch(r.to);
@@ -1057,6 +1069,10 @@ void Engine::trace_deliveries() {
   }
 }
 
+std::span<const NodeId> Engine::active_prefix(NodeId v) const {
+  return {s_.an_pool.data() + graph_.row_begin(v), s_.an_count[v]};
+}
+
 std::span<const Message> Engine::record_inbox(NodeId v) const {
   const auto& ref = s_.inbox_ref[v];
   if (ref.round_stamp != round_) return {};
@@ -1071,9 +1087,7 @@ void Engine::gather_inbox(NodeId v, std::vector<Message>& out) const {
   const std::span<const Message> records = record_inbox(v);
   out.clear();
   std::size_t ri = 0;
-  const NodeId* an = s_.an_pool.data() + graph_.row_begin(v);
-  for (std::uint32_t i = 0; i < s_.an_count[v]; ++i) {
-    const NodeId u = an[i];
+  for (const NodeId u : active_prefix(v)) {
     const detail::OutboxRef& o = s_.outbox_ref[u];
     if (o.round_stamp != round_) continue;
     while (ri < records.size() && records[ri].from < u) {
@@ -1101,17 +1115,90 @@ void Engine::receive_phase(const std::vector<NodeId>& recv) {
   // outputs only change in process_terminations, after this phase joins).
   // The shard pointer is passed for the idle() flag only; send() stays
   // guarded by in_send_phase_.
-  run_sharded(recv.size(), [this, &recv](int s, std::size_t lo,
-                                         std::size_t hi) {
+  //
+  // At 2^16 nodes and more, a round with pull entries prefetches the
+  // gather ahead (see kStampLookahead). Stamps, outboxes and prefixes are
+  // frozen from the send phase to the termination pass, and the lookahead
+  // stays inside this shard's slice, so it cannot change what any hook
+  // sees.
+  const bool prefetch = lookahead_ && round_has_pulls_;
+  run_sharded(recv.size(), [this, &recv, prefetch](int s, std::size_t lo,
+                                                   std::size_t hi) {
     auto& sh = s_.shards[static_cast<std::size_t>(s)];
     sh.any_idle = false;
     sh.gathered_node = kNoNode;  // last round's gather is stale
     for (std::size_t i = lo; i < hi; ++i) {
+      if (prefetch && i + kStampLookahead < hi) {
+        for (const NodeId u : active_prefix(recv[i + kStampLookahead])) {
+          __builtin_prefetch(&s_.outbox_ref[u]);
+        }
+      }
+      if (prefetch && i + kEntryLookahead < hi) {
+        for (const NodeId u : active_prefix(recv[i + kEntryLookahead])) {
+          const detail::OutboxRef& o = s_.outbox_ref[u];
+          if (o.round_stamp == round_) {
+            __builtin_prefetch(s_.shards[o.shard].outbox.data() + o.begin);
+          }
+        }
+      }
       const NodeId v = recv[i];
       NodeContext ctx(this, v, &sh);
       programs_[v]->on_receive(ctx);
     }
   });
+}
+
+void Engine::notify_terminations(NodeId lo, NodeId hi,
+                                 detail::CongestAccount& acct,
+                                 std::vector<NodeId>& touched,
+                                 std::vector<NodeId>& wake) {
+  // Charge the notification messages implied by the Section 7 convention
+  // (one message carrying the node's outputs to each neighbor that is
+  // still active) and collect the affected neighbors, deduplicated via the
+  // s_.recv_count scratch (all-zero between rounds, restored below).
+  const std::vector<NodeId>& dead = s_.newly_terminated;
+  const int congest_limit = options_.congest_word_limit;
+  touched.clear();
+  wake.clear();
+  for (const NodeId v : dead) {
+    const std::size_t notice_words = 1 + edge_output_count(v);
+    for (const NodeId u : graph_.neighbors(v)) {
+      if (u < lo || u >= hi || !s_.node_active[u]) continue;
+      acct.charge(notice_words, /*channel=*/0, congest_limit);
+      if (s_.recv_count[u]++ == 0) touched.push_back(u);
+    }
+  }
+  // Drop every terminated node from each affected view by compacting the
+  // node's live CSR prefix in one linear pass (an invariant of the view is
+  // that it never contains inactive nodes, so filtering on the active flag
+  // removes exactly this round's batch). A termination is also a wake
+  // event: the neighbor's view changes next round, so any idle promise it
+  // made is void.
+  for (std::size_t k = 0; k < touched.size(); ++k) {
+    if (lookahead_ && k + kCompactLookahead < touched.size()) {
+      // Touched receivers come in first-touch order, so each row and count
+      // is a random read; `touched` holds only nodes in [lo, hi).
+      const NodeId ahead = touched[k + kCompactLookahead];
+      __builtin_prefetch(s_.an_pool.data() + graph_.row_begin(ahead));
+      __builtin_prefetch(&s_.an_count[ahead]);
+    }
+    const NodeId u = touched[k];
+    s_.recv_count[u] = 0;
+    NodeId* live = s_.an_pool.data() + graph_.row_begin(u);
+    const std::uint32_t count = s_.an_count[u];
+    std::uint32_t w = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const NodeId x = live[i];
+      if (s_.node_active[x]) live[w++] = x;
+    }
+    s_.an_count[u] = w;
+    s_.idle_request[u] = 0;
+    if (!s_.node_awake[u]) {
+      s_.node_awake[u] = 1;
+      wake.push_back(u);
+    }
+  }
+  std::sort(wake.begin(), wake.end());
 }
 
 void Engine::process_terminations(const std::vector<NodeId>& recv,
@@ -1141,46 +1228,9 @@ void Engine::process_terminations(const std::vector<NodeId>& recv,
   bool any_idle = false;
   for (const auto& sh : s_.shards) any_idle |= sh.any_idle;
   if (s_.newly_terminated.empty() && !any_idle && s_.woken.empty()) return;
-  s_.wake_next.clear();
-  if (!s_.newly_terminated.empty()) {
-    // Charge the notification messages implied by the Section 7 convention
-    // (one message carrying the node's outputs to each neighbor that is
-    // still active) and collect the affected neighbors, deduplicated via
-    // the s_.recv_count scratch (all-zero between rounds, restored below).
-    // s_.touched_receivers is likewise free until next round's delivery.
-    s_.touched_receivers.clear();
-    for (const NodeId v : s_.newly_terminated) {
-      const std::size_t notice_words = 1 + edge_output_count(v);
-      for (NodeId u : graph_.neighbors(v)) {
-        if (!s_.node_active[u]) continue;
-        charge(notice_words, /*channel=*/0);
-        if (s_.recv_count[u]++ == 0) s_.touched_receivers.push_back(u);
-      }
-    }
-    // Drop every terminated node from each affected view by compacting the
-    // node's live CSR prefix in one linear pass (an invariant of the view
-    // is that it never contains inactive nodes, so filtering on the active
-    // flag removes exactly this round's batch). A termination is also a
-    // wake event: the neighbor's view changes next round, so any idle
-    // promise it made is void.
-    for (const NodeId u : s_.touched_receivers) {
-      s_.recv_count[u] = 0;
-      NodeId* live = s_.an_pool.data() + graph_.row_begin(u);
-      const std::uint32_t count = s_.an_count[u];
-      std::uint32_t w = 0;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const NodeId x = live[i];
-        if (s_.node_active[x]) live[w++] = x;
-      }
-      s_.an_count[u] = w;
-      s_.idle_request[u] = 0;
-      if (!s_.node_awake[u]) {
-        s_.node_awake[u] = 1;
-        s_.wake_next.push_back(u);
-      }
-    }
-    std::sort(s_.wake_next.begin(), s_.wake_next.end());
-  }
+  // s_.touched_receivers is free until next round's delivery.
+  notify_terminations(0, graph_.num_nodes(), acct_, s_.touched_receivers,
+                      s_.wake_next);
   // Rebuild the awake worklist for the next round: the receive worklist
   // (which contains every currently-awake node) filtered by liveness and
   // this round's idle requests, merged with the sleepers just woken by a
@@ -1234,7 +1284,6 @@ void Engine::process_terminations_parallel(
   //       contiguous and ascending, so concatenating per-shard segments in
   //       shard order is the serial ascending rebuild.
   const std::size_t S = s_.shards.size();
-  const int congest_limit = options_.congest_word_limit;
   run_sharded(recv.size(), [&](int s, std::size_t lo, std::size_t hi) {
     auto& rs = s_.recv_shards[static_cast<std::size_t>(s)];
     rs.newly_terminated.clear();
@@ -1265,39 +1314,15 @@ void Engine::process_terminations_parallel(
   for (const auto& sh : s_.shards) any_idle |= sh.any_idle;
   if (s_.newly_terminated.empty() && !any_idle && s_.woken.empty()) return;
 
+  const std::size_t nu = static_cast<std::size_t>(graph_.num_nodes());
   if (!s_.newly_terminated.empty()) {
     pool_->run([&](int t) {
       const std::size_t tu = static_cast<std::size_t>(t);
       auto& rs = s_.recv_shards[tu];
       rs.acct = detail::CongestAccount{};
-      rs.touched.clear();
-      rs.wake.clear();
-      const std::uint16_t self = static_cast<std::uint16_t>(t);
-      for (const NodeId v : s_.newly_terminated) {
-        const std::size_t notice_words = 1 + edge_output_count(v);
-        for (NodeId u : graph_.neighbors(v)) {
-          if (s_.node_shard[u] != self || !s_.node_active[u]) continue;
-          rs.acct.charge(notice_words, /*channel=*/0, congest_limit);
-          if (s_.recv_count[u]++ == 0) rs.touched.push_back(u);
-        }
-      }
-      for (const NodeId u : rs.touched) {
-        s_.recv_count[u] = 0;
-        NodeId* live = s_.an_pool.data() + graph_.row_begin(u);
-        const std::uint32_t count = s_.an_count[u];
-        std::uint32_t w = 0;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const NodeId x = live[i];
-          if (s_.node_active[x]) live[w++] = x;
-        }
-        s_.an_count[u] = w;
-        s_.idle_request[u] = 0;
-        if (!s_.node_awake[u]) {
-          s_.node_awake[u] = 1;
-          rs.wake.push_back(u);
-        }
-      }
-      std::sort(rs.wake.begin(), rs.wake.end());
+      notify_terminations(static_cast<NodeId>(nu * tu / S),
+                          static_cast<NodeId>(nu * (tu + 1) / S), rs.acct,
+                          rs.touched, rs.wake);
     });
     for (std::size_t t = 0; t < S; ++t) {
       acct_.merge_from(s_.recv_shards[t].acct);
@@ -1306,7 +1331,6 @@ void Engine::process_terminations_parallel(
     for (auto& rs : s_.recv_shards) rs.wake.clear();
   }
 
-  const std::size_t nu = static_cast<std::size_t>(graph_.num_nodes());
   pool_->run([&](int t) {
     const std::size_t tu = static_cast<std::size_t>(t);
     auto& rs = s_.recv_shards[tu];
@@ -1471,15 +1495,6 @@ std::vector<int> completion_round_per_component(
     }
     out.push_back(worst);
   }
-  return out;
-}
-
-std::vector<const Message*> inbox_on_channel(std::span<const Message> inbox,
-                                             int channel) {
-  std::vector<const Message*> out;
-  for_each_on_channel(inbox, channel, [&](const Message& m) {
-    out.push_back(&m);
-  });
   return out;
 }
 

@@ -683,6 +683,13 @@ class Engine {
   /// receive worklist (awake_nodes when nothing woke, else the merged
   /// recv_nodes).
   const std::vector<NodeId>& collect_delivery_wakes();
+  /// Run every receive hook on `recv`, sharded into contiguous slices
+  /// (one slice when serial). On rounds with pull entries at 2^16 nodes
+  /// and more, each shard pipelines the gather of the receivers ahead of
+  /// it in its own slice: it prefetches the OutboxRef stamps of the active
+  /// neighbors 6 receivers ahead, then the PullEntry of each stamped
+  /// neighbor 3 receivers ahead. Everything it reads is frozen during the
+  /// phase.
   void receive_phase(const std::vector<NodeId>& recv);
   void process_terminations(const std::vector<NodeId>& recv,
                             std::vector<int>& termination_round);
@@ -693,7 +700,17 @@ class Engine {
   /// argument.
   void process_terminations_parallel(const std::vector<NodeId>& recv,
                                      std::vector<int>& termination_round);
-  void charge(std::size_t payload_words, int channel);
+  /// The termination pass's notice step, shared by both twins: charge the
+  /// Section 7 notices of s_.newly_terminated to their still-active
+  /// neighbors in [lo, hi) (all nodes serially, the owned range in pass
+  /// T2) into `acct`, compact those neighbors' active prefixes, void their
+  /// idle promises, and collect the sleepers this wakes into `wake`,
+  /// sorted. `touched` is scratch. At 2^16 nodes and more the compaction
+  /// prefetches the prefix row and count of the receiver 8 ahead, all of
+  /// them in [lo, hi).
+  void notify_terminations(NodeId lo, NodeId hi, detail::CongestAccount& acct,
+                           std::vector<NodeId>& touched,
+                           std::vector<NodeId>& wake);
   /// Neighborhood-cache lookup/update for one resolved record. Called from
   /// the serial delivery loop, or from the one receiver shard owning
   /// r.to — each directed edge's cache line has exactly one writer, and it
@@ -706,9 +723,14 @@ class Engine {
   /// when a sink wants message detail.
   void trace_deliveries();
   /// Node v's full inbox this round into `out`: its record slice merged,
-  /// by sender, with the pull entries of its active neighbors.
+  /// by sender, with the pull entries of its active neighbors. Two
+  /// dependent random reads per pull sender (stamp, then entry); at 2^16
+  /// nodes and more receive_phase has prefetched both by the time a
+  /// receive hook calls it.
   void gather_inbox(NodeId v, std::vector<Message>& out) const;
   std::span<const Message> record_inbox(NodeId v) const;
+  /// Node v's active neighbors: the live prefix of its an_pool row.
+  std::span<const NodeId> active_prefix(NodeId v) const;
 
   // --- struct-of-arrays edge-output accessors. The pool (one Value slot
   // per directed edge, addressed by the graph's CSR slot of the key) is
@@ -743,6 +765,9 @@ class Engine {
   // whether some node-round of the current round did.
   bool pull_enabled_ = false;
   bool round_has_pulls_ = false;
+  // The graph is large enough (kLookaheadMinNodes) that the gather and the
+  // termination pass prefetch their random reads ahead.
+  bool lookahead_ = false;
   std::vector<Message> trace_inbox_;  // trace_deliveries' gather buffer
   // Lazy edge-output pool handshake: readers that see `false` short-circuit
   // to kUndefined; the release store publishes the initialized pool.
@@ -801,12 +826,6 @@ void for_each_on_channel(std::span<const Message> inbox, int channel,
     if (m.channel == channel) fn(m);
   }
 }
-
-/// Messages in `inbox` with the given channel. Materializes a vector —
-/// prefer for_each_on_channel (or Channel::inbox()) in per-round code;
-/// this overload is kept for call sites that need random access.
-std::vector<const Message*> inbox_on_channel(std::span<const Message> inbox,
-                                             int channel);
 
 /// Completion round of each connected component of g (max termination
 /// round over its nodes; -1 if some node never terminated). Ordered like

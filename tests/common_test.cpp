@@ -104,6 +104,48 @@ TEST(Rng, NextBelowCoversRange) {
   EXPECT_EQ(*seen.rbegin(), 6u);
 }
 
+// next_below accepts draws below 2^64 - bound without computing the
+// rejection limit. Every instance generator depends on its exact output,
+// so it must match the two-division formula draw for draw: on small
+// bounds, on bounds that reject about half of all draws (2^63 + 1), on
+// one that almost never takes the shortcut (2^64 - 1), and on random ones.
+TEST(Rng, NextBelowMatchesTwoDivisionFormula) {
+  std::int64_t rejections = 0;
+  const auto reference = [&rejections](Rng& rng, std::uint64_t bound) {
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t limit = max - max % bound;
+    std::uint64_t x = rng.next();
+    while (x >= limit) {
+      ++rejections;
+      x = rng.next();
+    }
+    return x % bound;
+  };
+  const std::uint64_t two32 = std::uint64_t{1} << 32;
+  const std::uint64_t two63 = std::uint64_t{1} << 63;
+  std::vector<std::uint64_t> bounds = {
+      1, 2, 3, two32 - 1, two32 + 1, two63, two63 + 1,
+      std::numeric_limits<std::uint64_t>::max()};
+  Rng pick(99);
+  for (int i = 0; i < 24; ++i) {
+    // Random magnitudes from 1 bit to 64 bits.
+    const std::uint64_t b = pick.next() >> (pick.next() % 64);
+    bounds.push_back(std::max<std::uint64_t>(b, 1));
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    for (const std::uint64_t bound : bounds) {
+      Rng fast(seed), slow(seed);
+      int mismatches = 0;
+      for (int i = 0; i < 2000; ++i) {
+        mismatches += fast.next_below(bound) != reference(slow, bound) ? 1 : 0;
+      }
+      EXPECT_EQ(mismatches, 0) << "seed " << seed << " bound " << bound;
+      EXPECT_EQ(fast.next(), slow.next()) << "stream position, bound " << bound;
+    }
+  }
+  EXPECT_GT(rejections, 1000);  // the slow path ran, not only the shortcut
+}
+
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(13);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

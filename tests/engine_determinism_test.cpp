@@ -26,6 +26,7 @@
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "mis/algorithms.hpp"
 #include "mis/checkers.hpp"
 #include "mis/congest_global.hpp"
 #include "random/luby.hpp"
@@ -481,6 +482,84 @@ TEST(EngineDeterminism, PullBroadcastsMatchRecordDeliveryPerReceiver) {
           EXPECT_EQ(serial_pull, run.transcript) << where;
         }
       }
+    }
+  }
+}
+
+/// Pull broadcasts to sleeping receivers. Every node broadcasts its
+/// identifier in round 1; then each even node with an odd neighbor idles.
+/// In round 2 only odd nodes broadcast, so every sleeper is woken by the
+/// walk over pull senders' prefixes and joins the receive worklist between
+/// awake nodes; everyone terminates in round 2. Inboxes fold into the
+/// output, so a missed or extra delivery changes the result.
+class SleepyBroadcastProgram final : public NodeProgram {
+ public:
+  void on_send(NodeContext& ctx) override {
+    if (ctx.round() == 1 || (ctx.round() == 2 && ctx.id() % 2 != 0)) {
+      ctx.broadcast({ctx.id()});
+    }
+  }
+  void on_receive(NodeContext& ctx) override {
+    for (const Message& m : ctx.inbox()) {
+      digest_ = digest_ * 1315423911u + static_cast<std::uint64_t>(m.words[0]);
+    }
+    if (ctx.round() >= 2) {
+      ctx.set_output(static_cast<Value>(digest_ >> 1));
+      ctx.terminate();
+    } else if (ctx.id() % 2 == 0 && has_odd_neighbor(ctx)) {
+      ctx.idle();
+    }
+  }
+
+ private:
+  static bool has_odd_neighbor(const NodeContext& ctx) {
+    for (const NodeId u : ctx.neighbors()) {
+      if (ctx.neighbor_id(u) % 2 != 0) return true;
+    }
+    return false;
+  }
+
+  std::uint64_t digest_ = 1;
+};
+
+// From 2^16 nodes on, the engine prefetches the gather and the termination
+// pass ahead (docs/MODEL.md, "Memory latency at scale"); every other case
+// in this file is far below that size. Run it at ~70,000 nodes under every
+// thread count: Luby gathers pull broadcasts every other round, greedy MIS
+// idles and is woken by termination notices, and SleepyBroadcastProgram
+// wakes sleepers from pull senders' prefixes.
+TEST(EngineDeterminism, LookaheadSizedRunsAreThreadCountInvariant) {
+  constexpr NodeId kNodes = 70'000;
+  static_assert(kNodes >= NodeId{1} << 16, "must take the lookahead");
+  Rng rng(70);
+  Graph g = make_gnp_sparse(kNodes, 4.0 / kNodes, rng);
+  randomize_ids(g, rng);
+  struct Case {
+    const char* name;
+    ProgramFactory factory;
+    int rounds;  // pinned when nonzero
+  };
+  const std::vector<Case> cases = {
+      {"luby", luby_mis_algorithm(42), 0},
+      {"greedy", greedy_mis_algorithm(), 0},
+      // Round 2 only if the wake walk reached every sleeper.
+      {"sleepy_broadcast",
+       [](NodeId) { return std::make_unique<SleepyBroadcastProgram>(); }, 2},
+  };
+  for (const auto& [name, factory, rounds] : cases) {
+    const RecordedRun serial = record_run(g, {}, factory, recording_options(1),
+                                          TraceDetail::kPayloads);
+    ASSERT_TRUE(serial.result.completed) << name;
+    if (rounds != 0) {
+      EXPECT_EQ(serial.result.rounds, rounds) << name;
+    }
+    for (int threads : {2, 4}) {
+      const RecordedRun parallel =
+          record_run(g, {}, factory, recording_options(threads),
+                     TraceDetail::kPayloads);
+      EXPECT_EQ(serial.transcript, parallel.transcript)
+          << name << " num_threads = " << threads;
+      expect_identical(serial.result, parallel.result);
     }
   }
 }
