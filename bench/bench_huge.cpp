@@ -64,7 +64,10 @@ struct HugeCase {
   std::string workload;  // luby / greedy
   NodeId n = 0;
   std::int64_t budget_bytes_per_node = 0;  // hard cap, checked via VmHWM
-  std::function<Graph()> build;
+  // The instance: generate(rng) builds the graph from an Rng seeded with
+  // `seed`, then randomize_ids draws its identifiers from the same rng.
+  std::uint64_t seed = 0;
+  std::function<Graph(Rng&)> generate;
   std::function<ProgramFactory()> make;
   bool stream_transcript = false;  // record kPayloads through stream_to
 };
@@ -83,21 +86,15 @@ std::vector<HugeCase> build_cases(bool smoke, bool n10m) {
   const int bt = static_cast<int>(std::clamp(
       std::thread::hardware_concurrency(), 1u, 4u));
   auto gnps = [bt](NodeId n) {
-    return [n, bt] {
-      Rng rng(9000 + n % 9973);
-      Graph g = make_gnp_sparse(n, 8.0 / n, rng, bt);
-      randomize_ids(g, rng);
-      return g;
-    };
+    return [n, bt](Rng& rng) { return make_gnp_sparse(n, 8.0 / n, rng, bt); };
   };
   auto gnm = [bt](NodeId n) {
-    return [n, bt] {
-      Rng rng(9100 + n % 9973);
-      Graph g = make_gnm(n, 4 * static_cast<std::int64_t>(n), rng, bt);
-      randomize_ids(g, rng);
-      return g;
+    return [n, bt](Rng& rng) {
+      return make_gnm(n, 4 * static_cast<std::int64_t>(n), rng, bt);
     };
   };
+  auto gnps_seed = [](NodeId n) -> std::uint64_t { return 9000 + n % 9973; };
+  auto gnm_seed = [](NodeId n) -> std::uint64_t { return 9100 + n % 9973; };
   // Budgets (bytes/node, average degree 8). Luby's broadcasts take the
   // pull path: one outbox entry per broadcasting node plus a 16-B outbox
   // stamp per node, on top of the graph (44 B/node), the engine's copy of
@@ -113,24 +110,30 @@ std::vector<HugeCase> build_cases(bool smoke, bool n10m) {
   // one would inherit the larger peak and fail its own budget spuriously.
   for (const NodeId n : {100'000, 1'000'000}) {
     if (smoke && n > 100'000) break;
-    cases.push_back({"gnps", "greedy", n, 256, gnps(n), greedy, false});
-    cases.push_back({"gnm", "greedy", n, 256, gnm(n), greedy, false});
-    cases.push_back({"gnps", "luby", n, 512, gnps(n), luby, false});
+    cases.push_back(
+        {"gnps", "greedy", n, 256, gnps_seed(n), gnps(n), greedy, false});
+    cases.push_back(
+        {"gnm", "greedy", n, 256, gnm_seed(n), gnm(n), greedy, false});
+    cases.push_back(
+        {"gnps", "luby", n, 512, gnps_seed(n), gnps(n), luby, false});
     if (n == 100'000) {
-      cases.push_back({"gnps", "luby", n, 512, gnps(n), luby, true});
+      cases.push_back(
+          {"gnps", "luby", n, 512, gnps_seed(n), gnps(n), luby, true});
     }
   }
   if (n10m && !smoke) {
-    cases.push_back({"gnps", "greedy", 10'000'000, 256,
-                     gnps(10'000'000), greedy, false});
-    cases.push_back({"gnps", "luby", 10'000'000, 512, gnps(10'000'000), luby,
-                     false});
+    constexpr NodeId k10m = 10'000'000;
+    cases.push_back({"gnps", "greedy", k10m, 256, gnps_seed(k10m),
+                     gnps(k10m), greedy, false});
+    cases.push_back({"gnps", "luby", k10m, 512, gnps_seed(k10m), gnps(k10m),
+                     luby, false});
   }
   return cases;
 }
 
 struct RowResult {
-  double build_ms = 0;
+  double build_ms = 0;  // generator + identifiers
+  double ids_ms = 0;    // the randomize_ids share of build_ms
   double wall_ms = 0;
   int rounds = 0;
   std::int64_t messages = 0;
@@ -142,10 +145,14 @@ struct RowResult {
 
 RowResult run_case(const HugeCase& c) {
   RowResult row;
+  Rng rng(c.seed);
   const auto b0 = std::chrono::steady_clock::now();
-  const Graph g = c.build();
+  Graph g = c.generate(rng);
   const auto b1 = std::chrono::steady_clock::now();
-  row.build_ms = std::chrono::duration<double, std::milli>(b1 - b0).count();
+  randomize_ids(g, rng);
+  const auto b2 = std::chrono::steady_clock::now();
+  row.build_ms = std::chrono::duration<double, std::milli>(b2 - b0).count();
+  row.ids_ms = std::chrono::duration<double, std::milli>(b2 - b1).count();
 
   EngineOptions opt;
   std::optional<TranscriptWriter> writer;
@@ -210,9 +217,9 @@ int run_all(bool json, bool smoke, bool n10m) {
          "Million-node engine scale: sparse generators, SoA data plane, "
          "streaming transcripts. Every row carries a hard VmHWM budget "
          "(bytes/node); the bench fails if a row exceeds it.");
-  Table table({"family", "workload", "n", "probe", "build_ms", "wall_ms",
-               "rounds", "k_msgs", "mmsgs_per_s", "hwm_mb", "budget_mb",
-               "stream_kb"});
+  Table table({"family", "workload", "n", "probe", "build_ms", "ids_ms",
+               "wall_ms", "rounds", "k_msgs", "mmsgs_per_s", "hwm_mb",
+               "budget_mb", "stream_kb"});
   table.print_header();
   JsonRecorder out(json, "BENCH_huge.json");
   bool ok = true;
@@ -225,8 +232,9 @@ int run_all(bool json, bool smoke, bool n10m) {
     const std::int64_t budget_bytes =
         c.budget_bytes_per_node * c.n + kBudgetSlackBytes;
     table.print_row({c.family, c.workload, fmt(static_cast<std::int64_t>(c.n)),
-                     fmt(probe), fmt(r.build_ms), fmt(r.wall_ms),
-                     fmt(r.rounds), fmt(r.messages / 1000), fmt(mps / 1e6),
+                     fmt(probe), fmt(r.build_ms), fmt(r.ids_ms),
+                     fmt(r.wall_ms), fmt(r.rounds), fmt(r.messages / 1000),
+                     fmt(mps / 1e6),
                      fmt(r.hwm_bytes / (1 << 20)),
                      fmt(budget_bytes / (1 << 20)),
                      fmt(r.transcript_bytes / 1024)});
@@ -260,6 +268,7 @@ int run_all(bool json, bool smoke, bool n10m) {
     out.field("n", static_cast<std::int64_t>(c.n));
     out.field("probe", probe);
     out.field("build_ms", r.build_ms);
+    out.field("ids_ms", r.ids_ms);
     out.field("wall_ms", r.wall_ms);
     out.field("rounds", r.rounds);
     out.field("messages", r.messages);

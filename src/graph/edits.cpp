@@ -1,50 +1,43 @@
 #include "graph/edits.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/require.hpp"
+#include "graph/key_table.hpp"
 
 namespace dgap {
 
-namespace {
-
-std::unordered_map<Value, NodeId> index_by_id(const std::vector<Value>& ids) {
-  std::unordered_map<Value, NodeId> by_id;
-  by_id.reserve(ids.size());
-  for (std::size_t v = 0; v < ids.size(); ++v) {
-    by_id.emplace(ids[v], static_cast<NodeId>(v));
-  }
-  return by_id;
-}
-
-}  // namespace
-
 Graph apply_edits(const Graph& g, const EditBatch& batch) {
   DGAP_REQUIRE(batch.add_nodes >= 0, "add_nodes must be non-negative");
-  const auto by_id = index_by_id(g.ids());
+  const NodeId n = g.num_nodes();
+  KeyIndex by_id(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    by_id.insert(static_cast<std::uint64_t>(g.id(v)), v);
+  }
+  // Identifiers are positive, so a non-positive one converts to a key no
+  // identifier has and is reported unknown.
+  auto find = [&](Value id) {
+    return by_id.find(static_cast<std::uint64_t>(id));
+  };
   auto lookup = [&](Value id) {
-    auto it = by_id.find(id);
-    DGAP_REQUIRE(it != by_id.end(), "edit references an unknown identifier");
-    return it->second;
+    const NodeId* v = find(id);
+    DGAP_REQUIRE(v != nullptr, "edit references an unknown identifier");
+    return *v;
   };
 
-  // Removed edges as (min index, max index) pairs for fast membership.
-  std::unordered_set<std::int64_t> removed_edges;
-  auto edge_key = [&](NodeId u, NodeId v) {
-    if (u > v) std::swap(u, v);
-    return static_cast<std::int64_t>(u) * g.num_nodes() + v;
-  };
+  // A removed edge is marked at its CSR slot in the row of its smaller
+  // endpoint, the slot the survivor scan below visits it from.
+  std::vector<bool> removed_slot(g.adjacency().size());
   for (const auto& [a, b] : batch.remove_edges) {
     const NodeId u = lookup(a);
     const NodeId v = lookup(b);
-    DGAP_REQUIRE(g.has_edge(u, v), "removed edge is not in the graph");
-    DGAP_REQUIRE(removed_edges.insert(edge_key(u, v)).second,
-                 "edge removed twice in one batch");
+    const std::uint32_t slot = g.edge_slot(std::min(u, v), std::max(u, v));
+    DGAP_REQUIRE(slot != Graph::kNoSlot, "removed edge is not in the graph");
+    DGAP_REQUIRE(!removed_slot[slot], "edge removed twice in one batch");
+    removed_slot[slot] = true;
   }
 
-  std::vector<bool> removed_node(static_cast<std::size_t>(g.num_nodes()));
+  std::vector<bool> removed_node(static_cast<std::size_t>(n));
   for (Value id : batch.remove_nodes) {
     const NodeId v = lookup(id);
     DGAP_REQUIRE(!removed_node[static_cast<std::size_t>(v)],
@@ -55,37 +48,52 @@ Graph apply_edits(const Graph& g, const EditBatch& batch) {
   // Survivors keep their relative order; inserted nodes are appended with
   // fresh identifiers above the old bound, and the bound moves past them
   // so a later batch can never reissue an identifier this graph ever used.
-  std::vector<NodeId> old_to_new(static_cast<std::size_t>(g.num_nodes()),
-                                 kNoNode);
+  std::vector<NodeId> old_to_new(static_cast<std::size_t>(n), kNoNode);
   std::vector<Value> ids;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+  ids.reserve(static_cast<std::size_t>(n + batch.add_nodes));
+  for (NodeId v = 0; v < n; ++v) {
     if (removed_node[static_cast<std::size_t>(v)]) continue;
     old_to_new[static_cast<std::size_t>(v)] = static_cast<NodeId>(ids.size());
     ids.push_back(g.id(v));
   }
+  const NodeId survivors = static_cast<NodeId>(ids.size());
   for (std::int64_t k = 0; k < batch.add_nodes; ++k) {
     ids.push_back(g.id_bound() + 1 + k);
   }
   GraphBuilder builder(static_cast<NodeId>(ids.size()));
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+  builder.reserve(static_cast<std::size_t>(g.num_edges()) +
+                  batch.add_edges.size());
+  for (NodeId u = 0; u < n; ++u) {
     const NodeId nu = old_to_new[static_cast<std::size_t>(u)];
     if (nu == kNoNode) continue;
-    for (NodeId v : g.neighbors(u)) {
-      if (u >= v) continue;
+    const auto row = g.neighbors(u);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      const NodeId v = row[j];
+      if (u >= v || removed_slot[g.row_begin(u) + j]) continue;
       const NodeId nv = old_to_new[static_cast<std::size_t>(v)];
-      if (nv == kNoNode || removed_edges.count(edge_key(u, v))) continue;
-      builder.add_edge(nu, nv);
+      if (nv != kNoNode) builder.add_edge(nu, nv);
     }
   }
 
-  const auto next_by_id = index_by_id(ids);
+  // Index of an identifier in the edited graph, or kNoNode: a survivor
+  // through the old index, an inserted node arithmetically above the old
+  // bound (every surviving identifier is at most that bound).
+  auto next_index = [&](Value id) {
+    if (id > g.id_bound()) {
+      const std::int64_t k = id - g.id_bound() - 1;
+      return k < batch.add_nodes ? survivors + static_cast<NodeId>(k)
+                                 : kNoNode;
+    }
+    const NodeId* v = find(id);
+    return v ? old_to_new[static_cast<std::size_t>(*v)] : kNoNode;
+  };
   for (const auto& [a, b] : batch.add_edges) {
-    auto ia = next_by_id.find(a);
-    auto ib = next_by_id.find(b);
-    DGAP_REQUIRE(ia != next_by_id.end() && ib != next_by_id.end(),
+    const NodeId ia = next_index(a);
+    const NodeId ib = next_index(b);
+    DGAP_REQUIRE(ia != kNoNode && ib != kNoNode,
                  "added edge references an identifier absent from the "
                  "edited graph");
-    builder.add_edge(ia->second, ib->second);  // REQUIREs no self-loop
+    builder.add_edge(ia, ib);  // REQUIREs no self-loop
   }
   Graph next = builder.build();  // REQUIREs no duplicate edge
   next.set_ids(std::move(ids));
@@ -148,17 +156,18 @@ EditBatch ChurnSpec::generate(const Graph& g, int epoch) const {
   // Added edges among survivors: sample non-adjacent pairs, skipping pairs
   // already chosen and pairs whose edge was just removed (re-adding a
   // removed edge in the same batch would be a duplicate in apply_edits).
-  std::unordered_set<std::int64_t> taken;
+  const std::int64_t edge_adds =
+      count_of(edge_add_frac, static_cast<std::int64_t>(live_edges.size()));
+  KeySet taken(static_cast<std::size_t>(edge_removals + edge_adds));
   auto pair_key = [&](NodeId u, NodeId v) {
     if (u > v) std::swap(u, v);
-    return static_cast<std::int64_t>(u) * n + v;
+    return static_cast<std::uint64_t>(u) * static_cast<std::uint64_t>(n) +
+           static_cast<std::uint64_t>(v);
   };
   for (std::int64_t i = 0; i < edge_removals; ++i) {
     const auto& [u, v] = live_edges[static_cast<std::size_t>(i)];
     taken.insert(pair_key(u, v));
   }
-  const std::int64_t edge_adds =
-      count_of(edge_add_frac, static_cast<std::int64_t>(live_edges.size()));
   if (survivors.size() >= 2) {
     std::int64_t added = 0;
     // Bounded retries keep generation O(adds) on dense graphs.
@@ -168,7 +177,7 @@ EditBatch ChurnSpec::generate(const Graph& g, int epoch) const {
           rng.next_below(survivors.size()))];
       const NodeId v = survivors[static_cast<std::size_t>(
           rng.next_below(survivors.size()))];
-      if (u == v || g.has_edge(u, v) || !taken.insert(pair_key(u, v)).second) {
+      if (u == v || g.has_edge(u, v) || !taken.insert(pair_key(u, v))) {
         continue;
       }
       batch.add_edges.emplace_back(g.id(u), g.id(v));

@@ -7,10 +7,10 @@
 #include <numeric>
 #include <set>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "common/require.hpp"
+#include "graph/key_table.hpp"
 
 namespace dgap {
 
@@ -276,27 +276,31 @@ Graph make_gnm(NodeId n, std::int64_t m, Rng& rng, int num_threads) {
     Rng block_rng(seeds[bu]);
     auto& keys = block_keys[bu];
     keys.reserve(static_cast<std::size_t>(quota));
-    std::unordered_set<std::uint64_t> local;
-    local.reserve(static_cast<std::size_t>(quota) * 2);
+    KeySet local(static_cast<std::size_t>(quota));
     while (static_cast<std::int64_t>(keys.size()) < quota) {
       const std::uint64_t key = draw_key(block_rng);
-      if (local.insert(key).second) keys.push_back(key);
+      if (local.insert(key)) keys.push_back(key);
     }
   });
   GraphBuilder g(n);
   g.reserve(static_cast<std::size_t>(m));
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(static_cast<std::size_t>(m) * 2);
+  KeySet chosen(static_cast<std::size_t>(m));
   std::int64_t added = 0;
   const auto add_key = [&](std::uint64_t key) {
-    if (!chosen.insert(key).second) return;
+    if (!chosen.insert(key)) return;
     const NodeId lo = static_cast<NodeId>(key / static_cast<std::uint64_t>(n));
     const NodeId hi = static_cast<NodeId>(key % static_cast<std::uint64_t>(n));
     g.add_edge(lo, hi);
     ++added;
   };
+  // The merged keys are known in advance: start each one's table slot
+  // loading a few keys ahead so the random misses overlap.
+  constexpr std::size_t kAhead = 8;
   for (const auto& keys : block_keys) {
-    for (const std::uint64_t key : keys) add_key(key);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (i + kAhead < keys.size()) chosen.prefetch(keys[i + kAhead]);
+      add_key(keys[i]);
+    }
   }
   while (added < m) add_key(draw_key(topup_rng));
   return g.build();
@@ -340,13 +344,13 @@ Graph make_random_connected(NodeId n, std::int64_t extra_edges, Rng& rng) {
   extra_edges = std::min(extra_edges, max_extra);
   // The pairs chosen so far are the tree's edges plus `extra`, so the
   // accept/reject sequence (and every rng draw) is the in-place one.
-  std::unordered_set<std::uint64_t> extra;
+  KeySet extra(
+      static_cast<std::size_t>(std::max<std::int64_t>(extra_edges, 0)));
   std::int64_t added = 0;
   while (added < extra_edges) {
     NodeId u = static_cast<NodeId>(rng.next_below(n));
     NodeId v = static_cast<NodeId>(rng.next_below(n));
-    if (u == v || tree.has_edge(u, v) ||
-        !extra.insert(pair_key(u, v, n)).second) {
+    if (u == v || tree.has_edge(u, v) || !extra.insert(pair_key(u, v, n))) {
       continue;
     }
     g.add_edge(u, v);

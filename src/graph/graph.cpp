@@ -1,9 +1,12 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <numeric>
 
 #include "common/require.hpp"
+#include "graph/key_table.hpp"
 
 namespace dgap {
 
@@ -24,14 +27,25 @@ void Graph::set_id_bound(std::int64_t d) {
 
 void Graph::set_ids(std::vector<Value> ids) {
   DGAP_REQUIRE(ids.size() == ids_.size(), "one identifier per node");
-  std::vector<Value> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  DGAP_REQUIRE(sorted.empty() || sorted.front() >= 1,
-               "identifiers are positive");
-  DGAP_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) ==
-                   sorted.end(),
-               "identifiers must be distinct");
-  if (!sorted.empty()) id_bound_ = std::max(id_bound_, sorted.back());
+  Value lo = std::numeric_limits<Value>::max();
+  Value hi = 0;
+  for (const Value id : ids) {
+    lo = std::min(lo, id);
+    hi = std::max(hi, id);
+  }
+  DGAP_REQUIRE(ids.empty() || lo >= 1, "identifiers are positive");
+  // Shuffled identifiers hash to random slots: start each slot's load a
+  // few inserts ahead so the misses overlap.
+  constexpr std::size_t kAhead = 8;
+  KeySet seen(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i + kAhead < ids.size()) {
+      seen.prefetch(static_cast<std::uint64_t>(ids[i + kAhead]));
+    }
+    DGAP_REQUIRE(seen.insert(static_cast<std::uint64_t>(ids[i])),
+                 "identifiers must be distinct");
+  }
+  if (!ids.empty()) id_bound_ = std::max(id_bound_, hi);
   ids_ = std::move(ids);
 }
 
@@ -117,10 +131,34 @@ Graph GraphBuilder::build() {
   }
   // Counting sort of both directions by source; a row fills in edge-list
   // order, so rows of generators that emit edges lexicographically are
-  // already ascending and the per-row sort below only confirms it.
+  // already ascending and the per-row check below only confirms it.
+  //
+  // At least one endpoint of a generated edge is a random row, so each
+  // placement is a dependent pair of random accesses (the row's cursor,
+  // then the slot it points at). The loop is software-pipelined: it
+  // prefetches both endpoints' cursors kCursorAhead edges ahead, and their
+  // destination slots kSlotAhead edges ahead, by when those cursors have
+  // arrived. A cursor may still move before its edge is placed; the hint
+  // then lands one slot early, never on a value.
+  constexpr std::size_t kCursorAhead = 32;
+  constexpr std::size_t kSlotAhead = 16;
   std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
   g.adj_.resize(edges_.size() * 2);
-  for (const auto& [u, v] : edges_) {
+  const std::size_t m = edges_.size();
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i + kCursorAhead < m) {
+      const auto& [cu, cv] = edges_[i + kCursorAhead];
+      __builtin_prefetch(&cursor[static_cast<std::size_t>(cu)], 1);
+      __builtin_prefetch(&cursor[static_cast<std::size_t>(cv)], 1);
+    }
+    if (i + kSlotAhead < m) {
+      const auto& [su, sv] = edges_[i + kSlotAhead];
+      __builtin_prefetch(g.adj_.data() + cursor[static_cast<std::size_t>(su)],
+                         1);
+      __builtin_prefetch(g.adj_.data() + cursor[static_cast<std::size_t>(sv)],
+                         1);
+    }
+    const auto [u, v] = edges_[i];
     g.adj_[cursor[static_cast<std::size_t>(u)]++] = v;
     g.adj_[cursor[static_cast<std::size_t>(v)]++] = u;
   }
@@ -129,7 +167,12 @@ Graph GraphBuilder::build() {
   for (std::size_t v = 0; v + 1 < off.size(); ++v) {
     const auto row_begin = g.adj_.begin() + off[v];
     const auto row_end = g.adj_.begin() + off[v + 1];
-    if (!std::is_sorted(row_begin, row_end)) std::sort(row_begin, row_end);
+    // A strictly ascending row is sorted and duplicate-free in one pass.
+    if (std::adjacent_find(row_begin, row_end, std::greater_equal<>()) ==
+        row_end) {
+      continue;
+    }
+    std::sort(row_begin, row_end);
     DGAP_REQUIRE(std::adjacent_find(row_begin, row_end) == row_end,
                  "edge already present");
   }

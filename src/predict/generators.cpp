@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
-#include <unordered_set>
 
 #include "common/require.hpp"
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
+#include "graph/key_table.hpp"
 
 namespace dgap {
 namespace {
@@ -99,7 +99,8 @@ Graph perturb_edges(const Graph& g, int remove_edges, int add_edges,
                static_cast<std::uint64_t>(n) +
            static_cast<std::uint64_t>(std::max(u, v));
   };
-  std::unordered_set<std::uint64_t> chosen;
+  KeySet chosen(edges.size() - keep_from +
+                static_cast<std::size_t>(std::max(add_edges, 0)));
   for (std::size_t i = keep_from; i < edges.size(); ++i) {
     out.add_edge(edges[i].first, edges[i].second);
     chosen.insert(key(edges[i].first, edges[i].second));
@@ -110,7 +111,7 @@ Graph perturb_edges(const Graph& g, int remove_edges, int add_edges,
     ++attempts;
     NodeId u = static_cast<NodeId>(rng.next_below(n));
     NodeId v = static_cast<NodeId>(rng.next_below(n));
-    if (u == v || !chosen.insert(key(u, v)).second) continue;
+    if (u == v || !chosen.insert(key(u, v))) continue;
     out.add_edge(u, v);
     ++added;
   }

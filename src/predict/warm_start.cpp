@@ -1,9 +1,7 @@
 #include "predict/warm_start.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "common/require.hpp"
+#include "graph/key_table.hpp"
 
 namespace dgap {
 
@@ -17,13 +15,14 @@ std::vector<NodeId> prev_index_of(const Graph& prev,
   DGAP_REQUIRE(prev_outputs.size() ==
                    static_cast<std::size_t>(prev.num_nodes()),
                "warm start needs one previous output per previous node");
-  std::unordered_map<Value, NodeId> by_id;
-  by_id.reserve(static_cast<std::size_t>(prev.num_nodes()));
-  for (NodeId v = 0; v < prev.num_nodes(); ++v) by_id.emplace(prev.id(v), v);
+  KeyIndex by_id(static_cast<std::size_t>(prev.num_nodes()));
+  for (NodeId v = 0; v < prev.num_nodes(); ++v) {
+    by_id.insert(static_cast<std::uint64_t>(prev.id(v)), v);
+  }
   std::vector<NodeId> map(static_cast<std::size_t>(next.num_nodes()), kNoNode);
   for (NodeId v = 0; v < next.num_nodes(); ++v) {
-    auto it = by_id.find(next.id(v));
-    if (it != by_id.end()) map[static_cast<std::size_t>(v)] = it->second;
+    const NodeId* pv = by_id.find(static_cast<std::uint64_t>(next.id(v)));
+    if (pv) map[static_cast<std::size_t>(v)] = *pv;
   }
   return map;
 }
@@ -48,9 +47,10 @@ Predictions warm_start_matching(const Graph& prev,
                                 const std::vector<Value>& prev_outputs,
                                 const Graph& next) {
   const auto map = prev_index_of(prev, prev_outputs, next);
-  std::unordered_set<Value> next_ids;
-  next_ids.reserve(static_cast<std::size_t>(next.num_nodes()));
-  for (NodeId v = 0; v < next.num_nodes(); ++v) next_ids.insert(next.id(v));
+  KeySet next_ids(static_cast<std::size_t>(next.num_nodes()));
+  for (NodeId v = 0; v < next.num_nodes(); ++v) {
+    next_ids.insert(static_cast<std::uint64_t>(next.id(v)));
+  }
   std::vector<Value> pred(static_cast<std::size_t>(next.num_nodes()),
                           kNoNode);
   for (NodeId v = 0; v < next.num_nodes(); ++v) {
@@ -59,7 +59,9 @@ Predictions warm_start_matching(const Graph& prev,
     const Value out = prev_outputs[static_cast<std::size_t>(pv)];
     // Identifiers are positive; anything else (⊥ included) stays ⊥. A
     // partner whose identifier was deleted is dropped, not replayed.
-    if (out >= 1 && next_ids.count(out)) pred[static_cast<std::size_t>(v)] = out;
+    if (out >= 1 && next_ids.find(static_cast<std::uint64_t>(out))) {
+      pred[static_cast<std::size_t>(v)] = out;
+    }
   }
   return Predictions(std::move(pred));
 }

@@ -9,10 +9,13 @@
 //      recompute (transcript bytes as witness), distinct predictions get
 //      distinct keys, and a mutated cache entry trips the poisoning guard.
 //   4. Identifier stability — node deletion + re-insertion never reuses a
-//      live identifier, and stale warm-start predictions referencing
-//      deleted nodes are dropped, not passed through.
+//      live identifier, stale warm-start predictions referencing deleted
+//      nodes are dropped, not passed through, the translators' outputs
+//      are pinned by digest, and every edit-batch contract violation
+//      throws.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -23,6 +26,7 @@
 #include "predict/generators.hpp"
 #include "predict/warm_start.hpp"
 #include "sim/epoch.hpp"
+#include "sim/result_cache.hpp"
 #include "templates/epoch_problems.hpp"
 
 namespace dgap {
@@ -369,6 +373,69 @@ TEST(IdentifierStability, OutOfEncodingOutputsBecomeNeutralPredictions) {
   EXPECT_EQ(coloring.node_values()[2], 17);  // positive color passes through
 }
 
+// The warm-start translators look identifiers up through the flat key
+// table. These digests of their predictions over a churned gnp_sparse
+// sequence were recorded from the std::unordered_map translators, so
+// they pin all three kinds bit-identical (the epochs golden covers MIS
+// only). Every fifth previous output is out of encoding, and every
+// seventh matching output names the next graph's first inserted node, so
+// the drop and pass-through paths are pinned too.
+TEST(WarmStart, TranslationsUnchanged) {
+  Graph prev = GraphSpec::gnp_sparse(2000, 8.0 / 2000, 31,
+                                     GraphSpec::IdPolicy::kRandomized)
+                   .build();
+  ChurnSpec churn;
+  churn.seed = 32;
+  churn.edge_remove_frac = 0.05;
+  churn.edge_add_frac = 0.05;
+  churn.node_remove_frac = 0.03;
+  churn.node_add_frac = 0.03;
+  Rng rng(33);
+  std::vector<std::uint64_t> got;
+  for (int epoch = 1; epoch <= 3; ++epoch) {
+    const Graph next = apply_edits(prev, churn.generate(prev, epoch));
+    std::vector<Value> mis = mis_correct_prediction(prev, rng).node_values();
+    std::vector<Value> matching =
+        matching_correct_prediction(prev, rng).node_values();
+    std::vector<Value> coloring =
+        coloring_correct_prediction(prev, rng).node_values();
+    for (std::size_t v = 0; v < mis.size(); v += 5) {
+      mis[v] = kUndefined;
+      matching[v] = -7;
+      coloring[v] = 0;
+    }
+    for (std::size_t v = 3; v < matching.size(); v += 7) {
+      matching[v] = prev.id_bound() + 1;
+    }
+    got.push_back(predictions_digest(warm_start_mis(prev, mis, next)));
+    got.push_back(
+        predictions_digest(warm_start_matching(prev, matching, next)));
+    got.push_back(
+        predictions_digest(warm_start_coloring(prev, coloring, next)));
+    prev = next;
+  }
+  // Per epoch: mis, matching, coloring.
+  const std::vector<std::uint64_t> expected = {
+      0x8b6642ceb6c5889bULL, 0x4e9e20a4cbc47998ULL, 0xfd7c50a228012f7fULL,
+      0x4b2dd69500bbca3bULL, 0x4a384dec9cea863dULL, 0x9a10b275de5674f8ULL,
+      0x535b4f3b31740b3bULL, 0x22b94c3b2ec2e923ULL, 0x9e1cc35ad8ab69baULL,
+  };
+  EXPECT_EQ(got, expected);
+}
+
+/// Runs apply_edits(g, batch) and expects the std::invalid_argument of
+/// the DGAP_REQUIRE whose message contains `why`.
+void expect_rejected(const Graph& g, const EditBatch& batch,
+                     const std::string& why) {
+  try {
+    apply_edits(g, batch);
+    ADD_FAILURE() << "batch accepted; expected: " << why;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ApplyEdits, EditBatchesAreContractsNotHints) {
   const Graph g = GraphSpec::line(4).build();
   EditBatch unknown_node;
@@ -386,6 +453,44 @@ TEST(ApplyEdits, EditBatchesAreContractsNotHints) {
   EditBatch self_loop;
   self_loop.add_edges.emplace_back(g.id(0), g.id(0));
   EXPECT_THROW(apply_edits(g, self_loop), std::invalid_argument);
+
+  EditBatch node_twice;
+  node_twice.remove_nodes = {g.id(1), g.id(1)};
+  expect_rejected(g, node_twice, "node removed twice in one batch");
+
+  EditBatch edge_twice;
+  edge_twice.remove_edges = {{g.id(1), g.id(2)}, {g.id(1), g.id(2)}};
+  expect_rejected(g, edge_twice, "edge removed twice in one batch");
+  EditBatch edge_twice_reversed;
+  edge_twice_reversed.remove_edges = {{g.id(1), g.id(2)},
+                                      {g.id(2), g.id(1)}};
+  expect_rejected(g, edge_twice_reversed, "edge removed twice in one batch");
+
+  EditBatch negative_add;
+  negative_add.add_nodes = -1;
+  expect_rejected(g, negative_add, "add_nodes must be non-negative");
+
+  const std::string absent =
+      "added edge references an identifier absent from the edited graph";
+  EditBatch to_removed;
+  to_removed.remove_nodes = {g.id(3)};
+  to_removed.add_edges = {{g.id(0), g.id(3)}};
+  expect_rejected(g, to_removed, absent);
+  EditBatch above_bound;
+  above_bound.add_nodes = 1;
+  above_bound.add_edges = {{g.id(0), g.id_bound() + 2}};
+  expect_rejected(g, above_bound, absent);
+  EditBatch not_inserted;  // the first fresh identifier, but no insertion
+  not_inserted.add_edges = {{g.id(0), g.id_bound() + 1}};
+  expect_rejected(g, not_inserted, absent);
+
+  EditBatch new_edge_twice;
+  new_edge_twice.add_nodes = 1;
+  new_edge_twice.add_edges = {{g.id(0), g.id_bound() + 1},
+                              {g.id(0), g.id_bound() + 1}};
+  expect_rejected(g, new_edge_twice, "edge already present");
+  new_edge_twice.add_edges.back() = {g.id_bound() + 1, g.id(0)};
+  expect_rejected(g, new_edge_twice, "edge already present");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,7 @@
 #include "graph/edits.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/key_table.hpp"
 #include "graph/properties.hpp"
 #include "graph/spec.hpp"
 #include "predict/generators.hpp"
@@ -117,6 +119,60 @@ TEST(Graph, SetIdsValidatesDistinctness) {
   g.set_ids({10, 20, 30});
   EXPECT_EQ(g.id(2), 30);
   EXPECT_GE(g.id_bound(), 30);
+
+  // At scale, on a shuffled permutation (so no check can lean on sorted
+  // input), with each defect planted where a scan starts or ends. A
+  // rejected call leaves the identifiers and the bound as they were.
+  constexpr NodeId kN = 100'000;
+  Graph big(kN);
+  std::vector<Value> perm(static_cast<std::size_t>(kN));
+  std::iota(perm.begin(), perm.end(), Value{1});
+  Rng rng(7);
+  rng.shuffle(perm);
+  const auto rejects = [&big](std::vector<Value> ids, std::size_t at,
+                              Value bad) {
+    ids[at] = bad;
+    const std::vector<Value> before = big.ids();
+    const std::int64_t bound = big.id_bound();
+    EXPECT_THROW(big.set_ids(std::move(ids)), std::invalid_argument)
+        << "position " << at << ", value " << bad;
+    EXPECT_EQ(big.ids(), before);
+    EXPECT_EQ(big.id_bound(), bound);
+  };
+  rejects(perm, 0, perm.back());        // duplicate in the first slot
+  rejects(perm, kN - 1, perm.front());  // duplicate in the last slot
+  rejects(perm, kN - 1, 0);             // non-positive in the last slot
+  rejects(perm, kN - 1, -1);
+  big.set_ids(perm);
+  EXPECT_EQ(big.id(0), perm[0]);
+  EXPECT_EQ(big.id_bound(), kN);
+
+  // A sparse domain near 2^62 with a power-of-two stride: the check must
+  // not assume identifiers are dense or hash well by their low bits.
+  std::vector<Value> sparse(perm.size());
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    sparse[i] = (Value{1} << 62) + perm[i] * (Value{1} << 20);
+  }
+  rejects(sparse, 0, sparse.back());
+  rejects(sparse, kN - 1, sparse.front());
+  rejects(sparse, kN - 1, 0);
+  big.set_ids(sparse);
+  EXPECT_EQ(big.id_bound(), (Value{1} << 62) + kN * (Value{1} << 20));
+}
+
+TEST(KeyTable, InsertAndFind) {
+  KeyIndex index(3);
+  EXPECT_TRUE(index.insert(7, 1));
+  EXPECT_TRUE(index.insert(0, 2));
+  EXPECT_FALSE(index.insert(7, 9));  // the first value stays
+  ASSERT_NE(index.find(7), nullptr);
+  EXPECT_EQ(*index.find(7), 1);
+  EXPECT_EQ(*index.find(0), 2);
+  EXPECT_EQ(index.find(8), nullptr);
+  EXPECT_EQ(index.find(KeyIndex::kEmptyKey), nullptr);
+  EXPECT_THROW(index.insert(KeyIndex::kEmptyKey, 3), std::invalid_argument);
+  EXPECT_TRUE(index.insert(1ULL << 63, 3));
+  EXPECT_THROW(index.insert(5, 4), std::logic_error);  // sized for 3 keys
 }
 
 TEST(Graph, EdgesListSorted) {
