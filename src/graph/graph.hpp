@@ -75,6 +75,8 @@ class Graph {
   std::uint32_t row_begin(NodeId v) const { return offsets_[v]; }
   /// The flat neighbor array, rows concatenated in node order (2m slots).
   const std::vector<NodeId>& adjacency() const { return adj_; }
+  /// The CSR row starts: n + 1 offsets into adjacency().
+  const std::vector<std::uint32_t>& offsets() const { return offsets_; }
 
   /// All edges as (u, v) with u < v, sorted.
   std::vector<std::pair<NodeId, NodeId>> edges() const;

@@ -5,24 +5,13 @@
 #include <numeric>
 #include <utility>
 
+#include "common/digest.hpp"
 #include "common/require.hpp"
 #include "graph/exact.hpp"
 #include "predict/generators.hpp"
 
 namespace dgap {
 namespace {
-
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_bytes(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = kFnvBasis;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 int row_of(ProblemKind kind) {
   const int row = static_cast<int>(kind);
@@ -238,7 +227,7 @@ std::vector<std::uint8_t> encode_model(const LearnedModel& model) {
       put_u32(out, static_cast<std::uint32_t>(w));
     }
   }
-  put_u64(out, fnv_bytes(out.data(), out.size()));
+  put_u64(out, fnv1a_bytes(out));
   return out;
 }
 
@@ -252,7 +241,7 @@ LearnedModel decode_model(const std::vector<std::uint8_t>& bytes) {
                    bytes[3] == 'B',
                "weight blob: bad magic");
   DGAP_REQUIRE(get_u64(bytes, kHeader + kBody) ==
-                   fnv_bytes(bytes.data(), kHeader + kBody),
+                   fnv1a_bytes({bytes.data(), kHeader + kBody}),
                "weight blob: checksum mismatch");
   LearnedModel model;
   model.version = get_u32(bytes, 4);
@@ -285,16 +274,11 @@ class LearnedProvider final : public PredictionProvider {
   }
 
   std::uint64_t digest() const override {
-    const auto blob = encode_model(model_);
-    std::uint64_t h = fnv_bytes(blob.data(), blob.size());
-    for (Value v : prior_) {
-      const auto u = static_cast<std::uint64_t>(v);
-      for (int b = 0; b < 8; ++b) {
-        h ^= (u >> (8 * b)) & 0xffULL;
-        h *= kFnvPrime;
-      }
-    }
-    return h;
+    // In-process only (common/digest.hpp): the blob, then the prior.
+    WordDigest d;
+    d.array(encode_model(model_));
+    d.array(prior_);
+    return d.value();
   }
 
   Predictions provide(const Graph& g, ProblemKind kind,

@@ -1,7 +1,10 @@
 #include "predict/provider.hpp"
 
+#include <initializer_list>
+#include <string_view>
 #include <utility>
 
+#include "common/digest.hpp"
 #include "common/require.hpp"
 #include "predict/generators.hpp"
 #include "predict/warm_start.hpp"
@@ -10,34 +13,21 @@ namespace dgap {
 
 namespace {
 
-// Provider digests are FNV-1a over a stable tag plus every configuration
-// parameter — independent of sim/result_cache.hpp (which sits above this
-// library) but the same construction, so they mix cleanly into cache keys.
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+// Provider digests are in-process WordDigests (common/digest.hpp): a
+// domain tag, the recipe's tag, then every configuration parameter.
+constexpr std::uint64_t kProviderDomain = 0x50524F56ULL;  // "PROV"
 
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
+WordDigest tagged(std::string_view tag) {
+  WordDigest d(kProviderDomain);
+  d.array(tag);
+  return d;
 }
 
-std::uint64_t mix_signed(std::uint64_t h, std::int64_t v) {
-  return mix64(h, static_cast<std::uint64_t>(v));
-}
-
-std::uint64_t mix_tag(std::uint64_t h, const char* tag) {
-  for (const char* c = tag; *c; ++c) {
-    h ^= static_cast<std::uint8_t>(*c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t tag_digest(const char* tag) {
-  return mix_tag(mix_tag(kFnvBasis, "PROV"), tag);
+std::uint64_t tag_digest(std::string_view tag,
+                         std::initializer_list<std::int64_t> params = {}) {
+  WordDigest d = tagged(tag);
+  for (const std::int64_t p : params) d.word(static_cast<std::uint64_t>(p));
+  return d.value();
 }
 
 Predictions neutral_prediction(const Graph& g, ProblemKind kind) {
@@ -69,7 +59,7 @@ class ConstantProvider final : public PredictionProvider {
     return "const:" + std::to_string(value_);
   }
   std::uint64_t digest() const override {
-    return mix_signed(tag_digest("const"), value_);
+    return tag_digest("const", {value_});
   }
   Predictions provide(const Graph& g, ProblemKind kind,
                       Rng& /*rng*/) const override {
@@ -114,7 +104,7 @@ class PerturbedProvider final : public PredictionProvider {
     return "perturbed:" + std::to_string(errors_);
   }
   std::uint64_t digest() const override {
-    return mix_signed(tag_digest("perturbed"), errors_);
+    return tag_digest("perturbed", {errors_});
   }
   Predictions provide(const Graph& g, ProblemKind kind,
                       Rng& rng) const override {
@@ -147,7 +137,7 @@ class GridStripeProvider final : public PredictionProvider {
     return "grid_stripe:" + std::to_string(w_) + "x" + std::to_string(h_);
   }
   std::uint64_t digest() const override {
-    return mix_signed(mix_signed(tag_digest("grid_stripe"), w_), h_);
+    return tag_digest("grid_stripe", {w_, h_});
   }
   Predictions provide(const Graph& g, ProblemKind kind,
                       Rng& /*rng*/) const override {
@@ -171,7 +161,7 @@ class StaleGraphProvider final : public PredictionProvider {
     return "stale:-" + std::to_string(remove_) + "+" + std::to_string(add_);
   }
   std::uint64_t digest() const override {
-    return mix_signed(mix_signed(tag_digest("stale"), remove_), add_);
+    return tag_digest("stale", {remove_, add_});
   }
   Predictions provide(const Graph& g, ProblemKind kind,
                       Rng& rng) const override {
@@ -199,14 +189,12 @@ class WarmStartProvider final : public PredictionProvider {
   std::uint64_t digest() const override {
     // The digest must separate distinct histories: mix the previous
     // graph's identifiers (outputs are keyed by them) and every output.
-    std::uint64_t h = tag_digest("warm_start");
-    h = mix_signed(h, prev_.num_nodes());
-    h = mix_signed(h, prev_.id_bound());
-    for (NodeId v = 0; v < prev_.num_nodes(); ++v) {
-      h = mix_signed(h, prev_.id(v));
-    }
-    for (Value out : outputs_) h = mix_signed(h, out);
-    return h;
+    WordDigest d = tagged("warm_start");
+    d.word(static_cast<std::uint64_t>(prev_.num_nodes()));
+    d.word(static_cast<std::uint64_t>(prev_.id_bound()));
+    d.array(prev_.ids());
+    d.array(outputs_);
+    return d.value();
   }
   Predictions provide(const Graph& g, ProblemKind kind,
                       Rng& /*rng*/) const override {

@@ -15,7 +15,10 @@
 //     predictions for every (graph, kind, seed), so the ResultCache can
 //     content-address a job by (instance, algorithm, provider digest,
 //     seed) instead of hashing the materialized prediction vector — see
-//     provider_slot_digest() in sim/result_cache.hpp.
+//     provider_slot_digest() in sim/result_cache.hpp. "Stable" means
+//     deterministic within one build, not pinned: digests are in-process
+//     WordDigests (common/digest.hpp), never written to a file or
+//     compared across builds.
 //
 // Adapters below wrap every existing source: the synthetic generators
 // (predict/generators.hpp), the stale-graph scenario of Section 1.1, and

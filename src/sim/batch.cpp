@@ -189,57 +189,4 @@ std::vector<RunResult> take_results(std::vector<BatchResult>&& results) {
   return out;
 }
 
-namespace {
-
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ULL;
-  void mix(std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  }
-  void mix(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-};
-
-}  // namespace
-
-std::uint64_t result_checksum(const RunResult& result) {
-  Fnv1a f;
-  f.mix(result.completed ? 1 : 0);
-  f.mix(result.rounds);
-  for (int t : result.termination_round) f.mix(t);
-  for (Value v : result.outputs) f.mix(v);
-  for (const auto& edges : result.edge_outputs) {
-    f.mix(static_cast<std::uint64_t>(edges.size()));
-    for (const auto& [key, v] : edges) {
-      f.mix(static_cast<std::uint64_t>(key));
-      f.mix(v);
-    }
-  }
-  f.mix(result.total_messages);
-  f.mix(result.total_words);
-  f.mix(result.max_message_words);
-  f.mix(result.congest_violations);
-  f.mix(result.deferred_messages);
-  f.mix(result.deferred_words);
-  f.mix(result.truncated_messages);
-  f.mix(result.truncated_words);
-  f.mix(result.link_backlog_peak_words);
-  f.mix(result.rounds_with_backlog);
-  for (int a : result.active_per_round) f.mix(a);
-  for (const auto& terms : result.terminations_per_round) {
-    f.mix(static_cast<std::uint64_t>(terms.size()));
-    for (NodeId v : terms) f.mix(static_cast<std::uint64_t>(v));
-  }
-  return f.h;
-}
-
-std::uint64_t results_checksum(std::span<const RunResult> results) {
-  Fnv1a f;
-  for (const RunResult& r : results) f.mix(result_checksum(r));
-  return f.h;
-}
-
 }  // namespace dgap

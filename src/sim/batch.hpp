@@ -28,7 +28,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -161,13 +160,5 @@ std::vector<BatchResult> run_batch(std::vector<BatchJob> jobs,
 /// Unwrap successful results in submission order; throws std::runtime_error
 /// naming the first failed job's index and error otherwise.
 std::vector<RunResult> take_results(std::vector<BatchResult>&& results);
-
-/// FNV-1a checksum over the deterministic fields of a result (everything
-/// reproducible from (graph, predictions, factory, options): rounds,
-/// outputs, termination rounds, message/word/link counters — excluding
-/// wall_ms and peak_arena_bytes). Equal checksums across serial and batch
-/// executions are the cheap bit-identity witness benches and CI diff.
-std::uint64_t result_checksum(const RunResult& result);
-std::uint64_t results_checksum(std::span<const RunResult> results);
 
 }  // namespace dgap

@@ -2,23 +2,12 @@
 
 #include <utility>
 
+#include "common/digest.hpp"
 #include "common/require.hpp"
 #include "predict/provider.hpp"
 #include "sim/transcript.hpp"
 
 namespace dgap {
-
-namespace {
-
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 double amortized_warm_rounds(const EpochReport& report) {
   if (report.epochs.empty()) return 0;
@@ -53,17 +42,17 @@ double amortized_control_messages(const EpochReport& report) {
 }
 
 std::uint64_t epoch_report_checksum(const EpochReport& report) {
-  std::uint64_t h = 1469598103934665603ULL;
+  Fnv1a f;
   for (const EpochRecord& e : report.epochs) {
-    h = mix64(h, static_cast<std::uint64_t>(e.epoch));
-    h = mix64(h, static_cast<std::uint64_t>(e.nodes));
-    h = mix64(h, static_cast<std::uint64_t>(e.edges));
-    h = mix64(h, static_cast<std::uint64_t>(e.eta));
-    h = mix64(h, result_checksum(e.warm));
-    h = mix64(h, result_checksum(e.control));
-    h = fnv1a_bytes(e.warm_transcript, h);
+    f.word(static_cast<std::uint64_t>(e.epoch));
+    f.word(static_cast<std::uint64_t>(e.nodes));
+    f.word(static_cast<std::uint64_t>(e.edges));
+    f.word(static_cast<std::uint64_t>(e.eta));
+    f.word(result_checksum(e.warm));
+    f.word(result_checksum(e.control));
+    f.bytes(e.warm_transcript);
   }
-  return h;
+  return f.value();
 }
 
 EpochHarness::EpochHarness(EpochProblem problem, EpochConfig config)

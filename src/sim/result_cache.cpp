@@ -1,101 +1,127 @@
 #include "sim/result_cache.hpp"
 
+#include <bit>
+
 #include "common/require.hpp"
-#include "sim/batch.hpp"
+#include "sim/compile.hpp"
 
 namespace dgap {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+// Domain tags (ASCII) of the digests that fill one key slot side by side,
+// so a spec key and a structural key, or a provider slot and a raw
+// predictions digest, never collide by construction.
+constexpr std::uint64_t kGraphDomain = 0x4752415048ULL;  // "GRAPH"
+constexpr std::uint64_t kSpecDomain = 0x53504543ULL;     // "SPEC"
+constexpr std::uint64_t kSlotDomain = 0x534C4F54ULL;     // "SLOT"
 
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffULL;
-    h *= kFnvPrime;
+std::uint64_t word_of(std::int64_t v) { return static_cast<std::uint64_t>(v); }
+
+// Every deterministic field of a RunResult, in one fixed order: the single
+// list both result_checksum (FNV-1a, pinned) and the cache guard
+// (WordDigest) walk. Integers are sign-extended to 64-bit words.
+template <class Hasher>
+void walk_result(const RunResult& r, Hasher& h) {
+  h.word(r.completed ? 1 : 0);
+  h.word(word_of(r.rounds));
+  for (int t : r.termination_round) h.word(word_of(t));
+  for (Value v : r.outputs) h.word(word_of(v));
+  for (const auto& edges : r.edge_outputs) {
+    h.word(edges.size());
+    for (const auto& [key, v] : edges) {
+      h.word(word_of(key));
+      h.word(word_of(v));
+    }
   }
-  return h;
-}
-
-std::uint64_t mix_signed(std::uint64_t h, std::int64_t v) {
-  return mix64(h, static_cast<std::uint64_t>(v));
-}
-
-std::uint64_t mix_double(std::uint64_t h, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  __builtin_memcpy(&bits, &v, sizeof(bits));
-  return mix64(h, bits);
+  h.word(word_of(r.total_messages));
+  h.word(word_of(r.total_words));
+  h.word(word_of(r.max_message_words));
+  h.word(word_of(r.congest_violations));
+  h.word(word_of(r.deferred_messages));
+  h.word(word_of(r.deferred_words));
+  h.word(word_of(r.truncated_messages));
+  h.word(word_of(r.truncated_words));
+  h.word(word_of(r.link_backlog_peak_words));
+  h.word(word_of(r.rounds_with_backlog));
+  for (int a : r.active_per_round) h.word(word_of(a));
+  for (const auto& terms : r.terminations_per_round) {
+    h.word(terms.size());
+    for (NodeId v : terms) h.word(word_of(v));
+  }
 }
 
 }  // namespace
 
-std::uint64_t fnv1a_bytes(std::span<const std::uint8_t> bytes,
-                          std::uint64_t h) {
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
+std::uint64_t result_checksum(const RunResult& result) {
+  Fnv1a f;
+  walk_result(result, f);
+  return f.value();
 }
 
-std::uint64_t graph_digest(const Graph& g) {
-  std::uint64_t h = mix_signed(1469598103934665603ULL, g.num_nodes());
-  h = mix_signed(h, g.id_bound());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) h = mix_signed(h, g.id(v));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (NodeId u : g.neighbors(v)) {
-      if (v < u) h = mix_signed(h, static_cast<std::int64_t>(v) *
-                                       g.num_nodes() + u);
-    }
-  }
-  return h;
-}
-
-std::uint64_t spec_digest(const GraphSpec& spec) {
-  // Domain-separated from graph_digest so a spec key and a structural key
-  // never collide by construction order alone.
-  std::uint64_t h = mix64(1469598103934665603ULL, 0x53504543ULL);  // "SPEC"
-  h = mix_signed(h, static_cast<int>(spec.family));
-  h = mix_signed(h, spec.a);
-  h = mix_signed(h, spec.b);
-  h = mix_double(h, spec.p);
-  h = mix64(h, spec.seed);
-  h = mix_signed(h, static_cast<int>(spec.ids));
-  return h;
+std::uint64_t results_checksum(std::span<const RunResult> results) {
+  Fnv1a f;
+  for (const RunResult& r : results) f.word(result_checksum(r));
+  return f.value();
 }
 
 std::uint64_t predictions_digest(const Predictions& pred) {
-  std::uint64_t h = 1469598103934665603ULL;
-  h = mix_signed(h, static_cast<std::int64_t>(pred.node_values().size()));
-  for (Value v : pred.node_values()) h = mix_signed(h, v);
-  h = mix_signed(h, static_cast<std::int64_t>(pred.edge_values().size()));
+  Fnv1a f;
+  f.word(pred.node_values().size());
+  for (Value v : pred.node_values()) f.word(word_of(v));
+  f.word(pred.edge_values().size());
   for (const auto& row : pred.edge_values()) {
-    h = mix_signed(h, static_cast<std::int64_t>(row.size()));
-    for (Value v : row) h = mix_signed(h, v);
+    f.word(row.size());
+    for (Value v : row) f.word(word_of(v));
   }
-  return h;
+  return f.value();
+}
+
+std::uint64_t graph_digest(const Graph& g) {
+  WordDigest d(kGraphDomain);
+  d.word(word_of(g.num_nodes()));
+  d.word(word_of(g.id_bound()));
+  d.array(g.ids());
+  d.array(g.offsets());
+  d.array(g.adjacency());
+  return d.value();
+}
+
+std::uint64_t spec_digest(const GraphSpec& spec) {
+  WordDigest d(kSpecDomain);
+  d.word(word_of(static_cast<int>(spec.family)));
+  d.word(word_of(spec.a));
+  d.word(word_of(spec.b));
+  d.word(std::bit_cast<std::uint64_t>(spec.p));
+  d.word(spec.seed);
+  d.word(word_of(static_cast<int>(spec.ids)));
+  return d.value();
 }
 
 std::uint64_t provider_slot_digest(const PredictionProvider& provider,
                                    ProblemKind kind, std::uint64_t seed) {
-  // Domain-separated ("PROV") so a provider-addressed slot can never
-  // collide with a raw predictions_digest of the same numeric value.
-  std::uint64_t h = mix64(1469598103934665603ULL, 0x50524F56ULL);  // "PROV"
-  h = mix64(h, provider.digest());
-  h = mix_signed(h, static_cast<int>(kind));
-  h = mix64(h, seed);
-  return h;
+  WordDigest d(kSlotDomain);
+  d.word(provider.digest());
+  d.word(word_of(static_cast<int>(kind)));
+  d.word(seed);
+  return d.value();
 }
 
 std::uint64_t options_digest(const EngineOptions& options) {
-  std::uint64_t h = 1469598103934665603ULL;
-  h = mix_signed(h, options.max_rounds);
-  h = mix_signed(h, options.congest_word_limit);
-  h = mix_signed(h, static_cast<int>(options.congest_policy));
-  h = mix_signed(h, options.record_active_per_round ? 1 : 0);
-  h = mix_signed(h, options.record_terminations ? 1 : 0);
-  return h;
+  WordDigest d;
+  d.word(word_of(options.max_rounds));
+  d.word(word_of(options.congest_word_limit));
+  d.word(word_of(static_cast<int>(options.congest_policy)));
+  d.word(options.record_active_per_round ? 1 : 0);
+  d.word(options.record_terminations ? 1 : 0);
+  const CompileOptions& compile = options.compile;
+  d.word(compile.cache_resends ? 1 : 0);
+  d.word(compile.decode_defaults ? 1 : 0);
+  d.word(compile.skeleton != nullptr ? 1 : 0);
+  if (compile.skeleton != nullptr) {
+    d.array(compile.skeleton->edge_in_skeleton);
+  }
+  return d.value();
 }
 
 std::uint64_t result_cache_key(std::uint64_t instance_digest,
@@ -103,22 +129,22 @@ std::uint64_t result_cache_key(std::uint64_t instance_digest,
                                std::uint64_t predictions_digest,
                                std::uint64_t options_digest, bool capture,
                                TraceDetail detail) {
-  std::uint64_t h = mix64(1469598103934665603ULL, instance_digest);
-  h = mix_signed(h, static_cast<std::int64_t>(algorithm_id.size()));
-  for (char c : algorithm_id) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  h = mix64(h, predictions_digest);
-  h = mix64(h, options_digest);
-  h = mix_signed(h, capture ? 1 : 0);
-  h = mix_signed(h, static_cast<int>(detail));
-  return h;
+  WordDigest d;
+  d.word(instance_digest);
+  d.word(algorithm_id.size());
+  d.array(algorithm_id);
+  d.word(predictions_digest);
+  d.word(options_digest);
+  d.word(capture ? 1 : 0);
+  d.word(word_of(static_cast<int>(detail)));
+  return d.value();
 }
 
 std::uint64_t ResultCache::guard_of(const Entry& e) {
-  return fnv1a_bytes(e.transcript, mix64(1469598103934665603ULL,
-                                         result_checksum(e.result)));
+  WordDigest d;
+  walk_result(e.result, d);
+  d.array(e.transcript);
+  return d.value();
 }
 
 std::shared_ptr<const ResultCache::Entry> ResultCache::get(std::uint64_t key) {
@@ -201,11 +227,12 @@ void ResultCache::clear() {
   evictions_ = 0;
 }
 
-void ResultCache::poison_for_test(std::uint64_t key) {
+void ResultCache::poison_for_test(
+    std::uint64_t key, const std::function<void(Entry&)>& mutate) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   DGAP_REQUIRE(it != entries_.end(), "poison_for_test: key not present");
-  it->second.entry->result.rounds ^= 1;
+  mutate(*it->second.entry);
 }
 
 }  // namespace dgap

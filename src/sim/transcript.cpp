@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdio>
 
+#include "common/digest.hpp"
 #include "common/require.hpp"
 
 namespace dgap {
@@ -25,22 +26,11 @@ enum Tag : std::uint8_t {
   kTagRunEnd = 5,
 };
 
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-
 /// Bytes the streaming writer buffers before a mid-round flush. Both
 /// checksums are carried incrementally across flushes, so the bound holds
 /// even when a single round (Luby's all-broadcast round 1) dominates the
 /// file; the buffer peaks at this threshold plus one event's encoding.
 constexpr std::size_t kStreamFlushBytes = 1 << 20;
-
-std::uint64_t fnv1a(const std::uint8_t* p, std::size_t count,
-                    std::uint64_t h = kFnvBasis) {
-  for (std::size_t i = 0; i < count; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::uint64_t zigzag_encode(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -163,11 +153,27 @@ void TranscriptWriter::stream_to(const std::string& path) {
   path_ = path;
 }
 
+void TranscriptWriter::fold_hashes() {
+  const std::span<const std::uint8_t> pending =
+      std::span<const std::uint8_t>(out_).subspan(hashed_);
+  if (in_round_) {
+    // Bytes ahead of the open block (header, the last round's end tag) go
+    // to the file hash only; the block's bytes feed both hashes at once.
+    const std::size_t prefix =
+        round_start_ > hashed_ ? round_start_ - hashed_ : 0;
+    file_hash_ = fnv1a_bytes(pending.first(prefix), file_hash_);
+    fnv1a_both(pending.subspan(prefix), file_hash_, round_hash_);
+  } else {
+    file_hash_ = fnv1a_bytes(pending, file_hash_);
+  }
+  hashed_ = out_.size();
+}
+
 void TranscriptWriter::flush_buffer() {
   if (file_ == nullptr) return;
   if (out_.size() > high_water_) high_water_ = out_.size();
   if (!out_.empty()) {
-    file_hash_ = fnv1a(out_.data(), out_.size(), file_hash_);
+    fold_hashes();
     const std::size_t written =
         std::fwrite(out_.data(), 1, out_.size(), file_);
     DGAP_REQUIRE(written == out_.size(),
@@ -176,15 +182,14 @@ void TranscriptWriter::flush_buffer() {
     out_.clear();  // keeps capacity: the buffer is reused every round
   }
   round_start_ = 0;
+  hashed_ = 0;
 }
 
 void TranscriptWriter::maybe_partial_flush() {
   if (file_ == nullptr || out_.size() < kStreamFlushBytes) return;
-  // Fold the open round block's bytes into the running round checksum
-  // before they leave the buffer; close_round seeds from it, so the
-  // kTagRoundEnd value is identical to hashing the whole block at once.
-  round_hash_ = fnv1a(out_.data() + round_start_, out_.size() - round_start_,
-                      round_hash_);
+  // flush_buffer folds the open block's bytes into both running hashes
+  // before they leave the buffer, so close_round's kTagRoundEnd value is
+  // identical to hashing the whole block at once.
   flush_buffer();
 }
 
@@ -217,13 +222,11 @@ void TranscriptWriter::on_run_begin(NodeId n, const EngineOptions& options) {
 
 void TranscriptWriter::close_round() {
   if (!in_round_) return;
-  // Seeded from round_hash_: the FNV basis in-memory (one-shot hash), or
-  // the carried prefix hash when mid-round flushes already wrote part of
-  // the block to disk. Either way the checksum covers the whole block.
-  const std::uint64_t sum = fnv1a(out_.data() + round_start_,
-                                  out_.size() - round_start_, round_hash_);
+  // round_hash_ already carries any prefix of the block that mid-round
+  // flushes wrote to disk; folding the rest completes the block checksum.
+  fold_hashes();
   out_.push_back(kTagRoundEnd);
-  put_fixed64(out_, sum);
+  put_fixed64(out_, round_hash_);
   in_round_ = false;
   flush_buffer();
 }
@@ -283,13 +286,12 @@ void TranscriptWriter::on_run_end(const RunResult& result) {
   put_varint(out_, static_cast<std::uint64_t>(result.total_messages));
   put_varint(out_, static_cast<std::uint64_t>(result.total_words));
   // Whole-file checksum last: every byte before it is covered, so any
-  // single-byte corruption (including in the trailer) fails decoding. In
-  // write-through mode the hash continues from the flushed prefix, which
-  // FNV-1a's byte-sequential structure makes identical to hashing the
-  // whole file at once.
-  put_fixed64(out_, file_ != nullptr
-                        ? fnv1a(out_.data(), out_.size(), file_hash_)
-                        : fnv1a(out_.data(), out_.size()));
+  // single-byte corruption (including in the trailer) fails decoding. The
+  // running hash has already taken every flushed or folded byte, and
+  // FNV-1a's byte-sequential structure makes that identical to hashing
+  // the whole file at once.
+  fold_hashes();
+  put_fixed64(out_, file_hash_);
   finished_ = true;
   if (file_ != nullptr) {
     flush_buffer();
@@ -432,7 +434,7 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
       case kTagRoundEnd: {
         DGAP_REQUIRE(in_round, "transcript round end outside a round");
         const std::uint64_t expected =
-            fnv1a(r.base() + round_start, tag_pos - round_start);
+            fnv1a_bytes({r.base() + round_start, tag_pos - round_start});
         DGAP_REQUIRE(r.fixed64() == expected,
                      "transcript round checksum mismatch");
         in_round = false;
@@ -449,7 +451,7 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
                      "transcript summary round count mismatch");
         t.summary.total_messages = static_cast<std::int64_t>(r.varint());
         t.summary.total_words = static_cast<std::int64_t>(r.varint());
-        const std::uint64_t expected = fnv1a(r.base(), r.pos());
+        const std::uint64_t expected = fnv1a_bytes({r.base(), r.pos()});
         DGAP_REQUIRE(r.fixed64() == expected,
                      "transcript file checksum mismatch");
         ended = true;

@@ -50,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "graph/spec.hpp"
 #include "sim/engine.hpp"
 
@@ -175,6 +176,7 @@ class TranscriptWriter final : public TraceSink {
   void close_round();
   void flush_buffer();
   void maybe_partial_flush();
+  void fold_hashes();
 
   TraceDetail detail_;
   std::string label_;
@@ -185,15 +187,18 @@ class TranscriptWriter final : public TraceSink {
   bool in_round_ = false;
   bool finished_ = false;
 
-  // Write-through mode (stream_to). file_hash_ is the running FNV-1a over
-  // every flushed byte, continued over the trailer so the final whole-file
-  // checksum equals the in-memory one; round_hash_ does the same for the
-  // open round block across mid-round flushes. 1469598103934665603 is the
-  // FNV-1a offset basis.
+  // Running FNV-1a checksums, kept up to date as the buffer fills so every
+  // byte is hashed once, in both modes: file_hash_ covers every byte
+  // before out_[hashed_] (flushed bytes included), and round_hash_ the
+  // open round block's bytes among them. fold_hashes() advances both in
+  // one loop over out_[hashed_, end).
+  std::uint64_t file_hash_ = kFnvBasis;
+  std::uint64_t round_hash_ = kFnvBasis;
+  std::size_t hashed_ = 0;
+
+  // Write-through mode (stream_to).
   std::string path_;  // empty = in-memory mode
   std::FILE* file_ = nullptr;
-  std::uint64_t file_hash_ = 1469598103934665603ULL;
-  std::uint64_t round_hash_ = 1469598103934665603ULL;
   std::uint64_t flushed_bytes_ = 0;
   std::size_t high_water_ = 0;
 };

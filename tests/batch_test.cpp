@@ -10,14 +10,17 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "mis/algorithms.hpp"
 #include "mis/checkers.hpp"
 #include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "random/luby.hpp"
 #include "sim/batch.hpp"
+#include "sim/compile.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/transcript.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -368,6 +371,64 @@ TEST(Batch, JobNumThreadsIsForcedSingleThreaded) {
   runner.add(g, greedy_mis_algorithm(), Predictions{}, opt);
   auto results = take_results(runner.run_all());
   expect_identical(serial, results[0], "forced single-threaded");
+}
+
+TEST(Batch, ResultCacheKeySeparatesCompileOptions) {
+  // A compiled job must never be served an uncompiled job's result: its
+  // wire counters differ, and under a skeleton so can its inboxes.
+  const auto job_with = [](CompileOptions compile) {
+    BatchJob job;
+    job.spec = GraphSpec::gnp_sparse(256, 8.0 / 256, /*seed=*/5);
+    job.use_spec = true;
+    job.factory = mis_simple_greedy();
+    job.provider = perturbed_provider(8);
+    job.provider_kind = ProblemKind::kMis;
+    job.provider_seed = 3;
+    job.algorithm_id = "mis_simple_greedy";
+    job.options.compile = compile;
+    return job;
+  };
+  CompileOptions compiled;
+  compiled.cache_resends = true;
+  compiled.decode_defaults = true;
+  const RunResult want = run_batch({job_with(compiled)})[0].result;
+  ASSERT_GT(want.messages_suppressed, 0);
+
+  BatchRunner runner;
+  runner.add(job_with({}));
+  ASSERT_TRUE(runner.run_all()[0].ok);
+  runner.add(job_with(compiled));
+  const BatchResult second = runner.run_all()[0];
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_EQ(second.result.messages_sent, want.messages_sent);
+  EXPECT_EQ(second.result.messages_suppressed, want.messages_suppressed);
+  runner.add(job_with(compiled));
+  const BatchResult third = runner.run_all()[0];
+  EXPECT_TRUE(third.cache_hit);
+  EXPECT_EQ(third.result.messages_suppressed, want.messages_suppressed);
+
+  // Every compile knob is in the key, the skeleton by its mask: equal
+  // masks at different addresses share a key, different masks do not.
+  const Skeleton grid = compute_skeleton(GraphSpec::grid(4, 4).build());
+  const Skeleton grid_copy = grid;
+  const Skeleton ring = compute_skeleton(GraphSpec::ring(16).build());
+  ASSERT_NE(grid.edge_in_skeleton, ring.edge_in_skeleton);
+  const auto digest_with = [](bool cache, bool defaults,
+                              const Skeleton* skeleton) {
+    EngineOptions options;
+    options.compile.cache_resends = cache;
+    options.compile.decode_defaults = defaults;
+    options.compile.skeleton = skeleton;
+    return options_digest(options);
+  };
+  const std::set<std::uint64_t> digests = {
+      digest_with(false, false, nullptr), digest_with(true, false, nullptr),
+      digest_with(false, true, nullptr), digest_with(false, false, &grid),
+      digest_with(false, false, &ring),
+  };
+  EXPECT_EQ(digests.size(), 5u);
+  EXPECT_EQ(digest_with(false, false, &grid),
+            digest_with(false, false, &grid_copy));
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <string_view>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "common/math_util.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "graph/spec.hpp"
+#include "sim/result_cache.hpp"
 
 namespace dgap {
 namespace {
@@ -171,6 +175,61 @@ TEST(Require, RequireThrowsInvalidArgument) {
 TEST(Require, AssertThrowsLogicError) {
   EXPECT_THROW(DGAP_ASSERT(false, "boom"), std::logic_error);
   EXPECT_NO_THROW(DGAP_ASSERT(true, "fine"));
+}
+
+std::uint64_t word_digest(const std::vector<std::uint64_t>& words) {
+  WordDigest d;
+  for (const std::uint64_t w : words) d.word(w);
+  return d.value();
+}
+
+TEST(WordDigest, OneFlippedBitInAnyWordChangesTheDigest) {
+  const std::vector<std::uint64_t> base = {0x0123456789abcdefULL, 0, ~0ULL,
+                                           42};
+  std::set<std::uint64_t> seen = {word_digest(base)};
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (int bit = 0; bit < 64; ++bit) {
+      std::vector<std::uint64_t> flipped = base;
+      flipped[i] ^= std::uint64_t{1} << bit;
+      EXPECT_TRUE(seen.insert(word_digest(flipped)).second)
+          << "word " << i << " bit " << bit;
+    }
+  }
+}
+
+TEST(WordDigest, TopBitFlipsInTwoWordsDoNotCancel) {
+  // Plain xor-then-multiply per word maps a top-bit flip to a top-bit
+  // flip, so two of them cancel; the rotate in each round prevents it.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  const std::vector<std::uint64_t> base = {1, 2, 3, 4, 5};
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (std::size_t j = i + 1; j < base.size(); ++j) {
+      std::vector<std::uint64_t> flipped = base;
+      flipped[i] ^= kTop;
+      flipped[j] ^= kTop;
+      EXPECT_NE(word_digest(flipped), word_digest(base))
+          << "words " << i << " and " << j;
+    }
+  }
+}
+
+TEST(WordDigest, LengthIsMixedIn) {
+  EXPECT_NE(word_digest({}), word_digest({0}));
+  EXPECT_NE(word_digest({0}), word_digest({0, 0}));
+  // A zero-padded tail is told apart from real zero bytes.
+  WordDigest one;
+  WordDigest padded;
+  one.array(std::string_view("a"));
+  padded.array(std::string_view("a\0", 2));
+  EXPECT_NE(one.value(), padded.value());
+}
+
+TEST(WordDigest, GraphDigestOfACopyEqualsTheOriginal) {
+  const Graph g = GraphSpec::gnp(64, 0.1, /*seed=*/3).build();
+  const Graph copy = g;
+  EXPECT_EQ(graph_digest(copy), graph_digest(g));
+  EXPECT_NE(graph_digest(GraphSpec::gnp(64, 0.1, /*seed=*/4).build()),
+            graph_digest(g));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -286,13 +287,28 @@ TEST(EpochResultCache, ShrinkingCapacityEvictsImmediately) {
 }
 
 TEST(EpochResultCache, PoisonedEntryTripsTheGuard) {
-  ResultCache cache;
-  RunResult result;
-  result.rounds = 7;
-  cache.put(42, result, {1, 2, 3});
-  EXPECT_NE(cache.get(42), nullptr);
-  cache.poison_for_test(42);
-  EXPECT_THROW(cache.get(42), std::logic_error);
+  // The guard covers the whole entry: a field result_checksum covers, an
+  // output value, and every transcript byte (first, middle, last).
+  using Entry = ResultCache::Entry;
+  const std::pair<const char*, std::function<void(Entry&)>> poisons[] = {
+      {"rounds", [](Entry& e) { e.result.rounds ^= 1; }},
+      {"output", [](Entry& e) { e.result.outputs[2] ^= 1; }},
+      {"transcript first", [](Entry& e) { e.transcript.front() ^= 1; }},
+      {"transcript middle",
+       [](Entry& e) { e.transcript[e.transcript.size() / 2] ^= 0x80; }},
+      {"transcript last", [](Entry& e) { e.transcript.back() ^= 1; }},
+  };
+  for (const auto& [what, poison] : poisons) {
+    ResultCache cache;
+    RunResult result;
+    result.rounds = 7;
+    result.outputs = {0, 1, 0, 1};
+    cache.put(42, result, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+    EXPECT_NE(cache.get(42), nullptr) << what;
+    cache.poison_for_test(42, poison);
+    EXPECT_THROW(cache.get(42), std::logic_error) << what;
+    EXPECT_THROW(cache.get(42), std::logic_error) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------

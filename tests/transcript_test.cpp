@@ -320,6 +320,43 @@ TEST(TranscriptStream, BufferStaysBoundedByOneRoundBlock) {
   std::remove(path.c_str());
 }
 
+TEST(TranscriptStream, MidRoundFlushesMatchTheInMemoryRecording) {
+  // Round 1 is about 3 MB of kPayloads messages, so the streaming
+  // writer flushes twice inside it: the round and file checksums must
+  // carry across those partial flushes and land on the in-memory values.
+  const std::string path = ::testing::TempDir() + "dgap_stream_midround.dgaptr";
+  constexpr NodeId kN = 4096;
+  constexpr int kPerNode = 20;
+  TranscriptWriter memory(TraceDetail::kPayloads, "midround");
+  TranscriptWriter stream(TraceDetail::kPayloads, "midround");
+  stream.stream_to(path);
+  RunResult result;
+  result.completed = true;
+  result.rounds = 2;
+  for (TranscriptWriter* writer : {&memory, &stream}) {
+    writer->on_run_begin(kN, EngineOptions{});
+    writer->on_round_begin(1, kN);
+    for (NodeId v = 0; v < kN; ++v) {
+      for (int k = 0; k < kPerNode; ++k) {
+        const Value words[8] = {std::numeric_limits<Value>::min(), v, k,
+                                Value{1} << 60, -v, 7, v * k, -1};
+        writer->on_message({1, v, static_cast<NodeId>((v + k + 1) % kN), k,
+                            WordSpan(words, 8), false});
+      }
+    }
+    writer->on_termination(1, 0, 1, {});
+    writer->on_round_begin(2, kN - 1);
+    for (NodeId v = 1; v < kN; ++v) writer->on_termination(2, v, 0, {});
+    writer->on_run_end(result);
+  }
+  const std::vector<std::uint8_t> file = read_transcript_file(path);
+  EXPECT_GT(file.size(), std::size_t{2} << 20);
+  EXPECT_LT(stream.buffer_high_water(), file.size() / 2);
+  EXPECT_EQ(file, memory.bytes());
+  EXPECT_NO_THROW(decode_transcript(file));
+  std::remove(path.c_str());
+}
+
 TEST(TranscriptStream, MisuseFailsCleanly) {
   const Graph g = fixture_graph();
   const std::string path = ::testing::TempDir() + "dgap_stream_misuse.dgaptr";
