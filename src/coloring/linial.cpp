@@ -95,21 +95,6 @@ void LinialColoringPhase::ensure_schedule(const NodeContext& ctx) {
   scheduled_ = true;
 }
 
-Value LinialColoringPhase::poly_eval(Value color, std::int64_t k,
-                                     std::int64_t q, std::int64_t x) const {
-  // color encodes the coefficient vector of a degree-k polynomial over
-  // GF(q), base-q digits = coefficients; evaluate by Horner from the top.
-  Value coeff[65];
-  Value c = color;
-  for (std::int64_t i = 0; i <= k; ++i) {
-    coeff[i] = c % q;
-    c /= q;
-  }
-  Value acc = 0;
-  for (std::int64_t i = k; i >= 0; --i) acc = (acc * x + coeff[i]) % q;
-  return acc;
-}
-
 Value LinialColoringPhase::neighbor_palette_color(NodeId u) const {
   auto it = neighbor_color_.find(u);
   if (it == neighbor_color_.end()) return kUndefined;
@@ -135,25 +120,32 @@ PhaseProgram::Status LinialColoringPhase::on_receive(NodeContext& ctx,
     // One Linial reduction: find x ∈ GF(q) separating us from every live
     // neighbor, new color = (x, p(x)).
     const auto [k, q] = schedule_.steps[static_cast<std::size_t>(step_ - 1)];
+    // Split every color once: ours first, then each live neighbor's.
+    const auto width = static_cast<std::size_t>(k + 1);
+    std::vector<Value> digits(width);
+    linial_digits(color_, q, digits);
+    for (NodeId u : ctx.active_neighbors()) {
+      auto it = neighbor_color_.find(u);
+      if (it == neighbor_color_.end()) continue;
+      DGAP_ASSERT(it->second != color_,
+                  "Linial invariant: the running coloring stays proper");
+      digits.resize(digits.size() + width);
+      linial_digits(it->second, q, std::span<Value>(digits).last(width));
+    }
+    const std::span<const Value> all(digits);
+    const std::span<const Value> own = all.first(width);
     std::int64_t chosen_x = -1;
     for (std::int64_t x = 0; x < q && chosen_x < 0; ++x) {
+      const Value mine = linial_eval(own, q, x);
       bool ok = true;
-      const Value mine = poly_eval(color_, k, q, x);
-      for (NodeId u : ctx.active_neighbors()) {
-        auto it = neighbor_color_.find(u);
-        if (it == neighbor_color_.end()) continue;
-        DGAP_ASSERT(it->second != color_,
-                    "Linial invariant: the running coloring stays proper");
-        if (poly_eval(it->second, k, q, x) == mine) {
-          ok = false;
-          break;
-        }
+      for (std::size_t at = width; at < all.size() && ok; at += width) {
+        ok = linial_eval(all.subspan(at, width), q, x) != mine;
       }
       if (ok) chosen_x = x;
     }
     DGAP_ASSERT(chosen_x >= 0,
                 "q > kΔ guarantees a separating evaluation point");
-    color_ = chosen_x * q + poly_eval(color_, k, q, chosen_x);
+    color_ = chosen_x * q + linial_eval(own, q, chosen_x);
   } else if (step_ <= num_steps + schedule_.reduction_rounds) {
     const LinialReductionStep op =
         schedule_.reduction_step(step_ - num_steps - 1);
