@@ -84,17 +84,4 @@ bool is_extendable_partial_matching(const Graph& g,
   return true;
 }
 
-int matching_size(const Graph& g, const std::vector<Value>& outputs) {
-  int pairs = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!defined(outputs[v]) || outputs[v] == kNoNode) continue;
-    const NodeId partner = neighbor_with_id(g, v, outputs[v]);
-    if (partner != kNoNode && v < partner && defined(outputs[partner]) &&
-        outputs[partner] == g.id(v)) {
-      ++pairs;
-    }
-  }
-  return pairs;
-}
-
 }  // namespace dgap

@@ -23,7 +23,4 @@ bool is_valid_maximal_matching(const Graph& g,
 bool is_extendable_partial_matching(const Graph& g,
                                     const std::vector<Value>& outputs);
 
-/// Number of matched pairs in the outputs.
-int matching_size(const Graph& g, const std::vector<Value>& outputs);
-
 }  // namespace dgap

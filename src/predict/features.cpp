@@ -22,16 +22,6 @@ NodeId find_by_id(const std::vector<std::pair<Value, NodeId>>& by_id,
 
 }  // namespace
 
-const char* feature_name(int index) {
-  static const char* kNames[kNumFeatures] = {
-      "bias",           "degree",        "clustering",
-      "id_parity",      "nbr_degree",    "prior_present",
-      "prior_invalid",  "prior_nbr_frac",
-  };
-  DGAP_REQUIRE(index >= 0 && index < kNumFeatures, "feature index");
-  return kNames[index];
-}
-
 std::vector<FeatureRow> node_features(const Graph& g, ProblemKind kind,
                                       const std::vector<Value>* prior) {
   DGAP_REQUIRE(kind != ProblemKind::kEdgeColoring,

@@ -24,13 +24,12 @@ namespace dgap {
 
 inline constexpr int kNumFeatures = 8;
 
-/// One node's features, Q16.16 fixed point (65536 == 1.0).
+/// One node's features, Q16.16 fixed point (65536 == 1.0), in index
+/// order: bias, degree, clustering, id parity, neighbor degree, prior
+/// present, prior invalid, prior neighbor fraction.
 using FeatureRow = std::array<std::int32_t, kNumFeatures>;
 
 inline constexpr std::int32_t kFeatureOne = 1 << 16;
-
-/// Stable feature names (index-aligned), for dgap_fit's report.
-const char* feature_name(int index);
 
 /// Extract features for every node. `prior` is the previous solution in
 /// the kind's output encoding, aligned with g's nodes (one Value per
