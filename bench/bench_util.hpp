@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -205,7 +206,11 @@ class JsonRecords {
 
  private:
   void push(const char* key, const std::string& serialized) {
-    records_.back().push_back("\"" + std::string(key) + "\": " + serialized);
+    std::string entry = "\"";
+    entry += key;
+    entry += "\": ";
+    entry += serialized;
+    records_.back().push_back(std::move(entry));
   }
   std::vector<std::vector<std::string>> records_;  // "key": value strings
 };
