@@ -72,7 +72,6 @@ bool sweep(bool json) {
   Graph gnp100 = make_random_connected(100, 50, rng);
   Rng rng2(5);
   Graph gnp24 = make_random_connected(24, 12, rng2);
-  const Skeleton skeleton64 = compute_skeleton(gnp64);
 
   const Predictions mis_pred = flip_bits(gnp100, mis_correct_prediction(gnp100, rng),
                                          10, rng);
@@ -85,23 +84,12 @@ bool sweep(bool json) {
   const CompileOptions cache{.cache_resends = true};
   const CompileOptions cache_defaults{.cache_resends = true,
                                       .decode_defaults = true};
-  const CompileOptions cache_skeleton{.cache_resends = true,
-                                      .decode_defaults = false,
-                                      .skeleton = &skeleton64};
 
   std::vector<Workload> workloads;
   workloads.push_back({"flood_min", "gnp64", &gnp64, nullptr,
                        flood_min_algorithm(), cache, "cache"});
   workloads.push_back({"flood_min", "grid8x8", &grid64, nullptr,
                        flood_min_algorithm(), cache, "cache"});
-  workloads.push_back(
-      {"flood_min_skeleton", "gnp64", &gnp64, nullptr,
-       phase_as_algorithm(compile_phase(
-           make_flood_min(),
-           {.default_words = {},
-            .default_first_round_only = false,
-            .skeleton_broadcasts = true})),
-       cache_skeleton, "cache+skeleton"});
   workloads.push_back({"luby_mis", "gnp100", &gnp100, nullptr,
                        luby_mis_algorithm(7), cache, "cache"});
   workloads.push_back({"greedy_mis", "gnp100", &gnp100, nullptr,

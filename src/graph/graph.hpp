@@ -11,7 +11,7 @@
 // The adjacency is immutable CSR: one 32-bit offsets array and one
 // neighbor array, each row ascending, with Δ recorded once. Edges are
 // created only through GraphBuilder; every other layer (the engine's
-// active-neighbor pool, the link layer, the compile skeleton, edge
+// active-neighbor pool, the link layer, the compile cache, edge
 // predictions) addresses directed edges by the same CSR slot, edge_slot().
 #pragma once
 

@@ -1,58 +1,10 @@
 #include "sim/compile.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/require.hpp"
 
 namespace dgap {
-
-Skeleton compute_skeleton(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  const std::size_t nu = static_cast<std::size_t>(n);
-  Skeleton sk;
-  sk.edge_in_skeleton.assign(g.adjacency().size(), 0);
-  sk.parent.assign(nu, kNoNode);
-
-  const auto mark = [&](NodeId v, NodeId u) {
-    const std::uint32_t slot = g.edge_slot(v, u);
-    DGAP_ASSERT(slot != Graph::kNoSlot, "tree edge is not in the graph");
-    sk.edge_in_skeleton[slot] = 1;
-  };
-
-  // Seed BFS roots in ascending identifier order (identifiers, not
-  // indices, break symmetry everywhere in this repo); each component's
-  // first unvisited seed is its minimum-identifier node.
-  std::vector<NodeId> seeds(nu);
-  std::iota(seeds.begin(), seeds.end(), 0);
-  std::sort(seeds.begin(), seeds.end(), [&](NodeId a, NodeId b) {
-    return g.id(a) < g.id(b);
-  });
-  std::vector<std::uint8_t> visited(nu, 0);
-  std::vector<NodeId> queue;
-  std::vector<int> depth(nu, 0);
-  for (const NodeId root : seeds) {
-    if (visited[root]) continue;
-    visited[root] = 1;
-    queue.clear();
-    queue.push_back(root);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const NodeId v = queue[head];
-      for (const NodeId u : g.neighbors(v)) {
-        if (visited[u]) continue;
-        visited[u] = 1;
-        sk.parent[static_cast<std::size_t>(u)] = v;
-        depth[u] = depth[v] + 1;
-        sk.depth = std::max(sk.depth, depth[u]);
-        mark(v, u);
-        mark(u, v);
-        ++sk.tree_edges;
-        queue.push_back(u);
-      }
-    }
-  }
-  return sk;
-}
 
 namespace {
 
@@ -67,7 +19,6 @@ class CompiledPhase final : public PhaseProgram {
         (!spec_->default_first_round_only || round_ == 0)) {
       ch.declare_default(spec_->default_words);
     }
-    if (spec_->skeleton_broadcasts) ch.relay_on_skeleton();
     inner_->on_send(ctx, ch);
   }
 

@@ -4,7 +4,7 @@
 // Following "Message Reduction in the LOCAL Model is a Free Lunch" (Bitton,
 // Emek, Izumi, Kutten; see PAPERS.md), a LOCAL/CONGEST node program can be
 // compiled to send far fewer messages while keeping the round schedule and
-// every node's output bit-identical. This repo implements three of the
+// every node's output bit-identical. This repo implements two of the
 // paper-family transforms as engine knobs (`EngineOptions::compile`):
 //
 //   1. Neighborhood caching (`cache_resends`) — a per-directed-edge
@@ -19,29 +19,25 @@
 //      suppressed the same way, because an informed receiver decodes the
 //      absence. Sound only when the default is a globally-known constant of
 //      the schedule — never per-sender dynamic state.
-//   3. Sparse skeleton relay (`skeleton` + NodeContext::relay_on_skeleton)
-//      — broadcast copies on non-skeleton edges are dropped outright
-//      (charged as suppressed, NOT delivered). Sound only for
-//      flood-idempotent, schedule-bound stages that opt in.
 //
-// The engine's suppression is *accounting-only* for transforms 1–2: every
-// suppressed message is still delivered (flagged `Message::suppressed`), so
-// compiled and uncompiled runs are byte-identical in outputs, rounds, and
-// kRounds transcripts by construction. `RunResult::total_*` stays nominal
-// (sent + suppressed); the new `*_sent` / `*_suppressed` fields split the
-// physical wire cost out. Full semantics: docs/MODEL.md,
-// "Message-reduction compilation".
+// The engine's suppression is *accounting-only*: every suppressed message
+// is still delivered (flagged `Message::suppressed`), so compiled and
+// uncompiled runs are byte-identical in outputs, rounds, and kRounds
+// transcripts by construction. `RunResult::total_*` stays nominal (sent +
+// suppressed); the new `*_sent` / `*_suppressed` fields split the physical
+// wire cost out. Full semantics: docs/MODEL.md, "Message-reduction
+// compilation".
 //
-// Thread-invariance of the transforms: default suppression (2) and
-// skeleton pruning (3) are decided at send time from shard-local state, so
-// they are trivially independent of num_threads. The resend cache (1) is
-// stateful per directed edge; its slots are keyed to *receiver-shard
-// ownership* — the edge (from, to)'s cache line is touched only by the
-// shard owning `to`, which walks its records in ascending global send
-// order — so the per-edge hit/miss sequence (and with it the suppressed
-// split) is identical for every thread count, and compilation no longer
-// forces the engine onto a serial delivery loop. compile_test pins the
-// suppressed counters and transcripts across threads {1, 2, 4, 8}.
+// Thread-invariance of the transforms: default suppression (2) is decided
+// at send time from shard-local state, so it is trivially independent of
+// num_threads. The resend cache (1) is stateful per directed edge; its
+// slots are keyed to *receiver-shard ownership* — the edge (from, to)'s
+// cache line is touched only by the shard owning `to`, which walks its
+// records in ascending global send order — so the per-edge hit/miss
+// sequence (and with it the suppressed split) is identical for every
+// thread count, and compilation no longer forces the engine onto a serial
+// delivery loop. compile_test pins the suppressed counters and transcripts
+// across threads {1, 2, 4, 8}.
 #pragma once
 
 #include <memory>
@@ -50,24 +46,6 @@
 #include "sim/phase.hpp"
 
 namespace dgap {
-
-/// A deterministic spanning skeleton: a BFS forest rooted at each
-/// component's minimum-identifier node. The edge bitmap is indexed by the
-/// graph's CSR slot (Graph::edge_slot: directed edge j of node v is the
-/// edge to g.neighbors(v)[j], flag index g.row_begin(v) + j), so
-/// membership tests in the broadcast hot path are one load.
-struct Skeleton {
-  std::vector<std::uint8_t> edge_in_skeleton;  // per directed edge
-  std::vector<NodeId> parent;                  // kNoNode at forest roots
-  std::int64_t tree_edges = 0;                 // undirected tree edge count
-  int depth = 0;                               // max BFS depth over roots
-};
-
-/// Build the BFS-forest skeleton of `g`. Deterministic: roots are chosen in
-/// ascending identifier order and each BFS scans adjacency lists in order,
-/// so the same graph always yields the same skeleton (and therefore the
-/// same compiled transcript).
-Skeleton compute_skeleton(const Graph& g);
 
 /// Per-phase compilation directives applied by compile_phase(). The spec is
 /// pure annotation: with every engine compile knob off, a compiled phase
@@ -81,10 +59,6 @@ struct PhaseCompileSpec {
   /// Declare the default only on the phase's first round (e.g. an
   /// initialization broadcast at a schedule-fixed step).
   bool default_first_round_only = false;
-  /// Relay this phase's broadcasts over the engine's skeleton. Opt in only
-  /// for flood-idempotent, schedule-bound stages: non-skeleton copies are
-  /// dropped, not synthesized.
-  bool skeleton_broadcasts = false;
 };
 
 /// Wrap a phase factory so each instance emits the spec's declarations
@@ -95,9 +69,8 @@ PhaseFactory compile_phase(PhaseFactory inner, PhaseCompileSpec spec);
 /// The canonical broadcast-heavy workload for the message benches: every
 /// node floods the minimum identifier it has seen for exactly n rounds,
 /// then outputs it (the component minimum) and terminates. Deliberately
-/// naive — Θ(n·m) nominal messages — so the cache transform (re-sends
-/// dominate once the minimum stabilizes) and the skeleton relay (flooding
-/// is idempotent) both have room to show their reduction.
+/// naive — Θ(n·m) nominal messages — so the cache transform has room to
+/// show its reduction: re-sends dominate once the minimum stabilizes.
 class NaiveFloodMinPhase final : public PhaseProgram {
  public:
   void on_send(NodeContext& ctx, Channel& ch) override;

@@ -6,7 +6,6 @@
 
 #include "common/require.hpp"
 #include "graph/properties.hpp"
-#include "sim/compile.hpp"
 #include "sim/link_layer.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -116,11 +115,8 @@ void NodeContext::send(NodeId to, const Value* words, std::size_t count,
   r.len = static_cast<std::uint32_t>(count);
   r.offset = 0;
   r.words = nullptr;
-  r.flags = 0;
-  if (engine_->compile_defaults_ &&
-      matches_default(sh, channel, words, count)) {
-    r.flags = detail::SendRecord::kSuppressed;
-  }
+  r.suppressed = engine_->compile_defaults_ &&
+                 matches_default(sh, channel, words, count);
   if (count <= detail::SendRecord::kInlineCap) {
     for (std::size_t i = 0; i < count; ++i) r.inline_words[i] = words[i];
   } else {
@@ -155,10 +151,8 @@ void NodeContext::broadcast(const Value* words, std::size_t count,
   e.channel = channel;
   e.len = static_cast<std::uint32_t>(count);
   e.offset = 0;
-  e.flags = engine_->compile_defaults_ &&
-                    matches_default(sh, channel, words, count)
-                ? detail::SendRecord::kSuppressed
-                : 0;
+  e.suppressed = engine_->compile_defaults_ &&
+                 matches_default(sh, channel, words, count);
   if (count <= detail::SendRecord::kInlineCap) {
     for (std::size_t i = 0; i < count; ++i) e.inline_words[i] = words[i];
   } else {
@@ -179,35 +173,12 @@ void NodeContext::push_broadcast_records(const detail::PullEntry& e) {
   r.len = e.len;
   r.offset = e.offset;
   r.words = nullptr;
-  r.flags = e.flags;
+  r.suppressed = e.suppressed;
   for (std::uint32_t i = 0; i < e.len && i < detail::SendRecord::kInlineCap;
        ++i) {
     r.inline_words[i] = e.inline_words[i];
   }
-  const auto an = active_neighbors();
-  if (engine_->compile_skeleton_ != nullptr && sh.skeleton_relay) {
-    // Skeleton relay: the payload physically crosses only skeleton edges;
-    // records for the pruned edges are flagged kSkeletonDrop (charged as
-    // suppressed, never delivered — the wrapped program's receive logic is
-    // flood-idempotent by the opt-in contract, docs/MODEL.md). Walk the
-    // active-neighbor view against the full adjacency to recover each
-    // neighbor's CSR slot; both are ascending, so one merge pass suffices.
-    const Skeleton& sk = *engine_->compile_skeleton_;
-    const auto nb = engine_->graph_.neighbors(index_);
-    const std::uint32_t base = engine_->graph_.row_begin(index_);
-    std::size_t j = 0;
-    for (NodeId u : an) {
-      while (nb[j] != u) ++j;
-      r.to = u;
-      r.flags &= static_cast<std::uint8_t>(~detail::SendRecord::kSkeletonDrop);
-      if (!sk.edge_in_skeleton[base + j]) {
-        r.flags |= detail::SendRecord::kSkeletonDrop;
-      }
-      sh.sends.push_back(r);
-    }
-    return;
-  }
-  for (NodeId u : an) {
+  for (NodeId u : active_neighbors()) {
     r.to = u;
     sh.sends.push_back(r);
   }
@@ -251,12 +222,6 @@ void NodeContext::declare_default(const std::vector<Value>& words,
 void NodeContext::declare_default(std::initializer_list<Value> words,
                                   int channel) {
   declare_default(words.begin(), words.size(), channel);
-}
-
-void NodeContext::relay_on_skeleton() {
-  DGAP_REQUIRE(engine_->in_send_phase_,
-               "relay_on_skeleton() is only valid in onSend");
-  shard_->skeleton_relay = true;
 }
 
 std::span<const Message> NodeContext::inbox() const {
@@ -500,11 +465,6 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   // edge cache is indexed by the graph's CSR slot (Graph::edge_slot).
   compile_cache_ = options_.compile.cache_resends;
   compile_defaults_ = options_.compile.decode_defaults;
-  compile_skeleton_ = options_.compile.skeleton;
-  if (compile_skeleton_ != nullptr) {
-    DGAP_REQUIRE(compile_skeleton_->edge_in_skeleton.size() == total_adj,
-                 "skeleton does not match the graph");
-  }
   if (compile_cache_) {
     s_.cache_state.assign(total_adj, 0);
     s_.cache_channel.assign(total_adj, 0);
@@ -513,27 +473,15 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
     s_.cache_long.clear();  // lazily sized on the first long payload
   }
   // The pull path skips per-edge delivery: the link layer's queues and
-  // budgets, the resend cache's per-edge memory and the skeleton's per-edge
-  // drops all need one record per copy.
-  pull_enabled_ = link_ == nullptr && !compile_cache_ &&
-                  compile_skeleton_ == nullptr;
+  // budgets and the resend cache's per-edge memory need one record per copy.
+  pull_enabled_ = link_ == nullptr && !compile_cache_;
   lookahead_ = n >= kLookaheadMinNodes;
-  // Trace spine: the classic record_* options are a private rounds-level
-  // sink; a user sink rides alongside. No sinks => no virtual calls.
-  if (options_.record_active_per_round || options_.record_terminations) {
-    record_sink_ = std::make_unique<detail::RunRecordSink>(
-        options_.record_active_per_round, options_.record_terminations);
-    sinks_.push_back(record_sink_.get());
-  }
-  if (options_.trace_sink != nullptr) {
-    sinks_.push_back(options_.trace_sink);
-    // detail() is a stable property of the sink; cache the answer so the
-    // delivery path never queries it per message.
-    if (options_.trace_sink->detail() >= TraceDetail::kMessages) {
-      message_sinks_.push_back(options_.trace_sink);
-    }
-    trace_messages_ = !message_sinks_.empty();
-  }
+  // Trace spine: no sink => no virtual calls. detail() is a stable property
+  // of the sink; cache the answer so the delivery path never queries it per
+  // message.
+  sink_ = options_.trace_sink;
+  trace_messages_ =
+      sink_ != nullptr && sink_->detail() >= TraceDetail::kMessages;
 }
 
 Engine::~Engine() = default;
@@ -568,7 +516,6 @@ void Engine::send_phase() {
       const NodeId v = s_.awake_nodes[i];
       sh.last_channel = INT_MIN;
       sh.default_active = false;   // declarations last one node-round
-      sh.skeleton_relay = false;
       sh.node_on_records = !pull_enabled_;
       const auto begin = static_cast<std::uint32_t>(sh.outbox.size());
       sh.node_outbox_begin = begin;
@@ -584,9 +531,7 @@ void Engine::send_phase() {
       const std::int64_t copies = s_.an_count[v];
       for (std::uint32_t j = begin; j < end; ++j) {
         const detail::PullEntry& e = sh.outbox[j];
-        sh.acct.charge(e.len, e.channel, congest_limit,
-                       (e.flags & detail::SendRecord::kSuppressed) != 0,
-                       copies);
+        sh.acct.charge(e.len, e.channel, congest_limit, e.suppressed, copies);
       }
     }
   });
@@ -662,24 +607,13 @@ void Engine::deliver_serial() {
     for (auto& r : sh.sends) {
       r.words = r.len <= detail::SendRecord::kInlineCap ? r.inline_words
                                                         : base + r.offset;
-      if (r.flags & detail::SendRecord::kSkeletonDrop) {
-        // A relayed broadcast's pruned copy: charged as suppressed (the
-        // nominal program sent it; the compiled wire did not) and never
-        // delivered. It bypasses the cache — the receiver's one-slot memory
-        // tracks delivered messages only.
-        acct_.charge(r.len, r.channel, congest_limit, /*suppressed=*/true);
-        continue;
-      }
       // The per-edge cache sees this edge's records in canonical order
       // here, just as the parallel path's owning receiver shard does, so
       // num_threads cannot influence hit patterns. It also absorbs
       // default-suppressed records (the receiver's memory advances either
       // way).
-      if (compile_cache_ && cache_check_and_update(r)) {
-        r.flags |= detail::SendRecord::kSuppressed;
-      }
-      acct_.charge(r.len, r.channel, congest_limit,
-                   (r.flags & detail::SendRecord::kSuppressed) != 0);
+      if (compile_cache_ && cache_check_and_update(r)) r.suppressed = true;
+      acct_.charge(r.len, r.channel, congest_limit, r.suppressed);
       // Under an enforcing policy the link layer decides what arrives this
       // round; the receiver counting below only feeds the fast-path scatter.
       if (!enforce && s_.node_active[r.to]) {
@@ -729,12 +663,11 @@ void Engine::deliver_serial() {
   }
   s_.inbox_flat.resize(delivered);
   for_each_send([&](const detail::SendRecord& r) {
-    if (r.flags & detail::SendRecord::kSkeletonDrop) return;
     if (!s_.node_active[r.to]) return;
     auto& ref = s_.inbox_ref[r.to];
     s_.inbox_flat[ref.begin + ref.count++] =
         Message{r.from, static_cast<int>(r.channel), WordSpan(r.words, r.len),
-                false, (r.flags & detail::SendRecord::kSuppressed) != 0};
+                false, r.suppressed};
   });
 }
 
@@ -832,15 +765,8 @@ void Engine::deliver_parallel() {
       for (std::uint32_t j = sh.route_begin[tu]; j < je; ++j) {
         const std::uint32_t idx = sh.route_idx[j];
         auto& r = sh.sends[idx];
-        if (r.flags & detail::SendRecord::kSkeletonDrop) {
-          rs.acct.charge(r.len, r.channel, congest_limit, /*suppressed=*/true);
-          continue;
-        }
-        if (compile_cache_ && cache_check_and_update(r)) {
-          r.flags |= detail::SendRecord::kSuppressed;
-        }
-        rs.acct.charge(r.len, r.channel, congest_limit,
-                       (r.flags & detail::SendRecord::kSuppressed) != 0);
+        if (compile_cache_ && cache_check_and_update(r)) r.suppressed = true;
+        rs.acct.charge(r.len, r.channel, congest_limit, r.suppressed);
         if (s_.node_active[r.to]) {
           if (s_.recv_count[r.to]++ == 0) {
             rs.touched.push_back(r.to);
@@ -896,13 +822,11 @@ void Engine::deliver_parallel() {
       const std::uint32_t je = sh.route_begin[tu + 1];
       for (std::uint32_t j = sh.route_begin[tu]; j < je; ++j) {
         const auto& r = sh.sends[sh.route_idx[j]];
-        if (r.flags & detail::SendRecord::kSkeletonDrop) continue;
         if (!s_.node_active[r.to]) continue;
         auto& ref = s_.inbox_ref[r.to];
         s_.inbox_flat[ref.begin + ref.count++] =
             Message{r.from, static_cast<int>(r.channel),
-                    WordSpan(r.words, r.len), false,
-                    (r.flags & detail::SendRecord::kSuppressed) != 0};
+                    WordSpan(r.words, r.len), false, r.suppressed};
       }
     }
   });
@@ -916,8 +840,7 @@ void Engine::deliver_enforced() {
   auto& link = *link_;
   link.begin_round(round_);
   for_each_send([&](const detail::SendRecord& r) {
-    if (r.flags & detail::SendRecord::kSkeletonDrop) return;
-    if (r.flags & detail::SendRecord::kSuppressed) {
+    if (r.suppressed) {
       // A suppressed message never crosses the wire, so it cannot be
       // deferred, truncated, or charged against a link budget; it is
       // synthesized at the receiver in its send round (the free lunch —
@@ -1064,7 +987,7 @@ void Engine::trace_deliveries() {
     for (const Message& m : inbox) {
       const TraceMessage tm{round_, m.from, to, m.channel, m.words,
                             m.truncated, m.suppressed};
-      for (TraceSink* sink : message_sinks_) sink->on_message(tm);
+      sink_->on_message(tm);
     }
   }
 }
@@ -1100,8 +1023,7 @@ void Engine::gather_inbox(NodeId v, std::vector<Message>& out) const {
                                ? e.inline_words
                                : src.arena.data() + e.offset;
       out.push_back(Message{u, static_cast<int>(e.channel),
-                            WordSpan(words, e.len), false,
-                            (e.flags & detail::SendRecord::kSuppressed) != 0});
+                            WordSpan(words, e.len), false, e.suppressed});
     }
   }
   out.insert(out.end(), records.begin() + static_cast<std::ptrdiff_t>(ri),
@@ -1217,12 +1139,9 @@ void Engine::process_terminations(const std::vector<NodeId>& recv,
     --active_count_;
     termination_round[v] = round_;
     s_.newly_terminated.push_back(v);  // ascending: the worklist is ascending
-    if (!sinks_.empty()) {
+    if (sink_ != nullptr) {
       materialize_edge_outputs(v, term_edge_outputs_);
-      for (TraceSink* sink : sinks_) {
-        sink->on_termination(round_, v, s_.node_output[v],
-                             term_edge_outputs_);
-      }
+      sink_->on_termination(round_, v, s_.node_output[v], term_edge_outputs_);
     }
   }
   bool any_idle = false;
@@ -1268,8 +1187,8 @@ void Engine::process_terminations_parallel(
   // pool passes:
   //   T1 (over recv slices)      detect terminations. Slices of the
   //       ascending worklist are contiguous, so concatenating the per-slot
-  //       lists in slot order is the serial ascending sweep; trace sinks
-  //       then fire serially over that list, in ascending node order as the
+  //       lists in slot order is the serial ascending sweep; the trace sink
+  //       then fires serially over that list, in ascending node order as the
   //       spine contract requires.
   //   T2 (over receiver shards)  charge the Section 7 notices for owned
   //       still-active neighbors into the shard's account, compact their
@@ -1302,12 +1221,10 @@ void Engine::process_terminations_parallel(
                                rs.newly_terminated.end());
   }
   active_count_ -= static_cast<NodeId>(s_.newly_terminated.size());
-  if (!sinks_.empty()) {
+  if (sink_ != nullptr) {
     for (const NodeId v : s_.newly_terminated) {
       materialize_edge_outputs(v, term_edge_outputs_);
-      for (TraceSink* sink : sinks_) {
-        sink->on_termination(round_, v, s_.node_output[v], term_edge_outputs_);
-      }
+      sink_->on_termination(round_, v, s_.node_output[v], term_edge_outputs_);
     }
   }
   bool any_idle = false;
@@ -1378,7 +1295,7 @@ RunResult Engine::run() {
   RunResult result;
   result.termination_round.assign(static_cast<std::size_t>(n), -1);
 
-  for (TraceSink* sink : sinks_) sink->on_run_begin(n, options_);
+  if (sink_ != nullptr) sink_->on_run_begin(n, options_);
   // Phase profiler (EngineOptions::profile_phases): one clock read per
   // stage boundary, so adjacent spans share a timestamp and the per-round
   // sum never exceeds the wall time between the boundaries. lap() costs
@@ -1403,7 +1320,7 @@ RunResult Engine::run() {
       break;
     }
     ++round_;
-    for (TraceSink* sink : sinks_) sink->on_round_begin(round_, active_count_);
+    if (sink_ != nullptr) sink_->on_round_begin(round_, active_count_);
     PhaseProfile rp;
     lap();
     send_phase();
@@ -1421,7 +1338,7 @@ RunResult Engine::run() {
     rp.mutate_ns = lap();
     if (prof) {
       result.phase_ns.accumulate(rp);
-      for (TraceSink* sink : sinks_) sink->on_round_profile(round_, rp);
+      if (sink_ != nullptr) sink_->on_round_profile(round_, rp);
     }
   }
 
@@ -1434,14 +1351,9 @@ RunResult Engine::run() {
   }
   acct_.fold_into(result);
   if (link_) link_->export_metrics(result);
-  if (record_sink_) {
-    result.active_per_round = std::move(record_sink_->active_per_round);
-    result.terminations_per_round =
-        std::move(record_sink_->terminations_per_round);
-  }
   result.peak_arena_bytes =
       static_cast<std::int64_t>(peak_arena_words_ * sizeof(Value));
-  for (TraceSink* sink : sinks_) sink->on_run_end(result);
+  if (sink_ != nullptr) sink_->on_run_end(result);
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)
                        .count();

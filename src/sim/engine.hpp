@@ -158,13 +158,6 @@ struct CongestAccount {
 struct SendRecord {
   static constexpr std::uint32_t kInlineCap = 2;
 
-  // Compile-transform flags (EngineOptions::compile). kSuppressed: the
-  // payload stays off the wire but the delivery is synthesized (charged
-  // suppressed, still delivered). kSkeletonDrop: a relayed broadcast's
-  // copy on a non-skeleton edge — charged suppressed, never delivered.
-  static constexpr std::uint8_t kSuppressed = 1;
-  static constexpr std::uint8_t kSkeletonDrop = 2;
-
   NodeId to;
   NodeId from;
   std::int32_t channel;
@@ -172,19 +165,21 @@ struct SendRecord {
   std::uint32_t offset;         // arena offset; unused when len <= kInlineCap
   const Value* words;           // resolved after the send phase
   Value inline_words[kInlineCap];
-  std::uint8_t flags;
+  // Set by a compile transform (EngineOptions::compile): the payload stays
+  // off the wire but the delivery is synthesized (charged suppressed,
+  // still delivered).
+  bool suppressed;
 };
 
 /// One broadcast on the pull path: stored once at the sender, whatever its
 /// degree, and gathered by each active neighbor when it reads its inbox
-/// (docs/MODEL.md, "Delivery order"). Payload storage follows SendRecord:
-/// inline up to kInlineCap words, else an arena offset. `flags` carries
-/// SendRecord::kSuppressed only.
+/// (docs/MODEL.md, "Delivery order"). Payload storage and `suppressed`
+/// follow SendRecord: inline up to kInlineCap words, else an arena offset.
 struct PullEntry {
   std::int32_t channel;
   std::uint32_t len;
   std::uint32_t offset;  // arena offset; unused when len <= kInlineCap
-  std::uint8_t flags;
+  bool suppressed;
   Value inline_words[SendRecord::kInlineCap];
 };
 
@@ -208,7 +203,7 @@ struct OutboxRef {
 /// or channel decrease flushes those entries into per-neighbor `sends`
 /// records in send order, and the rest of its round uses records. Runs
 /// whose delivery keeps per-edge state (an enforcing link layer, the resend
-/// cache, a skeleton) put every broadcast on records.
+/// cache) put every broadcast on records.
 struct SendShard {
   MessageArena arena;
   std::vector<SendRecord> sends;
@@ -224,11 +219,10 @@ struct SendShard {
   // node currently in on_receive), materialized on its first inbox() call.
   std::vector<Message> gathered;
   NodeId gathered_node = kNoNode;
-  // declare_default / relay_on_skeleton state of the node currently in its
-  // on_send hook (reset per node, like last_channel). Shard-local, so the
-  // parallel send phase needs no shared state.
+  // declare_default state of the node currently in its on_send hook (reset
+  // per node, like last_channel). Shard-local, so the parallel send phase
+  // needs no shared state.
   bool default_active = false;
-  bool skeleton_relay = false;
   std::int32_t default_channel = 0;
   std::uint32_t default_len = 0;
   Value default_words[SendRecord::kInlineCap];
@@ -411,17 +405,6 @@ class NodeContext {
   void declare_default(const std::vector<Value>& words, int channel = 0);
   void declare_default(std::initializer_list<Value> words, int channel = 0);
 
-  /// Declare this round's broadcasts flood-idempotent (the sparse-skeleton
-  /// transform): when the engine runs with a compile.skeleton installed,
-  /// broadcasts from this node are relayed only over skeleton edges; the
-  /// copies on non-skeleton edges are charged as suppressed and NOT
-  /// delivered. Unlike the other transforms this changes inboxes, so it is
-  /// sound only for stages whose outputs and (schedule-bound) round counts
-  /// are invariant under delayed information — e.g. flooding an extremum
-  /// for a fixed number of rounds. Only valid in onSend. Inert without an
-  /// installed skeleton.
-  void relay_on_skeleton();
-
   /// Messages received this round, ordered by (sender, channel, send
   /// order). Only meaningful in onReceive; the underlying storage is
   /// reused for the next node and round, so copy anything that must
@@ -496,16 +479,14 @@ class NodeProgram {
 using ProgramFactory =
     std::function<std::unique_ptr<NodeProgram>(NodeId index)>;
 
-struct Skeleton;  // deterministic spanning skeleton (sim/compile.hpp)
-
 /// Knobs of the message-reduction compiler pass (sim/compile.hpp; docs/
 /// MODEL.md "Message-reduction compilation"). All default off — the
 /// uncompiled engine is untouched. The transforms change what crosses the
 /// wire (RunResult::messages_sent vs messages_suppressed), never the
-/// nominal totals, and — skeleton relay aside — never program behavior:
-/// suppressed messages are still delivered (synthesized at the receiver),
-/// so outputs, rounds, and kRounds transcripts are byte-identical to the
-/// uncompiled run by construction.
+/// nominal totals, and never program behavior: suppressed messages are
+/// still delivered (synthesized at the receiver), so outputs, rounds, and
+/// kRounds transcripts are byte-identical to the uncompiled run by
+/// construction.
 struct CompileOptions {
   /// (1) Neighborhood caching: suppress a send whose (channel, payload)
   /// repeats the previous message on the same directed edge — the
@@ -514,14 +495,6 @@ struct CompileOptions {
   /// (2) Silence-as-information: suppress sends matching the default the
   /// program declared this round (NodeContext::declare_default).
   bool decode_defaults = false;
-  /// (3) Sparse skeleton for broadcasts a program declares relayable
-  /// (NodeContext::relay_on_skeleton): copies on non-skeleton edges are
-  /// suppressed and not delivered. Borrowed; must outlive run().
-  const Skeleton* skeleton = nullptr;
-
-  bool any() const {
-    return cache_resends || decode_defaults || skeleton != nullptr;
-  }
 };
 
 struct EngineOptions {
@@ -536,13 +509,6 @@ struct EngineOptions {
   /// path, bit-identical to the engine before link-layer enforcement
   /// existed; any other value requires congest_word_limit > 0.
   CongestPolicy congest_policy = CongestPolicy::kCount;
-  /// Record the number of active nodes at the start of every round.
-  /// (Implemented on the trace spine; RunResult::active_per_round.)
-  bool record_active_per_round = false;
-  /// Record which nodes terminated in each round (RunResult::
-  /// terminations_per_round) — a lightweight run transcript.
-  /// (Implemented on the trace spine.)
-  bool record_terminations = false;
   /// Observer of the run's event stream (round begins, deliveries,
   /// terminations) — see sim/trace.hpp. Borrowed; must outlive run().
   /// Null (the default) installs no sink: the engine then makes no
@@ -602,10 +568,6 @@ struct RunResult {
   /// run's effective round count (`rounds`) and the algorithm's nominal
   /// schedule is spent in these rounds.
   std::int64_t rounds_with_backlog = 0;
-  std::vector<int> active_per_round;     // if requested
-  /// terminations_per_round[r-1] = nodes that terminated in round r
-  /// (only filled when EngineOptions::record_terminations is set).
-  std::vector<std::vector<NodeId>> terminations_per_round;
   /// Wall-clock duration of run(). Excluded from determinism comparisons —
   /// every field above is reproducible from (graph, factory, options).
   double wall_ms = 0;
@@ -718,7 +680,7 @@ class Engine {
   /// when the record repeats the edge's previous message — the caller
   /// marks it suppressed.
   bool cache_check_and_update(detail::SendRecord& r);
-  /// Emit this round's delivered messages to the sinks, receivers in
+  /// Emit this round's delivered messages to the sink, receivers in
   /// first-touch order over the canonical sender sequence. Only called
   /// when a sink wants message detail.
   void trace_deliveries();
@@ -760,7 +722,6 @@ class Engine {
   // Compile knobs cached as flat flags (checked per send / per record).
   bool compile_cache_ = false;
   bool compile_defaults_ = false;
-  const Skeleton* compile_skeleton_ = nullptr;
   // Broadcasts may take the pull path (no per-edge delivery state), and
   // whether some node-round of the current round did.
   bool pull_enabled_ = false;
@@ -788,15 +749,12 @@ class Engine {
   std::unique_ptr<detail::LinkLayer> link_;
   std::size_t peak_arena_words_ = 0;
 
-  // --- trace spine (sim/trace.hpp). sinks_ holds the user's sink and/or
-  // the internal RunRecordSink behind the record_* options; empty when
-  // recording is off, and then the round loop tests one integer and makes
-  // no virtual calls. trace_messages_ caches "some sink wants per-message
-  // events" so the delivery path stays free of them otherwise.
-  std::unique_ptr<detail::RunRecordSink> record_sink_;
-  std::vector<TraceSink*> sinks_;
-  std::vector<TraceSink*> message_sinks_;  // sinks wanting per-message events
-  bool trace_messages_ = false;            // = !message_sinks_.empty()
+  // --- trace spine (sim/trace.hpp). sink_ is EngineOptions::trace_sink;
+  // when it is null the round loop tests one pointer and makes no virtual
+  // calls. trace_messages_ caches "the sink wants per-message events" so
+  // the delivery path stays free of them otherwise.
+  TraceSink* sink_ = nullptr;
+  bool trace_messages_ = false;
 };
 
 /// The shared immutable empty Predictions instance used by every run

@@ -178,33 +178,29 @@ EpochReport EpochHarness::run() {
       warm_job.transcript_label = label;
       warm_job.algorithm_id = algorithm_id;
       runner_->add(std::move(warm_job));
-      if (config_.run_control) {
-        BatchJob control_job;
-        if (spec_built) {
-          control_job.spec = config_.base;
-          control_job.use_spec = true;
-        } else {
-          control_job.graph = &current;
-        }
-        control_job.provider = problem_.scratch;
-        control_job.provider_kind = problem_.kind;
-        control_job.provider_seed = kProviderSeed;
-        control_job.factory = problem_.factory();
-        control_job.options = config_.options;
-        control_job.algorithm_id = algorithm_id;
-        runner_->add(std::move(control_job));
+      BatchJob control_job;
+      if (spec_built) {
+        control_job.spec = config_.base;
+        control_job.use_spec = true;
+      } else {
+        control_job.graph = &current;
       }
+      control_job.provider = problem_.scratch;
+      control_job.provider_kind = problem_.kind;
+      control_job.provider_seed = kProviderSeed;
+      control_job.factory = problem_.factory();
+      control_job.options = config_.options;
+      control_job.algorithm_id = algorithm_id;
+      runner_->add(std::move(control_job));
       std::vector<BatchResult> results = runner_->run_all();
       DGAP_ASSERT(results[0].ok, "warm epoch run failed: " + results[0].error);
       record.warm = std::move(results[0].result);
       record.warm_transcript = std::move(results[0].transcript);
       record.warm_cache_hit = results[0].cache_hit;
-      if (config_.run_control) {
-        DGAP_ASSERT(results[1].ok,
-                    "control epoch run failed: " + results[1].error);
-        record.control = std::move(results[1].result);
-        record.control_cache_hit = results[1].cache_hit;
-      }
+      DGAP_ASSERT(results[1].ok,
+                  "control epoch run failed: " + results[1].error);
+      record.control = std::move(results[1].result);
+      record.control_cache_hit = results[1].cache_hit;
     } else {
       const std::uint64_t instance = spec_built ? spec_digest(config_.base)
                                                 : graph_digest(current);
@@ -213,25 +209,20 @@ EpochReport EpochHarness::run() {
                             : std::nullopt,
                  instance, record.warm, record.warm_transcript,
                  record.warm_cache_hit);
-      if (config_.run_control) {
-        std::vector<std::uint8_t> unused;
-        run_inline(current, *problem_.scratch, /*capture=*/false, label,
-                   std::nullopt, instance, record.control, unused,
-                   record.control_cache_hit);
-      }
+      std::vector<std::uint8_t> unused;
+      run_inline(current, *problem_.scratch, /*capture=*/false, label,
+                 std::nullopt, instance, record.control, unused,
+                 record.control_cache_hit);
     }
 
     const std::string warm_error = problem_.check(current, record.warm);
     DGAP_ASSERT(warm_error.empty(),
                 "epoch " + std::to_string(k) +
                     " warm output invalid: " + warm_error);
-    if (config_.run_control) {
-      const std::string control_error =
-          problem_.check(current, record.control);
-      DGAP_ASSERT(control_error.empty(),
-                  "epoch " + std::to_string(k) +
-                      " control output invalid: " + control_error);
-    }
+    const std::string control_error = problem_.check(current, record.control);
+    DGAP_ASSERT(control_error.empty(),
+                "epoch " + std::to_string(k) +
+                    " control output invalid: " + control_error);
 
     prev_outputs = record.warm.outputs;
     report.epochs.push_back(std::move(record));

@@ -82,9 +82,6 @@ struct EpochConfig {
   TraceDetail detail = TraceDetail::kPayloads;
   /// Transcript label stem; epoch k's label is "<label>_e<k>".
   std::string label = "epochs";
-  /// Run the from-scratch control each epoch (off saves half the work
-  /// when only the warm trajectory matters).
-  bool run_control = true;
   /// Content-address all runs through the harness's ResultCache.
   bool use_result_cache = true;
 };
@@ -99,7 +96,7 @@ struct EpochRecord {
   bool warm_cache_hit = false;
   bool control_cache_hit = false;
   RunResult warm;
-  RunResult control;  // meaningful iff config.run_control
+  RunResult control;  // the from-scratch run on the same instance
   std::vector<std::uint8_t> warm_transcript;  // iff capture_transcripts
 };
 

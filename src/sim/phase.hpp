@@ -96,10 +96,6 @@ class Channel {
   void declare_default(std::initializer_list<Value> words) {
     ctx_->declare_default(words, id_);
   }
-  /// Relay this node's broadcasts over the engine's spanning skeleton
-  /// (inert without EngineOptions::compile.skeleton). Opt in only for
-  /// flood-idempotent stages: pruned copies are dropped, not synthesized.
-  void relay_on_skeleton() { ctx_->relay_on_skeleton(); }
   /// Messages received this round on this channel (lazy, allocation-free).
   ChannelInbox inbox() const { return {ctx_->inbox(), id_}; }
   int id() const { return id_; }

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/require.hpp"
-#include "sim/compile.hpp"
 
 namespace dgap {
 
@@ -44,11 +43,6 @@ void walk_result(const RunResult& r, Hasher& h) {
   h.word(word_of(r.truncated_words));
   h.word(word_of(r.link_backlog_peak_words));
   h.word(word_of(r.rounds_with_backlog));
-  for (int a : r.active_per_round) h.word(word_of(a));
-  for (const auto& terms : r.terminations_per_round) {
-    h.word(terms.size());
-    for (NodeId v : terms) h.word(word_of(v));
-  }
 }
 
 }  // namespace
@@ -112,15 +106,8 @@ std::uint64_t options_digest(const EngineOptions& options) {
   d.word(word_of(options.max_rounds));
   d.word(word_of(options.congest_word_limit));
   d.word(word_of(static_cast<int>(options.congest_policy)));
-  d.word(options.record_active_per_round ? 1 : 0);
-  d.word(options.record_terminations ? 1 : 0);
-  const CompileOptions& compile = options.compile;
-  d.word(compile.cache_resends ? 1 : 0);
-  d.word(compile.decode_defaults ? 1 : 0);
-  d.word(compile.skeleton != nullptr ? 1 : 0);
-  if (compile.skeleton != nullptr) {
-    d.array(compile.skeleton->edge_in_skeleton);
-  }
+  d.word(options.compile.cache_resends ? 1 : 0);
+  d.word(options.compile.decode_defaults ? 1 : 0);
   return d.value();
 }
 
@@ -157,7 +144,6 @@ std::shared_ptr<const ResultCache::Entry> ResultCache::get(std::uint64_t key) {
   DGAP_ASSERT(guard_of(*it->second.entry) == it->second.guard,
               "result cache entry was mutated after insertion");
   ++hits_;
-  it->second.stamp = ++tick_;
   return it->second.entry;
 }
 
@@ -168,40 +154,7 @@ void ResultCache::put(std::uint64_t key, RunResult result,
   entry->transcript = std::move(transcript);
   const std::uint64_t guard = guard_of(*entry);
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] =
-      entries_.emplace(key, Stored{std::move(entry), guard, 0});
-  if (inserted) {
-    it->second.stamp = ++tick_;
-    evict_locked();
-  }
-}
-
-void ResultCache::evict_locked() {
-  if (capacity_ == 0) return;
-  while (entries_.size() > capacity_) {
-    auto oldest = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.stamp < oldest->second.stamp) oldest = it;
-    }
-    entries_.erase(oldest);
-    ++evictions_;
-  }
-}
-
-void ResultCache::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity;
-  evict_locked();
-}
-
-std::size_t ResultCache::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
-std::int64_t ResultCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
+  entries_.emplace(key, Stored{std::move(entry), guard});
 }
 
 std::size_t ResultCache::size() const {
@@ -224,7 +177,6 @@ void ResultCache::clear() {
   entries_.clear();
   hits_ = 0;
   misses_ = 0;
-  evictions_ = 0;
 }
 
 void ResultCache::poison_for_test(

@@ -21,10 +21,10 @@
 // per-node behavior. Execution knobs (num_threads, worker counts, trace
 // sinks) are excluded from digests, exactly like the transcript header —
 // a key names the logical run. Everything that can change a result is
-// in: the compile options (a compiled run reports different wire counters,
-// and a skeleton changes inboxes). Whether a transcript was captured, and
-// at which detail, IS part of the key, so a hit always carries the
-// artifacts the job asked for.
+// in, the compile options too: a compiled run reports different wire
+// counters. Whether a transcript was captured, and at which detail, IS
+// part of the key, so a hit always carries the artifacts the job asked
+// for.
 //
 // Poisoning guard: every entry stores a digest of its own payload at
 // put() time — every transcript byte and every field result_checksum
@@ -85,10 +85,9 @@ std::uint64_t spec_digest(const GraphSpec& spec);
 std::uint64_t provider_slot_digest(const PredictionProvider& provider,
                                    ProblemKind kind, std::uint64_t seed);
 
-/// Semantic options only: max_rounds, congest budget/policy, record flags
-/// and the compile options (the skeleton by its edge_in_skeleton mask).
-/// num_threads, profile_phases and trace_sink are execution knobs and
-/// excluded.
+/// Semantic options only: max_rounds, congest budget/policy and the
+/// compile options. num_threads, profile_phases and trace_sink are
+/// execution knobs and excluded.
 std::uint64_t options_digest(const EngineOptions& options);
 
 /// The content address of one job. `instance_digest` is spec_digest() or
@@ -119,14 +118,6 @@ class ResultCache {
   void put(std::uint64_t key, RunResult result,
            std::vector<std::uint8_t> transcript = {});
 
-  /// Bound the entry count: 0 (the default) means unbounded; otherwise
-  /// the least-recently-USED entries (get() refreshes recency, put() of
-  /// a new key counts as a use) are evicted until size() <= capacity.
-  /// Shrinks immediately if the cache is already over the new cap.
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-  std::int64_t evictions() const;
-
   std::size_t size() const;
   std::int64_t hits() const;
   std::int64_t misses() const;
@@ -142,18 +133,13 @@ class ResultCache {
   struct Stored {
     std::shared_ptr<Entry> entry;
     std::uint64_t guard = 0;  // payload digest at put() time
-    std::uint64_t stamp = 0;  // recency tick of the last get()/put()
   };
   static std::uint64_t guard_of(const Entry& e);
-  void evict_locked();  // enforce capacity_; requires mu_ held
 
   mutable std::mutex mu_;
   std::map<std::uint64_t, Stored> entries_;
-  std::size_t capacity_ = 0;  // 0 = unbounded
-  std::uint64_t tick_ = 0;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
-  std::int64_t evictions_ = 0;
 };
 
 }  // namespace dgap

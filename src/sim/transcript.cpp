@@ -212,8 +212,8 @@ void TranscriptWriter::on_run_begin(NodeId n, const EngineOptions& options) {
   }
   put_varint(out_, static_cast<std::uint64_t>(n));
   // The options echo deliberately stops at the semantically meaningful
-  // knobs; num_threads / record flags / sinks describe the execution, not
-  // the run, and must not break transcript equality across schedulers.
+  // knobs; num_threads and sinks describe the execution, not the run, and
+  // must not break transcript equality across schedulers.
   put_zigzag(out_, options.max_rounds);
   put_zigzag(out_, options.congest_word_limit);
   put_varint(out_, static_cast<std::uint64_t>(options.congest_policy));

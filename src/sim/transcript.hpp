@@ -11,12 +11,12 @@
 //            label, an optional GraphSpec (so the instance can be rebuilt
 //            from the file alone), n, and the semantically meaningful
 //            engine options (max_rounds, congest_word_limit,
-//            congest_policy). Execution knobs — num_threads, record
-//            flags, sinks — are deliberately excluded: a transcript
-//            describes the logical run, so serial, sharded and
-//            batch-scheduled executions of the same job produce
-//            byte-identical files (the determinism witness the batch and
-//            engine tests pin). Wall-clock is likewise excluded.
+//            congest_policy). Execution knobs — num_threads and sinks —
+//            are deliberately excluded: a transcript describes the
+//            logical run, so serial, sharded and batch-scheduled
+//            executions of the same job produce byte-identical files
+//            (the determinism witness the batch and engine tests pin).
+//            Wall-clock is likewise excluded.
 //   rounds   one block per round: round number, active count, delivered
 //            messages (at the recorded detail level), terminations with
 //            outputs, and an FNV-1a checksum of the block's bytes.

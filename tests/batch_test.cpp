@@ -20,7 +20,6 @@
 #include "predict/provider.hpp"
 #include "random/luby.hpp"
 #include "sim/batch.hpp"
-#include "sim/compile.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/transcript.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -54,10 +53,7 @@ std::vector<SweepCase> sweep_cases(GraphCache& cache) {
     for (int flips : {0, 3, 9}) {
       auto pred = flip_bits(*g, base, flips, rng);
       for (auto make : algos) {
-        EngineOptions opt;
-        opt.record_terminations = (salt % 2 == 0);
-        opt.record_active_per_round = (salt % 3 == 0);
-        cases.push_back({g, pred, make, opt});
+        cases.push_back({g, pred, make, EngineOptions{}});
         ++salt;
       }
     }
@@ -85,8 +81,6 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.total_words, b.total_words) << label;
   EXPECT_EQ(a.max_message_words, b.max_message_words) << label;
   EXPECT_EQ(a.congest_violations, b.congest_violations) << label;
-  EXPECT_EQ(a.active_per_round, b.active_per_round) << label;
-  EXPECT_EQ(a.terminations_per_round, b.terminations_per_round) << label;
   EXPECT_EQ(result_checksum(a), result_checksum(b)) << label;
 }
 
@@ -375,7 +369,7 @@ TEST(Batch, JobNumThreadsIsForcedSingleThreaded) {
 
 TEST(Batch, ResultCacheKeySeparatesCompileOptions) {
   // A compiled job must never be served an uncompiled job's result: its
-  // wire counters differ, and under a skeleton so can its inboxes.
+  // wire counters differ.
   const auto job_with = [](CompileOptions compile) {
     BatchJob job;
     job.spec = GraphSpec::gnp_sparse(256, 8.0 / 256, /*seed=*/5);
@@ -406,29 +400,33 @@ TEST(Batch, ResultCacheKeySeparatesCompileOptions) {
   const BatchResult third = runner.run_all()[0];
   EXPECT_TRUE(third.cache_hit);
   EXPECT_EQ(third.result.messages_suppressed, want.messages_suppressed);
+}
 
-  // Every compile knob is in the key, the skeleton by its mask: equal
-  // masks at different addresses share a key, different masks do not.
-  const Skeleton grid = compute_skeleton(GraphSpec::grid(4, 4).build());
-  const Skeleton grid_copy = grid;
-  const Skeleton ring = compute_skeleton(GraphSpec::ring(16).build());
-  ASSERT_NE(grid.edge_in_skeleton, ring.edge_in_skeleton);
-  const auto digest_with = [](bool cache, bool defaults,
-                              const Skeleton* skeleton) {
-    EngineOptions options;
-    options.compile.cache_resends = cache;
-    options.compile.decode_defaults = defaults;
-    options.compile.skeleton = skeleton;
-    return options_digest(options);
-  };
-  const std::set<std::uint64_t> digests = {
-      digest_with(false, false, nullptr), digest_with(true, false, nullptr),
-      digest_with(false, true, nullptr), digest_with(false, false, &grid),
-      digest_with(false, false, &ring),
-  };
-  EXPECT_EQ(digests.size(), 5u);
-  EXPECT_EQ(digest_with(false, false, &grid),
-            digest_with(false, false, &grid_copy));
+TEST(Batch, OptionsDigestCoversExactlyTheResultOptions) {
+  // Each option that can change a result moves the digest on its own.
+  const EngineOptions base;
+  const std::uint64_t base_digest = options_digest(base);
+  std::vector<EngineOptions> semantic(5, base);
+  semantic[0].max_rounds = base.max_rounds - 1;
+  semantic[1].congest_word_limit = 4;
+  semantic[2].congest_policy = CongestPolicy::kFail;
+  semantic[3].compile.cache_resends = true;
+  semantic[4].compile.decode_defaults = true;
+  std::set<std::uint64_t> digests = {base_digest};
+  for (const EngineOptions& options : semantic) {
+    digests.insert(options_digest(options));
+  }
+  EXPECT_EQ(digests.size(), semantic.size() + 1);
+
+  // Execution knobs never do: a key names the logical run.
+  TraceSink sink;
+  std::vector<EngineOptions> execution(3, base);
+  execution[0].num_threads = 4;
+  execution[1].profile_phases = true;
+  execution[2].trace_sink = &sink;
+  for (const EngineOptions& options : execution) {
+    EXPECT_EQ(options_digest(options), base_digest);
+  }
 }
 
 }  // namespace

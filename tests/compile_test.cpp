@@ -8,8 +8,7 @@
 //     a knobs-off run suppresses nothing, and the split is identical
 //     across thread counts (the resend cache is keyed to receiver-shard
 //     ownership, so every delivery path replays the same hit sequence).
-//  3. Reduction: flood_min re-sends collapse (> 30% of words off the wire),
-//     and the skeleton relay prunes further while preserving outputs.
+//  3. Reduction: flood_min re-sends collapse (> 30% of words off the wire).
 //  4. Composition hazards: a suppressed re-send meeting a terminating
 //     neighbor (the PR 3 stale-tentative hazard, now with caching), and
 //     mid-run cut sweeps of the compiled template assemblies
@@ -158,7 +157,7 @@ TEST(CompileEquivalence, PayloadTranscriptsDifferOnlyInSuppressedFlag) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. The transforms actually reduce: flood_min and the skeleton relay.
+// 3. The transforms actually reduce: flood_min.
 // ---------------------------------------------------------------------------
 
 TEST(CompileReduction, FloodMinCacheSavesOverThirtyPercent) {
@@ -177,36 +176,6 @@ TEST(CompileReduction, FloodMinCacheSavesOverThirtyPercent) {
   EXPECT_LT(compiled.words_sent * 10, base.total_words * 7)
       << "expected > 30% reduction, sent " << compiled.words_sent << " of "
       << base.total_words;
-}
-
-TEST(CompileReduction, SkeletonRelayPrunesAndPreservesOutputs) {
-  Rng rng(14);
-  Graph g = make_random_connected(40, 60, rng);  // dense: skeleton is sparse
-  const Skeleton sk = compute_skeleton(g);
-  EXPECT_EQ(sk.tree_edges, g.num_nodes() - 1);  // connected: one tree
-
-  const auto base = run_algorithm(g, flood_min_algorithm());
-  EngineOptions cache_only;
-  cache_only.compile.cache_resends = true;
-  const auto cached = run_algorithm(g, flood_min_algorithm(), cache_only);
-
-  EngineOptions opt;
-  opt.compile.cache_resends = true;
-  opt.compile.skeleton = &sk;
-  const auto factory = phase_as_algorithm(
-      compile_phase(make_flood_min(), {.default_words = {},
-                                       .default_first_round_only = false,
-                                       .skeleton_broadcasts = true}));
-  const auto relayed = run_algorithm(g, factory, opt);
-  // Flooding the minimum is idempotent, so pruning to the spanning tree
-  // changes neither the outputs nor the fixed n-round schedule — only the
-  // wire cost, which drops below even the cached full-graph run.
-  EXPECT_EQ(relayed.outputs, base.outputs);
-  EXPECT_EQ(relayed.rounds, base.rounds);
-  EXPECT_EQ(relayed.total_words, base.total_words);
-  EXPECT_EQ(relayed.words_sent + relayed.words_suppressed,
-            base.total_words);
-  EXPECT_LT(relayed.words_sent, cached.words_sent);
 }
 
 TEST(CompileReduction, CacheSuppressesExactRepeatsOnly) {

@@ -63,8 +63,6 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.truncated_words, b.truncated_words);
   EXPECT_EQ(a.link_backlog_peak_words, b.link_backlog_peak_words);
   EXPECT_EQ(a.rounds_with_backlog, b.rounds_with_backlog);
-  EXPECT_EQ(a.active_per_round, b.active_per_round);
-  EXPECT_EQ(a.terminations_per_round, b.terminations_per_round);
 }
 
 Graph test_graph() {
@@ -74,29 +72,27 @@ Graph test_graph() {
   return g;
 }
 
-EngineOptions recording_options(int num_threads) {
+EngineOptions threaded_options(int num_threads) {
   EngineOptions opt;
-  opt.record_active_per_round = true;
-  opt.record_terminations = true;
   opt.num_threads = num_threads;
   return opt;
 }
 
 TEST(EngineDeterminism, SameSeedSameResult) {
   Graph g = test_graph();
-  auto one = run_algorithm(g, luby_mis_algorithm(42), recording_options(1));
-  auto two = run_algorithm(g, luby_mis_algorithm(42), recording_options(1));
+  auto one = run_algorithm(g, luby_mis_algorithm(42), threaded_options(1));
+  auto two = run_algorithm(g, luby_mis_algorithm(42), threaded_options(1));
   ASSERT_TRUE(one.completed);
   expect_identical(one, two);
 }
 
 TEST(EngineDeterminism, ThreadCountInvariant) {
   Graph g = test_graph();
-  auto serial = run_algorithm(g, luby_mis_algorithm(42), recording_options(1));
+  auto serial = run_algorithm(g, luby_mis_algorithm(42), threaded_options(1));
   ASSERT_TRUE(serial.completed);
   for (int threads : {2, 4, 8}) {
     auto parallel =
-        run_algorithm(g, luby_mis_algorithm(42), recording_options(threads));
+        run_algorithm(g, luby_mis_algorithm(42), threaded_options(threads));
     expect_identical(serial, parallel);
   }
 }
@@ -117,7 +113,7 @@ Graph permute_indices(const Graph& g, const std::vector<NodeId>& perm) {
 
 TEST(EngineDeterminism, NodeOrderShuffleInvariantPerIdentifier) {
   Graph g = test_graph();
-  auto base = run_algorithm(g, luby_mis_algorithm(42), recording_options(1));
+  auto base = run_algorithm(g, luby_mis_algorithm(42), threaded_options(1));
   ASSERT_TRUE(base.completed);
 
   Rng rng(99);
@@ -127,7 +123,7 @@ TEST(EngineDeterminism, NodeOrderShuffleInvariantPerIdentifier) {
     rng.shuffle(perm);
     Graph h = permute_indices(g, perm);
     auto shuffled =
-        run_algorithm(h, luby_mis_algorithm(42), recording_options(1));
+        run_algorithm(h, luby_mis_algorithm(42), threaded_options(1));
 
     // Global quantities are index-free and must match exactly.
     EXPECT_EQ(base.completed, shuffled.completed);
@@ -135,7 +131,6 @@ TEST(EngineDeterminism, NodeOrderShuffleInvariantPerIdentifier) {
     EXPECT_EQ(base.total_messages, shuffled.total_messages);
     EXPECT_EQ(base.total_words, shuffled.total_words);
     EXPECT_EQ(base.max_message_words, shuffled.max_message_words);
-    EXPECT_EQ(base.active_per_round, shuffled.active_per_round);
 
     // Per-node quantities must match after translating indices to ids.
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -182,7 +177,7 @@ class BurstEchoProgram final : public NodeProgram {
 
 TEST(EngineDeterminism, DeferPolicyThreadCountInvariant) {
   Graph g = test_graph();
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threaded_options(1);
   opt.congest_policy = CongestPolicy::kDefer;
   opt.congest_word_limit = 3;  // below the burst width: every send defers
   auto factory = [](NodeId) { return std::make_unique<BurstEchoProgram>(); };
@@ -206,7 +201,7 @@ TEST(EngineDeterminism, DeferPolicyShuffleInvariantPerIdentifier) {
   Rng graph_rng(7);
   Graph g = make_random_connected(24, 12, graph_rng);
   randomize_ids(g, graph_rng);
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threaded_options(1);
   opt.congest_policy = CongestPolicy::kDefer;
   opt.congest_word_limit = 1;
   auto base = run_algorithm(g, congest_global_mis_algorithm(), opt);
@@ -236,7 +231,6 @@ TEST(EngineDeterminism, DeferPolicyShuffleInvariantPerIdentifier) {
     EXPECT_EQ(base.deferred_words, shuffled.deferred_words);
     EXPECT_EQ(base.link_backlog_peak_words, shuffled.link_backlog_peak_words);
     EXPECT_EQ(base.rounds_with_backlog, shuffled.rounds_with_backlog);
-    EXPECT_EQ(base.active_per_round, shuffled.active_per_round);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       EXPECT_EQ(base.outputs[v], shuffled.outputs[perm[v]])
           << "output of id " << g.id(v);
@@ -254,7 +248,7 @@ TEST(EngineDeterminism, DeferPolicyShuffleInvariantPerIdentifier) {
 // bytes — see sim/transcript.hpp.)
 TEST(EngineDeterminism, TranscriptIsThreadCountInvariant) {
   Graph g = test_graph();
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threaded_options(1);
   const RecordedRun serial =
       record_run(g, {}, luby_mis_algorithm(42), opt, TraceDetail::kPayloads);
   ASSERT_TRUE(serial.result.completed);
@@ -273,7 +267,7 @@ TEST(EngineDeterminism, DeferTranscriptIsThreadCountInvariant) {
   // Under kDefer the transcript records effective arrival rounds, so byte
   // equality also pins the whole deferral schedule.
   Graph g = test_graph();
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threaded_options(1);
   opt.congest_policy = CongestPolicy::kDefer;
   opt.congest_word_limit = 3;
   auto factory = [](NodeId) { return std::make_unique<BurstEchoProgram>(); };
@@ -302,7 +296,7 @@ TEST(EngineDeterminism, CompiledStreamedTranscriptIsThreadCountInvariant) {
   Rng rng(31);
   Graph g = make_random_connected(48, 40, rng);
   randomize_ids(g, rng);
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threaded_options(1);
   opt.compile.cache_resends = true;
   opt.compile.decode_defaults = true;
   const std::string serial_path = "/tmp/dgap_det_serial.dgaptr";
@@ -335,7 +329,7 @@ TEST(EngineDeterminism, CompiledRoundsTranscriptIsThreadCountInvariant) {
   Rng rng(32);
   Graph g = make_random_connected(64, 48, rng);
   randomize_ids(g, rng);
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threaded_options(1);
   opt.compile.cache_resends = true;
   const RecordedRun serial =
       record_run(g, {}, flood_min_algorithm(), opt, TraceDetail::kRounds);
@@ -453,7 +447,7 @@ TEST(EngineDeterminism, PullBroadcastsMatchRecordDeliveryPerReceiver) {
       return std::make_unique<RandomTrafficProgram>(seed);
     };
     for (const bool defaults : {false, true}) {
-      EngineOptions records = recording_options(1);
+      EngineOptions records = threaded_options(1);
       records.max_rounds = 60;
       records.compile.decode_defaults = defaults;
       records.congest_policy = CongestPolicy::kFail;
@@ -547,7 +541,7 @@ TEST(EngineDeterminism, LookaheadSizedRunsAreThreadCountInvariant) {
        [](NodeId) { return std::make_unique<SleepyBroadcastProgram>(); }, 2},
   };
   for (const auto& [name, factory, rounds] : cases) {
-    const RecordedRun serial = record_run(g, {}, factory, recording_options(1),
+    const RecordedRun serial = record_run(g, {}, factory, threaded_options(1),
                                           TraceDetail::kPayloads);
     ASSERT_TRUE(serial.result.completed) << name;
     if (rounds != 0) {
@@ -555,33 +549,12 @@ TEST(EngineDeterminism, LookaheadSizedRunsAreThreadCountInvariant) {
     }
     for (int threads : {2, 4}) {
       const RecordedRun parallel =
-          record_run(g, {}, factory, recording_options(threads),
+          record_run(g, {}, factory, threaded_options(threads),
                      TraceDetail::kPayloads);
       EXPECT_EQ(serial.transcript, parallel.transcript)
           << name << " num_threads = " << threads;
       expect_identical(serial.result, parallel.result);
     }
-  }
-}
-
-// The record_* options are reimplemented on the trace spine
-// (detail::RunRecordSink); the fields they fill must stay bit-identical
-// to the transcript's own per-round view of the same run.
-TEST(EngineDeterminism, RecordOptionsMatchTranscriptSpine) {
-  Graph g = test_graph();
-  const RecordedRun run = record_run(g, {}, luby_mis_algorithm(42),
-                                     recording_options(1),
-                                     TraceDetail::kRounds);
-  const Transcript t = decode_transcript(run.transcript);
-  ASSERT_EQ(t.rounds.size(), run.result.active_per_round.size());
-  ASSERT_EQ(t.rounds.size(), run.result.terminations_per_round.size());
-  for (std::size_t i = 0; i < t.rounds.size(); ++i) {
-    EXPECT_EQ(t.rounds[i].active, run.result.active_per_round[i]);
-    std::vector<NodeId> terms;
-    for (const TranscriptTermination& term : t.rounds[i].terminations) {
-      terms.push_back(term.node);
-    }
-    EXPECT_EQ(terms, run.result.terminations_per_round[i]);
   }
 }
 

@@ -89,11 +89,14 @@ TEST(Engine, TerminationNoticeVisibleNextRound) {
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.outputs[2], 7);
   EXPECT_EQ(result.termination_round[2], 1);
-  // Neighbor 1 sees the notice in round 2, not round 1.
+  // Neighbor 1 sees the notice in round 2, not round 1, and terminates
+  // in that round.
   EXPECT_EQ(result.outputs[1], 102);
+  EXPECT_EQ(result.termination_round[1], 2);
   // Node 0 only sees node 1 (output 102 ≠ 7): it keeps waiting until the
   // run is cut off — mark incomplete runs correctly.
   EXPECT_FALSE(result.outputs[0] == 7);
+  EXPECT_EQ(result.termination_round[0], -1);
 }
 
 /// A node that never terminates.
@@ -247,16 +250,6 @@ TEST(Engine, EdgeOutputsRecorded) {
   EXPECT_EQ(result.edge_outputs[1][0].second, 201);
 }
 
-TEST(Engine, ActivePerRoundRecording) {
-  Graph g = make_line(4);
-  EngineOptions opt;
-  opt.record_active_per_round = true;
-  auto result = run_algorithm(
-      g, [](NodeId) { return std::make_unique<OutputIdProgram>(); }, opt);
-  ASSERT_EQ(result.active_per_round.size(), 1u);
-  EXPECT_EQ(result.active_per_round[0], 4);
-}
-
 TEST(Engine, PredictionsAccessible) {
   class EchoPredictionProgram final : public NodeProgram {
    public:
@@ -289,22 +282,6 @@ TEST(Engine, GraphInfoExposedToNodes) {
   auto result = run_algorithm(
       g, [](NodeId) { return std::make_unique<InfoProgram>(); });
   EXPECT_EQ(result.outputs[0], 4000 + 300 + 4);
-}
-
-TEST(Engine, TerminationTraceRecording) {
-  Graph g = make_line(3);  // ids 1-2-3
-  EngineOptions opt;
-  opt.record_terminations = true;
-  // ObserveTerminationProgram: node 2 (max id) ends round 1, node 1
-  // follows in round 2, node 0 never does.
-  opt.max_rounds = 5;
-  auto result = run_algorithm(
-      g, [](NodeId) { return std::make_unique<ObserveTerminationProgram>(); },
-      opt);
-  ASSERT_EQ(result.terminations_per_round.size(), 5u);
-  EXPECT_EQ(result.terminations_per_round[0], (std::vector<NodeId>{2}));
-  EXPECT_EQ(result.terminations_per_round[1], (std::vector<NodeId>{1}));
-  EXPECT_TRUE(result.terminations_per_round[2].empty());
 }
 
 TEST(Engine, CompletionRoundPerComponent) {

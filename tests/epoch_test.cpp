@@ -245,45 +245,11 @@ TEST(EpochResultCache, DistinctPredictionsNeverCollide) {
   EXPECT_EQ(keys.size(), preds.size());
 }
 
-TEST(EpochResultCache, DefaultCapacityIsUnbounded) {
+TEST(EpochResultCache, KeepsEveryEntry) {
   ResultCache cache;
-  EXPECT_EQ(cache.capacity(), 0u);
   RunResult result;
   for (std::uint64_t k = 0; k < 64; ++k) cache.put(k, result, {});
   EXPECT_EQ(cache.size(), 64u);
-  EXPECT_EQ(cache.evictions(), 0);
-}
-
-TEST(EpochResultCache, CapacityEvictsLeastRecentlyUsed) {
-  ResultCache cache;
-  cache.set_capacity(2);
-  RunResult result;
-  result.rounds = 7;
-  cache.put(1, result, {});
-  cache.put(2, result, {});
-  // Touch 1 so 2 becomes the least recently used entry.
-  EXPECT_NE(cache.get(1), nullptr);
-  cache.put(3, result, {});
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_EQ(cache.get(2), nullptr);   // evicted
-  EXPECT_NE(cache.get(1), nullptr);   // refreshed, survived
-  EXPECT_NE(cache.get(3), nullptr);   // newest
-}
-
-TEST(EpochResultCache, ShrinkingCapacityEvictsImmediately) {
-  ResultCache cache;
-  RunResult result;
-  for (std::uint64_t k = 0; k < 8; ++k) cache.put(k, result, {});
-  cache.set_capacity(3);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 5);
-  // The three most recently inserted keys survive.
-  for (std::uint64_t k = 5; k < 8; ++k) {
-    EXPECT_NE(cache.get(k), nullptr) << "key " << k;
-  }
-  // Eviction never corrupts hit semantics: survivors are bit-exact.
-  EXPECT_EQ(cache.get(7)->result.rounds, result.rounds);
 }
 
 TEST(EpochResultCache, PoisonedEntryTripsTheGuard) {

@@ -187,13 +187,30 @@ Graph fixture_graph() {
   return g;
 }
 
+// The per-round view of a run, derived from RunResult::termination_round
+// alone (the engine fills it outside the trace spine): the nodes active at
+// the start of round r terminate in r or later, or never.
+NodeId active_at(const RunResult& r, int round) {
+  NodeId active = 0;
+  for (int t : r.termination_round) active += (t == -1 || t >= round);
+  return active;
+}
+
+// The nodes that terminated in round r, ascending.
+std::vector<NodeId> terminated_in(const RunResult& r, int round) {
+  std::vector<NodeId> nodes;
+  for (std::size_t v = 0; v < r.termination_round.size(); ++v) {
+    if (r.termination_round[v] == round) {
+      nodes.push_back(static_cast<NodeId>(v));
+    }
+  }
+  return nodes;
+}
+
 TEST(TranscriptRecord, DecodeMatchesRunAndReencodes) {
   const Graph g = fixture_graph();
-  EngineOptions options;
-  options.record_active_per_round = true;
-  options.record_terminations = true;
   const RecordedRun run =
-      record_run(g, {}, luby_mis_algorithm(11), options,
+      record_run(g, {}, luby_mis_algorithm(11), {},
                  TraceDetail::kPayloads, "luby_fixture");
   const Transcript t = decode_transcript(run.transcript);
 
@@ -206,19 +223,20 @@ TEST(TranscriptRecord, DecodeMatchesRunAndReencodes) {
   EXPECT_EQ(t.summary.total_words, run.result.total_words);
   ASSERT_EQ(static_cast<int>(t.rounds.size()), run.result.rounds);
 
-  // The per-round view matches the spine-recorded RunResult fields. The
+  // The per-round view matches the RunResult's termination rounds. The
   // trailer totals are the engine's sender-side accounting; the round
   // blocks hold *deliveries*, which exclude sends charged to nodes that
   // had already terminated (see deliver_round_messages), so the walked
   // counts are a lower bound.
   std::int64_t messages = 0, words = 0;
   for (std::size_t i = 0; i < t.rounds.size(); ++i) {
-    EXPECT_EQ(t.rounds[i].active, run.result.active_per_round[i]);
+    const int round = static_cast<int>(i) + 1;
+    EXPECT_EQ(t.rounds[i].active, active_at(run.result, round));
     std::vector<NodeId> terms;
     for (const TranscriptTermination& term : t.rounds[i].terminations) {
       terms.push_back(term.node);
     }
-    EXPECT_EQ(terms, run.result.terminations_per_round[i]);
+    EXPECT_EQ(terms, terminated_in(run.result, round));
     for (const TranscriptMessage& m : t.rounds[i].messages) {
       EXPECT_EQ(m.words.size(), m.len);
       messages += 1;
@@ -431,12 +449,8 @@ TEST(TranscriptVerify, InstanceMismatchIsRequireNotAssert) {
 
 TEST(TranscriptReplay, ReconstructsRunStateRoundByRound) {
   const Graph g = fixture_graph();
-  EngineOptions options;
-  options.record_active_per_round = true;
-  options.record_terminations = true;
   const RecordedRun run =
-      record_run(g, {}, luby_mis_algorithm(11), options,
-                 TraceDetail::kPayloads);
+      record_run(g, {}, luby_mis_algorithm(11), {}, TraceDetail::kPayloads);
   const Transcript t = decode_transcript(run.transcript);
 
   ReplayEngine replay(t);
@@ -448,9 +462,8 @@ TEST(TranscriptReplay, ReconstructsRunStateRoundByRound) {
   while (replay.step()) {
     ++steps;
     EXPECT_EQ(replay.round(), steps);
-    // Start-of-round active count matches the recorded spine data.
-    EXPECT_EQ(replay.active_count(),
-              run.result.active_per_round[static_cast<std::size_t>(steps - 1)]);
+    // Start-of-round active count matches the run's termination rounds.
+    EXPECT_EQ(replay.active_count(), active_at(run.result, steps));
     EXPECT_EQ(static_cast<NodeId>(replay.active_nodes().size()),
               replay.active_count());
     // Inboxes partition the round's messages.
