@@ -201,8 +201,7 @@ bool run_all(bool json) {
          "speedup depends on the cores the host grants (probe = spin-loop "
          "speedup on 4 threads, taken before each multi-worker row).");
   Table table({"sweep", "mode", "workers", "probe", "jobs", "wall_ms",
-               "jobs_per_s", "speedup", "match"},
-              11);
+               "jobs_per_s", "speedup", "match"});
   table.print_header();
   JsonRecorder out(json, "BENCH_batch.json");
   bool ok = run_sweep(tradeoff_sweep(), 3, table, out);
@@ -212,30 +211,9 @@ bool run_all(bool json) {
   return ok;
 }
 
-void BM_BatchTradeoffSweep(benchmark::State& state) {
-  const Sweep sweep = tradeoff_sweep();
-  const int workers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    if (workers == 0) {
-      auto results = sweep.serial();
-      benchmark::DoNotOptimize(results.data());
-    } else {
-      BatchRunner runner({workers});
-      sweep.submit(runner);
-      auto results = take_results(runner.run_all());
-      benchmark::DoNotOptimize(results.data());
-    }
-  }
-  state.counters["jobs"] = static_cast<double>(sweep.jobs);
-}
-BENCHMARK(BM_BatchTradeoffSweep)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = dgap::benchutil::take_json_flag(&argc, &argv[0]);
-  const bool ok = run_all(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  const bool ok = run_all(dgap::benchutil::has_flag(argc, argv, "--json"));
   return ok ? 0 : 1;
 }

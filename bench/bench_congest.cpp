@@ -33,8 +33,7 @@ void print_table() {
          "Max message width (words), total messages and words per "
          "algorithm on a 100-node random graph. One word = one id/color; "
          "width 1-2 is CONGEST-friendly.");
-  Table table({"algorithm", "rounds", "max_width", "messages", "words"},
-              16);
+  Table table({"algorithm", "rounds", "max_width", "messages", "words"});
   table.print_header();
   Rng rng(4);
   Graph g = make_random_connected(100, 50, rng);
@@ -130,8 +129,7 @@ bool bandwidth_sweep(bool json) {
          "nominal = unenforced round count. More bandwidth must never "
          "cost rounds (monotonicity is checked).");
   Table table({"workload", "budget", "rounds", "nominal", "defer_w",
-               "backlog_pk", "bklg_rounds"},
-              12);
+               "backlog_pk", "bklg_rounds"});
   table.print_header();
   JsonRecorder out(json, "BENCH_congest.json");
 
@@ -202,27 +200,11 @@ bool bandwidth_sweep(bool json) {
   return monotone;
 }
 
-void BM_MessageAccounting(benchmark::State& state) {
-  Rng rng(8);
-  Graph g = make_random_connected(static_cast<NodeId>(state.range(0)),
-                                  state.range(0) / 2, rng);
-  std::int64_t words = 0;
-  for (auto _ : state) {
-    auto result = run_algorithm(g, greedy_mis_algorithm());
-    words = result.total_words;
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["total_words"] = static_cast<double>(words);
-}
-BENCHMARK(BM_MessageAccounting)->Arg(100)->Arg(400);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = dgap::benchutil::take_json_flag(&argc, &argv[0]);
   print_table();
-  const bool ok = bandwidth_sweep(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  const bool ok =
+      bandwidth_sweep(dgap::benchutil::has_flag(argc, argv, "--json"));
   return ok ? 0 : 1;
 }

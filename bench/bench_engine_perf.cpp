@@ -289,43 +289,10 @@ int run_all(bool json, bool check_scaling) {
   return scaling_ok ? 0 : 1;
 }
 
-void BM_LubyGnp(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  Rng rng(1000 + n);
-  Graph g = make_gnp(n, 8.0 / n, rng);
-  randomize_ids(g, rng);
-  for (auto _ : state) {
-    auto result = run_algorithm(g, luby_mis_algorithm(42));
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-}
-BENCHMARK(BM_LubyGnp)->Arg(2048)->Arg(8192);
-
-}  // namespace
-
-namespace {
-
-/// True iff `flag` appears in argv; removes it (same contract as
-/// take_json_flag).
-bool take_flag(int* argc, char** argv, const char* flag) {
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      for (int j = i; j + 1 < *argc; ++j) argv[j] = argv[j + 1];
-      --*argc;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = dgap::benchutil::take_json_flag(&argc, &argv[0]);
-  const bool check_scaling = take_flag(&argc, &argv[0], "--check-scaling");
-  const int rc = run_all(json, check_scaling);
-  if (rc != 0) return rc;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  using dgap::benchutil::has_flag;
+  return run_all(has_flag(argc, argv, "--json"),
+                 has_flag(argc, argv, "--check-scaling"));
 }

@@ -89,8 +89,7 @@ bool run_all(bool json) {
          "asserts the batch (workers 2) and inline serial (workers 0) "
          "executions produce identical epoch reports.");
   Table table({"problem", "churn", "eta", "warm_r", "ctrl_r", "warm_msg",
-               "ctrl_msg", "match"},
-              10);
+               "ctrl_msg", "match"});
   table.print_header();
   JsonRecorder out(json, "BENCH_epochs.json");
   static const char* names[] = {"mis", "matching", "coloring"};
@@ -188,23 +187,9 @@ bool run_all(bool json) {
   return ok;
 }
 
-void BM_EpochStream(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    EpochHarness harness(epoch_mis(), config_of(0.05, workers));
-    EpochReport report = harness.run();
-    benchmark::DoNotOptimize(report.epochs.data());
-  }
-  state.counters["epochs"] = 8;
-}
-BENCHMARK(BM_EpochStream)->Arg(0)->Arg(2);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = dgap::benchutil::take_json_flag(&argc, &argv[0]);
-  const bool ok = run_all(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  const bool ok = run_all(dgap::benchutil::has_flag(argc, argv, "--json"));
   return ok ? 0 : 1;
 }

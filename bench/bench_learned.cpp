@@ -66,8 +66,7 @@ bool run_all(bool json) {
          "`bound` is the problem's degradation bound at that eta — rounds "
          "must stay within it (hard check), and the learned provider's "
          "eta must be strictly below neutral's (hard check).");
-  Table table({"problem", "provider", "eta", "rounds", "bound", "valid"},
-              13);
+  Table table({"problem", "provider", "eta", "rounds", "bound", "valid"});
   table.print_header();
   JsonRecorder out(json, "BENCH_learned.json");
   const LearnedModel model = train_model();
@@ -134,29 +133,9 @@ bool run_all(bool json) {
   return ok;
 }
 
-void BM_LearnedProvide(benchmark::State& state) {
-  const LearnedModel model = train_model();
-  const Graph g = serving_graph();
-  Rng churn_rng(606);
-  const Graph stale = perturb_edges(g, 12, 12, churn_rng);
-  const std::vector<Value> prior =
-      provide_with_seed(*exact_provider(), stale, ProblemKind::kMis, 707)
-          .node_values();
-  const ProviderPtr provider = learned_provider(model, prior);
-  for (auto _ : state) {
-    Predictions pred = provide_with_seed(*provider, g, ProblemKind::kMis, 808);
-    benchmark::DoNotOptimize(pred.node_values().data());
-  }
-  state.counters["n"] = g.num_nodes();
-}
-BENCHMARK(BM_LearnedProvide);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = dgap::benchutil::take_json_flag(&argc, &argv[0]);
-  const bool ok = run_all(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  const bool ok = run_all(dgap::benchutil::has_flag(argc, argv, "--json"));
   return ok ? 0 : 1;
 }

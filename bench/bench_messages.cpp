@@ -59,8 +59,7 @@ bool sweep(bool json) {
          "must be identical; words_sent is the physical wire cost; "
          "sent + suppressed must equal the uncompiled total exactly.");
   Table table({"workload", "graph", "rounds", "words", "words_sent",
-               "suppressed", "reduction%"},
-              22);
+               "suppressed", "reduction%"});
   table.print_header();
   JsonRecorder out(json, "BENCH_messages.json");
 
@@ -196,36 +195,9 @@ bool sweep(bool json) {
   return ok;
 }
 
-// Wall-clock cost of the pass itself: the cache lookup rides the delivery
-// walk (serial or receiver-sharded alike), so the interesting number is
-// overhead when nothing is suppressible (greedy MIS, fresh payloads) vs
-// savings when almost everything is (flood_min).
-void BM_CompiledFloodMin(benchmark::State& state) {
-  Rng rng(3);
-  Graph g = make_random_connected(static_cast<NodeId>(state.range(0)),
-                                  state.range(0) / 2, rng);
-  EngineOptions opt;
-  opt.compile.cache_resends = state.range(1) != 0;
-  std::int64_t sent = 0;
-  for (auto _ : state) {
-    auto result = run_algorithm(g, flood_min_algorithm(), opt);
-    sent = result.words_sent;
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["words_sent"] = static_cast<double>(sent);
-}
-BENCHMARK(BM_CompiledFloodMin)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({128, 0})
-    ->Args({128, 1});
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = dgap::benchutil::take_json_flag(&argc, &argv[0]);
-  const bool ok = sweep(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  const bool ok = sweep(dgap::benchutil::has_flag(argc, argv, "--json"));
   return ok ? 0 : 1;
 }

@@ -1,12 +1,7 @@
-// Shared helpers for the benchmark binaries.
-//
-// Each bench binary regenerates one experiment from EXPERIMENTS.md: it
-// prints a paper-style table (measured rounds next to the bound the paper
-// proves) and then runs a few google-benchmark timings so wall-clock cost
-// of the simulation itself is also tracked.
+// Shared helpers for the bench binaries and dgap_claims: sweep aggregates,
+// markdown tables, JSON records for the BENCH_*.json files, the parallelism
+// probe and flag parsing.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
@@ -43,67 +38,7 @@ inline int max_rounds(std::span<const RunResult> results) {
   return worst;
 }
 
-inline double total_wall_ms(std::span<const RunResult> results) {
-  double total = 0;
-  for (const RunResult& r : results) total += r.wall_ms;
-  return total;
-}
-
-// Message totals over a sweep. The nominal totals (total_messages /
-// total_words) are invariant under message-reduction compilation
-// (sim/compile.hpp): nominal == sent + suppressed per run, so
-// total_words(rs) == total_words_sent(rs) + total_words_suppressed(rs)
-// holds for any sweep — the accounting identity bench_messages asserts.
-
-inline std::int64_t total_messages(std::span<const RunResult> results) {
-  std::int64_t total = 0;
-  for (const RunResult& r : results) total += r.total_messages;
-  return total;
-}
-
-inline std::int64_t total_words(std::span<const RunResult> results) {
-  std::int64_t total = 0;
-  for (const RunResult& r : results) total += r.total_words;
-  return total;
-}
-
-inline std::int64_t total_messages_sent(std::span<const RunResult> results) {
-  std::int64_t total = 0;
-  for (const RunResult& r : results) total += r.messages_sent;
-  return total;
-}
-
-inline std::int64_t total_words_sent(std::span<const RunResult> results) {
-  std::int64_t total = 0;
-  for (const RunResult& r : results) total += r.words_sent;
-  return total;
-}
-
-inline std::int64_t total_messages_suppressed(
-    std::span<const RunResult> results) {
-  std::int64_t total = 0;
-  for (const RunResult& r : results) total += r.messages_suppressed;
-  return total;
-}
-
-inline std::int64_t total_words_suppressed(
-    std::span<const RunResult> results) {
-  std::int64_t total = 0;
-  for (const RunResult& r : results) total += r.words_suppressed;
-  return total;
-}
-
-// Phase-profile reductions. Runs made with EngineOptions::profile_phases
-// carry per-stage wall-ns in RunResult::phase_ns; benches sum them over a
-// sweep and print milliseconds next to the wall_ms column so a regression
-// names the pipeline stage that moved.
-
-inline PhaseProfile total_phase_ns(std::span<const RunResult> results) {
-  PhaseProfile total;
-  for (const RunResult& r : results) total.accumulate(r.phase_ns);
-  return total;
-}
-
+/// A RunResult::phase_ns stage total in milliseconds.
 inline double phase_ms(std::int64_t ns) {
   return static_cast<double>(ns) / 1e6;
 }
@@ -115,34 +50,27 @@ inline int default_batch_workers() {
   return static_cast<int>(std::min(4u, hw == 0 ? 1u : hw));
 }
 
-/// Fixed-width table printer: header once, then rows.
+/// Markdown table printer: header and rule once, then one row per call.
 class Table {
  public:
-  explicit Table(std::vector<std::string> columns, int width = 14)
-      : columns_(std::move(columns)), width_(width) {}
+  explicit Table(std::vector<std::string> columns)
+      : columns_(std::move(columns)) {}
 
   void print_header() const {
-    std::string rule;
-    for (std::size_t i = 0; i < columns_.size(); ++i) {
-      std::printf("%-*s", width_, columns_[i].c_str());
-    }
-    std::printf("\n");
-    for (std::size_t i = 0; i < columns_.size() * static_cast<std::size_t>(width_); ++i) {
-      std::printf("-");
-    }
-    std::printf("\n");
+    print_row(columns_);
+    std::string rule = "|";
+    for (std::size_t i = 0; i < columns_.size(); ++i) rule += "---|";
+    std::printf("%s\n", rule.c_str());
   }
 
   void print_row(const std::vector<std::string>& cells) const {
-    for (const auto& cell : cells) {
-      std::printf("%-*s", width_, cell.c_str());
-    }
-    std::printf("\n");
+    std::string line = "|";
+    for (const auto& cell : cells) line += " " + cell + " |";
+    std::printf("%s\n", line.c_str());
   }
 
  private:
   std::vector<std::string> columns_;
-  int width_;
 };
 
 inline std::string fmt(std::int64_t v) { return std::to_string(v); }
@@ -154,7 +82,7 @@ inline std::string fmt(double v) {
 }
 
 inline void banner(const char* experiment, const char* claim) {
-  std::printf("\n=== %s ===\n%s\n\n", experiment, claim);
+  std::printf("\n## %s\n\n%s\n\n", experiment, claim);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,15 +215,10 @@ inline double parallelism_probe() {
          std::chrono::duration<double>(t2 - t1).count();
 }
 
-/// True iff `--json` appears in argv; removes it so google-benchmark does
-/// not see an unknown flag. The bench then writes its JsonRecords file.
-inline bool take_json_flag(int* argc, char** argv) {
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      for (int j = i; j + 1 < *argc; ++j) argv[j] = argv[j + 1];
-      --*argc;
-      return true;
-    }
+/// True iff `flag` appears among the arguments.
+inline bool has_flag(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
 }

@@ -14,7 +14,7 @@
 // Template, the *maximum* completion time over many small error components
 // is Θ(log log n) even though each component alone finishes in
 // O(log(component size)) expected rounds — the error measure η1 (a max,
-// not a sum) does not bound the expectation. bench_luby reproduces this.
+// not a sum) does not bound the expectation. dgap_claims' E11 reproduces this.
 #pragma once
 
 #include "sim/phase.hpp"

@@ -34,7 +34,7 @@ ProgramFactory mis_simple_greedy();
 /// Section 10's discussion: the Simple Template with Luby's randomized
 /// MIS as the reference. Consistent; its EXPECTED rounds are governed by
 /// the whole collection of error components (their number matters), not
-/// by the max-based η1 — bench_luby measures the gap.
+/// by the max-based η1 — dgap_claims' E15c measures the gap.
 ProgramFactory mis_simple_luby(std::uint64_t seed);
 ProgramFactory mis_simple_linial();
 ProgramFactory mis_consecutive_gather();
