@@ -106,7 +106,7 @@ void NodeContext::send(NodeId to, const Value* words, std::size_t count,
                "can only send to a neighbor");
   auto& sh = *shard_;
   if (!sh.node_on_records) leave_pull_path();
-  if (channel < sh.last_channel) sh.channels_monotone = false;
+  if (channel < sh.last_channel) sh.node_unsorted = true;
   sh.last_channel = channel;
   detail::SendRecord r;
   r.to = to;
@@ -141,7 +141,7 @@ void NodeContext::broadcast(const Value* words, std::size_t count,
   if (active_neighbors().empty()) return;
   auto& sh = *shard_;
   if (channel < sh.last_channel) {
-    sh.channels_monotone = false;
+    sh.node_unsorted = true;
     if (!sh.node_on_records) leave_pull_path();
   }
   sh.last_channel = channel;
@@ -353,7 +353,9 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
       owned_scratch_(scratch ? nullptr : std::make_unique<EngineScratch>()),
       s_(scratch ? *scratch : *owned_scratch_) {
   DGAP_REQUIRE(factory != nullptr, "a program factory is required");
+  // Checked before anything touches a caller's scratch.
   DGAP_REQUIRE(options_.num_threads >= 1, "num_threads must be >= 1");
+  DGAP_REQUIRE(options_.num_threads <= 65535, "num_threads out of range");
   const NodeId n = g.num_nodes();
   const std::size_t nu = static_cast<std::size_t>(n);
   programs_.clear();
@@ -394,11 +396,7 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   s_.recv_count.assign(nu, 0);
   s_.recv_nodes.clear();
   s_.woken.clear();
-  s_.wake_next.clear();
-  s_.next_awake.clear();
-  s_.newly_terminated.clear();
   s_.touched_receivers.clear();
-  s_.sorted_sends.clear();
   s_.inbox_flat.clear();
   s_.shards.resize(static_cast<std::size_t>(options_.num_threads));
   for (auto& sh : s_.shards) {
@@ -408,7 +406,6 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
     sh.pull_senders.clear();
     sh.gathered.clear();
     sh.gathered_node = kNoNode;
-    sh.channels_monotone = true;
     sh.any_idle = false;
     sh.route_idx.clear();
     sh.route_begin.clear();
@@ -416,10 +413,7 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
     sh.any_long = false;
   }
   // Receiver-shard ownership: shard t owns [n*t/S, n*(t+1)/S) — the same
-  // slicing run_sharded uses, a pure function of (n, S). The per-node
-  // ownership map makes routing a table lookup; only built when a parallel
-  // delivery path can run.
-  DGAP_REQUIRE(options_.num_threads <= 65535, "num_threads out of range");
+  // slicing run_sharded uses, a pure function of (n, S).
   const std::size_t nshards = s_.shards.size();
   s_.recv_shards.resize(nshards);
   for (auto& rs : s_.recv_shards) {
@@ -434,18 +428,6 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   }
   s_.send_base.assign(nshards + 1, 0);
   s_.merge_pos.assign(nshards, 0);
-  if (nshards > 1) {
-    s_.node_shard.resize(nu);
-    for (std::size_t t = 0; t < nshards; ++t) {
-      const std::size_t lo = nu * t / nshards;
-      const std::size_t hi = nu * (t + 1) / nshards;
-      std::fill(s_.node_shard.begin() + static_cast<std::ptrdiff_t>(lo),
-                s_.node_shard.begin() + static_cast<std::ptrdiff_t>(hi),
-                static_cast<std::uint16_t>(t));
-    }
-  } else {
-    s_.node_shard.clear();
-  }
   if (options_.num_threads > 1) {
     if (shared_pool != nullptr) {
       DGAP_REQUIRE(shared_pool->num_slots() == options_.num_threads,
@@ -487,17 +469,32 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
 Engine::~Engine() = default;
 
 template <typename Body>
-void Engine::run_sharded(std::size_t worklist_size, const Body& body) {
-  const auto shards = s_.shards.size();
-  const std::size_t m = worklist_size;
-  if (!pool_) {
-    body(0, 0, m);
-    return;
+void Engine::for_each_shard(const Body& body) {
+  if (pool_ == nullptr) {
+    body(0);
+  } else {
+    pool_->run([&body](int s) { body(s); });
   }
-  pool_->run([&](int s) {
+}
+
+template <typename Body>
+void Engine::run_sharded(std::size_t worklist_size, const Body& body) {
+  const std::size_t shards = s_.shards.size();
+  const std::size_t m = worklist_size;
+  for_each_shard([&](int s) {
     const std::size_t su = static_cast<std::size_t>(s);
     body(s, m * su / shards, m * (su + 1) / shards);
   });
+}
+
+std::size_t Engine::recv_shard_of(NodeId v) const {
+  // The inverse of the ownership ranges: v < n*(t+1)/S exactly when
+  // S*(v+1) - 1 < n*(t+1), so the owner is (S*(v+1) - 1) / n.
+  const std::uint64_t shards = s_.shards.size();
+  if (shards == 1) return 0;
+  const auto n = static_cast<std::uint64_t>(graph_.num_nodes());
+  return static_cast<std::size_t>(
+      (shards * (static_cast<std::uint64_t>(v) + 1) - 1) / n);
 }
 
 void Engine::send_phase() {
@@ -515,12 +512,24 @@ void Engine::send_phase() {
     for (std::size_t i = lo; i < hi; ++i) {
       const NodeId v = s_.awake_nodes[i];
       sh.last_channel = INT_MIN;
+      sh.node_unsorted = false;
       sh.default_active = false;   // declarations last one node-round
       sh.node_on_records = !pull_enabled_;
       const auto begin = static_cast<std::uint32_t>(sh.outbox.size());
       sh.node_outbox_begin = begin;
+      const auto first_record = static_cast<std::ptrdiff_t>(sh.sends.size());
       NodeContext ctx(this, v, &sh);
       programs_[v]->on_send(ctx);
+      if (sh.node_unsorted) {
+        // A channel decrease left the pull path, so every message of this
+        // node-round is a record at the tail of the buffer: restore the
+        // inbox order (channel, send order) for all of it.
+        std::stable_sort(sh.sends.begin() + first_record, sh.sends.end(),
+                         [](const detail::SendRecord& a,
+                            const detail::SendRecord& b) {
+                           return a.channel < b.channel;
+                         });
+      }
       const auto end = static_cast<std::uint32_t>(sh.outbox.size());
       if (end == begin) continue;
       // Publish the node's pull broadcasts and charge each one for every
@@ -542,174 +551,50 @@ void Engine::send_phase() {
   }
 }
 
-// Applies fn to every send record of the round in canonical order:
-// (sender, channel, send order), senders ascending. The common case is the
-// raw concatenation of the shard buffers (shards are contiguous slices of
-// the ascending worklist); the rare channel-repair case iterates the sorted
-// copy instead.
-template <typename Fn>
-void Engine::for_each_send(const Fn& fn) const {
-  if (use_sorted_sends_) {
-    for (const auto& r : s_.sorted_sends) fn(r);
-    return;
-  }
-  for (const auto& sh : s_.shards) {
-    for (const auto& r : sh.sends) fn(r);
-  }
-}
-
 void Engine::deliver_round_messages() {
-  // Pick the delivery path. The parallel path requires a pool (more than
-  // one shard), the audit-only congest policy (an enforcing link layer is
-  // a serial scheduler by design), and monotone per-sender channels (the
-  // rare repair sort re-orders records globally, which the reference path
-  // handles). Everything the two paths publish — inbox slices, touched
-  // order, account totals, cache state — is bit-identical by construction;
-  // engine_determinism_test and compile_test pin it.
-  bool channels_monotone = true;
-  for (const auto& sh : s_.shards) channels_monotone &= sh.channels_monotone;
-  if (pool_ != nullptr && link_ == nullptr && channels_monotone) {
-    deliver_parallel();
-    return;
-  }
-  deliver_serial();
-}
-
-void Engine::deliver_serial() {
-  // Freeze the per-shard arenas and resolve each record's payload pointer,
-  // charging the message metrics in sender order. Small payloads (at most
-  // SendRecord::kInlineCap words) live inline in the record itself, so
-  // their resolved pointer is a self-pointer — valid because the shard
-  // buffers are frozen for the rest of the round (sorted_sends copies keep
-  // pointing at the originals). Every sent message is charged — including
-  // messages addressed to a node that terminated in an earlier round. The
-  // model's cost accounting is sender-side: the sender cannot know the
-  // receiver is gone until the termination notice arrives (next round's
-  // active_neighbors view), so the words crossed the wire and count toward
-  // total_messages/total_words. Delivery, however, drops them below: a
+  // Four passes over S shards (S = num_threads; inline when S = 1):
+  //
+  //   A (over sender shards)   freeze each arena, resolve payload pointers
+  //     (an inline payload's points into its own record, valid because the
+  //     shard buffers stay frozen for the rest of the round), and route
+  //     every record to the receiver shard owning its `to` — a stable
+  //     counting sort of record indices, so each bucket preserves send
+  //     order. With one shard the routing is the identity and is skipped.
+  //   B (over receiver shards) walk owned records in canonical order
+  //     (sender shards in index order; buckets are in order within a
+  //     shard), running the resend cache, the per-shard message account,
+  //     and the inbox counting. Each node's recv_count slot and each
+  //     directed edge's cache line has exactly one writer.
+  //   C (serial) prefix-sum the per-shard inbox regions.
+  //   D (over receiver shards) assign each owned receiver's slice inside
+  //     this shard's region and scatter the owned records into it.
+  //   Then, serially and in O(shards + receivers), merge the per-shard
+  //     first-touch lists into the global first-touch order.
+  //
+  // The shard buffers are already in canonical (sender, channel, send
+  // order) — the send phase sorts the rare node-round whose channels
+  // decrease — so each receiver's slice, each edge's cache sequence and
+  // the account totals are the same for every S. The final merge on the
+  // global index of each receiver's first record recovers the trace
+  // spine's first-touch receiver order. inbox_flat's internal layout does
+  // depend on S (shard regions), but nothing observes the layout — every
+  // consumer goes through inbox_ref or touched_receivers.
+  //
+  // Every sent message is charged in pass B — including messages addressed
+  // to a node that terminated in an earlier round. The model's cost
+  // accounting is sender-side: the sender cannot know the receiver is gone
+  // until the termination notice arrives (next round's active_neighbors
+  // view), so the words crossed the wire and count toward
+  // total_messages/total_words. Delivery, however, drops them: a
   // terminated node has no receive phase, and resurrected inboxes would
   // violate the model. Pinned by
   // Engine.DropsToTerminatedAreChargedNotDelivered in engine_test.cpp.
-  // The same pass also runs the counting stage of the receiver scatter
-  // (below) — per-record work is memory-bound, so fusing the loops matters —
-  // and accumulates the metrics locally, folding them in once per round.
-  bool channels_monotone = true;
-  std::size_t arena_words = 0;
-  const int congest_limit = options_.congest_word_limit;
-  const bool enforce = link_ != nullptr;
-  s_.touched_receivers.clear();
-  std::uint32_t delivered = 0;
-  for (auto& sh : s_.shards) {
-    channels_monotone &= sh.channels_monotone;
-    sh.channels_monotone = true;
-    arena_words += sh.arena.size();
-    const Value* base = sh.arena.data();
-    for (auto& r : sh.sends) {
-      r.words = r.len <= detail::SendRecord::kInlineCap ? r.inline_words
-                                                        : base + r.offset;
-      // The per-edge cache sees this edge's records in canonical order
-      // here, just as the parallel path's owning receiver shard does, so
-      // num_threads cannot influence hit patterns. It also absorbs
-      // default-suppressed records (the receiver's memory advances either
-      // way).
-      if (compile_cache_ && cache_check_and_update(r)) r.suppressed = true;
-      acct_.charge(r.len, r.channel, congest_limit, r.suppressed);
-      // Under an enforcing policy the link layer decides what arrives this
-      // round; the receiver counting below only feeds the fast-path scatter.
-      if (!enforce && s_.node_active[r.to]) {
-        if (s_.recv_count[r.to]++ == 0) s_.touched_receivers.push_back(r.to);
-        ++delivered;
-      }
-    }
-  }
-  peak_arena_words_ = std::max(peak_arena_words_, arena_words);
-
-  // The shard buffers are ordered by (sender, send order). The required
-  // inbox order is (sender, channel, send order), which differs only if
-  // some node sent on a decreasing channel sequence — rare (compositions
-  // emit channel blocks in ascending order) — and is repaired by one
-  // stable sort of a merged copy when it happens.
-  use_sorted_sends_ = !channels_monotone;
-  if (use_sorted_sends_) {
-    s_.sorted_sends.clear();
-    for (const auto& sh : s_.shards) {
-      s_.sorted_sends.insert(s_.sorted_sends.end(), sh.sends.begin(),
-                           sh.sends.end());
-    }
-    std::stable_sort(s_.sorted_sends.begin(), s_.sorted_sends.end(),
-                     [](const detail::SendRecord& a,
-                        const detail::SendRecord& b) {
-                       return std::tie(a.from, a.channel) <
-                              std::tie(b.from, b.channel);
-                     });
-  }
-
-  if (enforce) {
-    deliver_enforced();
-    return;
-  }
-
-  // Counting-sort scatter by receiver (counting ran fused with the resolve
-  // pass above). Grouping receivers in first-touch order (rather than
-  // ascending) keeps this O(messages), not O(n); the stable scatter
-  // preserves the (sender, channel, send order) sequence within each
-  // receiver's slice. Terminated receivers are never counted, so their
-  // messages are dropped right here.
-  std::uint32_t cursor = 0;
-  for (const NodeId to : s_.touched_receivers) {
-    s_.inbox_ref[to] = {cursor, 0, round_};
-    cursor += s_.recv_count[to];
-    s_.recv_count[to] = 0;  // restore the all-zero invariant for next round
-  }
-  s_.inbox_flat.resize(delivered);
-  for_each_send([&](const detail::SendRecord& r) {
-    if (!s_.node_active[r.to]) return;
-    auto& ref = s_.inbox_ref[r.to];
-    s_.inbox_flat[ref.begin + ref.count++] =
-        Message{r.from, static_cast<int>(r.channel), WordSpan(r.words, r.len),
-                false, r.suppressed};
-  });
-}
-
-void Engine::deliver_parallel() {
-  // Receiver-sharded delivery: four passes with pool barriers between
-  // them, replacing deliver_serial's fused loop plus serial scatter.
-  //
-  //   A (parallel over sender shards)   freeze each arena, resolve payload
-  //     pointers, and route every record to the receiver shard owning its
-  //     `to` — a stable counting sort of record indices, so each bucket
-  //     preserves send order.
-  //   B (parallel over receiver shards) walk owned records in ascending
-  //     global send order (sender shards in index order; buckets are
-  //     in-order within a shard), running the compile cache, the per-shard
-  //     message account, and the inbox counting. Each node's recv_count
-  //     slot and each directed edge's cache line has exactly one writer.
-  //   C (serial, O(shards + receivers)) prefix-sum the per-shard inbox
-  //     regions, merge the accounts in fixed shard order, and merge the
-  //     per-shard first-touch lists into the global first-touch order.
-  //   D (parallel over receiver shards) assign each owned receiver's slice
-  //     inside this shard's region and scatter the owned records into it.
-  //
-  // Why the result is byte-identical to deliver_serial: (sender, channel,
-  // send order) within a slice holds because routing is stable and sender
-  // shards are visited in index order — within one receiver's slice the
-  // scatter sees records in exactly the serial global order (channels are
-  // monotone on this path, or we would not be here). The cache's hit/miss
-  // sequence per directed edge is the serial one because all of an edge's
-  // records meet in the one shard owning the receiver, still in global
-  // order. Account totals are order-independent reductions. And the trace
-  // spine's receiver order is recovered exactly in pass C: each shard's
-  // touched list ascends in the global index of the receiver's first
-  // record, so an S-way merge on those indices is the serial first-touch
-  // order. inbox_flat's internal layout does differ (shard regions instead
-  // of global first-touch order), but nothing observes the layout — every
-  // consumer goes through inbox_ref or touched_receivers.
   const int congest_limit = options_.congest_word_limit;
   const std::size_t S = s_.shards.size();
+  const bool enforce = link_ != nullptr;
 
-  pool_->run([&](int k) {
+  for_each_shard([&](int k) {
     auto& sh = s_.shards[static_cast<std::size_t>(k)];
-    sh.channels_monotone = true;
     sh.any_long = false;
     const Value* base = sh.arena.data();
     sh.route_begin.assign(S + 1, 0);
@@ -720,15 +605,16 @@ void Engine::deliver_parallel() {
         r.words = base + r.offset;
         sh.any_long = true;
       }
-      ++sh.route_begin[s_.node_shard[r.to] + 1];
+      ++sh.route_begin[recv_shard_of(r.to) + 1];
     }
     for (std::size_t t = 0; t < S; ++t) {
       sh.route_begin[t + 1] += sh.route_begin[t];
     }
+    if (S == 1) return;  // one bucket: B and D read the records in place
     sh.route_cursor.assign(sh.route_begin.begin(), sh.route_begin.end() - 1);
     sh.route_idx.resize(sh.sends.size());
     for (std::uint32_t i = 0; i < sh.sends.size(); ++i) {
-      sh.route_idx[sh.route_cursor[s_.node_shard[sh.sends[i].to]]++] = i;
+      sh.route_idx[sh.route_cursor[recv_shard_of(sh.sends[i].to)]++] = i;
     }
   });
 
@@ -749,9 +635,8 @@ void Engine::deliver_parallel() {
       s_.cache_long.size() < s_.cache_state.size()) {
     s_.cache_long.resize(s_.cache_state.size());
   }
-  use_sorted_sends_ = false;
 
-  pool_->run([&](int t) {
+  for_each_shard([&](int t) {
     const std::size_t tu = static_cast<std::size_t>(t);
     auto& rs = s_.recv_shards[tu];
     rs.acct = detail::CongestAccount{};
@@ -763,14 +648,17 @@ void Engine::deliver_parallel() {
       const std::uint32_t base_idx = s_.send_base[k];
       const std::uint32_t je = sh.route_begin[tu + 1];
       for (std::uint32_t j = sh.route_begin[tu]; j < je; ++j) {
-        const std::uint32_t idx = sh.route_idx[j];
+        const std::uint32_t idx = S == 1 ? j : sh.route_idx[j];
         auto& r = sh.sends[idx];
+        // The cache also absorbs default-suppressed records: the
+        // receiver's memory of the edge advances either way.
         if (compile_cache_ && cache_check_and_update(r)) r.suppressed = true;
         rs.acct.charge(r.len, r.channel, congest_limit, r.suppressed);
-        if (s_.node_active[r.to]) {
+        // Under an enforcing policy the link layer decides what arrives.
+        if (!enforce && s_.node_active[r.to]) {
           if (s_.recv_count[r.to]++ == 0) {
             rs.touched.push_back(r.to);
-            rs.touched_first.push_back(base_idx + idx);
+            if (S > 1) rs.touched_first.push_back(base_idx + idx);
           }
           ++delivered;
         }
@@ -778,15 +666,48 @@ void Engine::deliver_parallel() {
     }
     rs.delivered = delivered;
   });
+  for (const auto& rs : s_.recv_shards) acct_.merge_from(rs.acct);
+
+  if (enforce) {
+    deliver_enforced();
+    return;
+  }
 
   std::uint32_t total = 0;
-  for (std::size_t t = 0; t < S; ++t) {
-    auto& rs = s_.recv_shards[t];
+  for (auto& rs : s_.recv_shards) {
     rs.region = total;
     total += rs.delivered;
-    acct_.merge_from(rs.acct);
   }
   s_.inbox_flat.resize(total);
+
+  for_each_shard([&](int t) {
+    const std::size_t tu = static_cast<std::size_t>(t);
+    auto& rs = s_.recv_shards[tu];
+    std::uint32_t cursor = rs.region;
+    for (const NodeId to : rs.touched) {
+      s_.inbox_ref[to] = {cursor, 0, round_};
+      cursor += s_.recv_count[to];
+      s_.recv_count[to] = 0;  // restore the all-zero invariant for next round
+    }
+    for (std::size_t k = 0; k < S; ++k) {
+      auto& sh = s_.shards[k];
+      const std::uint32_t je = sh.route_begin[tu + 1];
+      for (std::uint32_t j = sh.route_begin[tu]; j < je; ++j) {
+        const auto& r = sh.sends[S == 1 ? j : sh.route_idx[j]];
+        if (!s_.node_active[r.to]) continue;
+        auto& ref = s_.inbox_ref[r.to];
+        s_.inbox_flat[ref.begin + ref.count++] =
+            Message{r.from, static_cast<int>(r.channel),
+                    WordSpan(r.words, r.len), false, r.suppressed};
+      }
+    }
+  });
+
+  // One shard's first-touch list is the global one; take it without a copy.
+  if (S == 1) {
+    std::swap(s_.touched_receivers, s_.recv_shards[0].touched);
+    return;
+  }
   s_.touched_receivers.clear();
   std::fill(s_.merge_pos.begin(), s_.merge_pos.end(), 0);
   for (;;) {
@@ -807,56 +728,36 @@ void Engine::deliver_parallel() {
         s_.recv_shards[best].touched[s_.merge_pos[best]]);
     ++s_.merge_pos[best];
   }
-
-  pool_->run([&](int t) {
-    const std::size_t tu = static_cast<std::size_t>(t);
-    auto& rs = s_.recv_shards[tu];
-    std::uint32_t cursor = rs.region;
-    for (const NodeId to : rs.touched) {
-      s_.inbox_ref[to] = {cursor, 0, round_};
-      cursor += s_.recv_count[to];
-      s_.recv_count[to] = 0;  // restore the all-zero invariant for next round
-    }
-    for (std::size_t k = 0; k < S; ++k) {
-      auto& sh = s_.shards[k];
-      const std::uint32_t je = sh.route_begin[tu + 1];
-      for (std::uint32_t j = sh.route_begin[tu]; j < je; ++j) {
-        const auto& r = sh.sends[sh.route_idx[j]];
-        if (!s_.node_active[r.to]) continue;
-        auto& ref = s_.inbox_ref[r.to];
-        s_.inbox_flat[ref.begin + ref.count++] =
-            Message{r.from, static_cast<int>(r.channel),
-                    WordSpan(r.words, r.len), false, r.suppressed};
-      }
-    }
-  });
 }
 
 void Engine::deliver_enforced() {
   // Feed the round's sends to the link layer in canonical (sender, channel,
-  // send order) — ingest() runs after the channel-repair sort above, so the
-  // per-link FIFO queues inherit exactly the fast path's order. All link
-  // state mutation is serial; num_threads cannot influence the schedule.
+  // send order): the shard buffers in shard order, already charged and run
+  // through the resend cache by pass B. All link state mutation is serial;
+  // num_threads cannot influence the schedule.
   auto& link = *link_;
   link.begin_round(round_);
-  for_each_send([&](const detail::SendRecord& r) {
-    if (r.suppressed) {
-      // A suppressed message never crosses the wire, so it cannot be
-      // deferred, truncated, or charged against a link budget; it is
-      // synthesized at the receiver in its send round (the free lunch —
-      // compile_test pins the no-double-count property).
-      if (s_.node_active[r.to]) link.deliver_suppressed(r);
-      return;
+  for (const auto& sh : s_.shards) {
+    for (const auto& r : sh.sends) {
+      if (r.suppressed) {
+        // A suppressed message never crosses the wire, so it cannot be
+        // deferred, truncated, or charged against a link budget; it is
+        // synthesized at the receiver in its send round (the free lunch —
+        // compile_test pins the no-double-count property).
+        if (s_.node_active[r.to]) link.deliver_suppressed(r);
+        continue;
+      }
+      link.ingest(r, s_.node_active.data());
     }
-    link.ingest(r, s_.node_active.data());
-  });
+  }
   link.finish_round(s_.node_active.data());
 
   // Counting-sort scatter of the cleared messages. The link layer emits
   // them with ascending senders and FIFO per link, so each receiver's slice
-  // comes out in (sender, channel, send order) like the fast path — for
+  // comes out in (sender, channel, send order) like the kCount path — for
   // carried-over traffic, ordered by the round the words finished crossing.
   const auto& deliveries = link.deliveries();
+  s_.touched_receivers.clear();
   for (const auto& d : deliveries) {
     if (s_.recv_count[d.to]++ == 0) s_.touched_receivers.push_back(d.to);
   }
@@ -904,9 +805,7 @@ bool Engine::cache_check_and_update(detail::SendRecord& r) {
       s_.cache_words[slot * kCap + i] = r.words[i];
     }
   } else {
-    if (s_.cache_long.size() < s_.cache_state.size()) {
-      s_.cache_long.resize(s_.cache_state.size());
-    }
+    // Sized by deliver_round_messages before pass B on any long payload.
     s_.cache_long[slot].assign(r.words, r.words + r.len);
   }
   return false;
@@ -954,11 +853,11 @@ void Engine::trace_deliveries() {
   // exactly the round's inbox contents and is bit-identical across
   // num_threads. Runs between delivery and the receive phase, on the main
   // thread. Without pull entries touched_receivers already holds the
-  // first-touch order. Otherwise rebuild it over the raw canonical sender
+  // first-touch order. Otherwise rebuild it over the canonical sender
   // sequence the record path would have scattered: senders ascending, a
-  // record sender's records in send order, and a pull sender's broadcasts,
-  // which reach its active-neighbor prefix in ascending order. The
-  // recv_count scratch (all zero between rounds) marks receivers seen.
+  // record sender's records in (channel, send order), and a pull sender's
+  // broadcasts, which reach its active-neighbor prefix in ascending order.
+  // The recv_count scratch (all zero between rounds) marks receivers seen.
   if (round_has_pulls_) {
     s_.touched_receivers.clear();
     const auto touch = [this](NodeId to) {
@@ -1077,17 +976,19 @@ void Engine::notify_terminations(NodeId lo, NodeId hi,
   // Charge the notification messages implied by the Section 7 convention
   // (one message carrying the node's outputs to each neighbor that is
   // still active) and collect the affected neighbors, deduplicated via the
-  // s_.recv_count scratch (all-zero between rounds, restored below).
-  const std::vector<NodeId>& dead = s_.newly_terminated;
+  // s_.recv_count scratch (all-zero between rounds, restored below). Every
+  // range scans every terminated node, from each T1 slice in order.
   const int congest_limit = options_.congest_word_limit;
   touched.clear();
   wake.clear();
-  for (const NodeId v : dead) {
-    const std::size_t notice_words = 1 + edge_output_count(v);
-    for (const NodeId u : graph_.neighbors(v)) {
-      if (u < lo || u >= hi || !s_.node_active[u]) continue;
-      acct.charge(notice_words, /*channel=*/0, congest_limit);
-      if (s_.recv_count[u]++ == 0) touched.push_back(u);
+  for (const auto& rs : s_.recv_shards) {
+    for (const NodeId v : rs.newly_terminated) {
+      const std::size_t notice_words = 1 + edge_output_count(v);
+      for (const NodeId u : graph_.neighbors(v)) {
+        if (u < lo || u >= hi || !s_.node_active[u]) continue;
+        acct.charge(notice_words, /*channel=*/0, congest_limit);
+        if (s_.recv_count[u]++ == 0) touched.push_back(u);
+      }
     }
   }
   // Drop every terminated node from each affected view by compacting the
@@ -1125,71 +1026,14 @@ void Engine::notify_terminations(NodeId lo, NodeId hi,
 
 void Engine::process_terminations(const std::vector<NodeId>& recv,
                                   std::vector<int>& termination_round) {
-  if (pool_ != nullptr) {
-    process_terminations_parallel(recv, termination_round);
-    return;
-  }
-  // Only nodes whose hooks ran this round can have requested termination,
-  // and every such node is on the receive worklist (awake nodes plus
-  // delivery-woken sleepers), so the sweep is O(recv), not O(n).
-  s_.newly_terminated.clear();
-  for (const NodeId v : recv) {
-    if (!s_.terminate_flag[v]) continue;
-    s_.node_active[v] = 0;
-    --active_count_;
-    termination_round[v] = round_;
-    s_.newly_terminated.push_back(v);  // ascending: the worklist is ascending
-    if (sink_ != nullptr) {
-      materialize_edge_outputs(v, term_edge_outputs_);
-      sink_->on_termination(round_, v, s_.node_output[v], term_edge_outputs_);
-    }
-  }
-  bool any_idle = false;
-  for (const auto& sh : s_.shards) any_idle |= sh.any_idle;
-  if (s_.newly_terminated.empty() && !any_idle && s_.woken.empty()) return;
-  // s_.touched_receivers is free until next round's delivery.
-  notify_terminations(0, graph_.num_nodes(), acct_, s_.touched_receivers,
-                      s_.wake_next);
-  // Rebuild the awake worklist for the next round: the receive worklist
-  // (which contains every currently-awake node) filtered by liveness and
-  // this round's idle requests, merged with the sleepers just woken by a
-  // termination (disjoint from recv by construction: they were asleep and
-  // received nothing).
-  s_.next_awake.clear();
-  std::size_t ri = 0, wi = 0;
-  const std::size_t rn = recv.size(), wn = s_.wake_next.size();
-  while (ri < rn || wi < wn) {
-    NodeId v;
-    if (wi >= wn || (ri < rn && recv[ri] < s_.wake_next[wi])) {
-      v = recv[ri++];
-    } else {
-      v = s_.wake_next[wi++];
-    }
-    if (!s_.node_active[v]) {
-      s_.node_awake[v] = 0;
-      s_.idle_request[v] = 0;
-      continue;
-    }
-    if (s_.idle_request[v]) {
-      s_.idle_request[v] = 0;
-      s_.node_awake[v] = 0;
-      continue;
-    }
-    s_.node_awake[v] = 1;
-    s_.next_awake.push_back(v);
-  }
-  std::swap(s_.awake_nodes, s_.next_awake);
-}
-
-void Engine::process_terminations_parallel(
-    const std::vector<NodeId>& recv, std::vector<int>& termination_round) {
-  // The serial sweep above, re-cut along receiver-shard ownership. Three
-  // pool passes:
-  //   T1 (over recv slices)      detect terminations. Slices of the
-  //       ascending worklist are contiguous, so concatenating the per-slot
-  //       lists in slot order is the serial ascending sweep; the trace sink
-  //       then fires serially over that list, in ascending node order as the
-  //       spine contract requires.
+  // Three passes, each merged in fixed shard order:
+  //   T1 (over recv slices)      detect terminations. Only nodes whose
+  //       hooks ran this round can have requested termination, and every
+  //       such node is on the receive worklist, so the sweep is O(recv).
+  //       Slices of the ascending worklist are contiguous, so the per-slot
+  //       lists read in slot order ascend; the trace sink fires serially
+  //       over them, in ascending node order as the spine contract
+  //       requires.
   //   T2 (over receiver shards)  charge the Section 7 notices for owned
   //       still-active neighbors into the shard's account, compact their
   //       active-neighbor prefixes, void their idle promises, and wake
@@ -1198,10 +1042,10 @@ void Engine::process_terminations_parallel(
   //       frozen after T1, so cross-shard reads are safe.
   //   T3 (over receiver shards)  rebuild the awake worklist: each shard
   //       merges its owned sub-range of recv (a binary search — recv is
-  //       ascending) with its own woken sleepers (disjoint from recv: they
-  //       were asleep and received nothing). Ownership ranges are
-  //       contiguous and ascending, so concatenating per-shard segments in
-  //       shard order is the serial ascending rebuild.
+  //       ascending), filtered by liveness and this round's idle requests,
+  //       with its own woken sleepers (disjoint from recv: they were
+  //       asleep and received nothing). Ownership ranges are contiguous
+  //       and ascending, so the per-shard segments in shard order ascend.
   const std::size_t S = s_.shards.size();
   run_sharded(recv.size(), [&](int s, std::size_t lo, std::size_t hi) {
     auto& rs = s_.recv_shards[static_cast<std::size_t>(s)];
@@ -1214,26 +1058,23 @@ void Engine::process_terminations_parallel(
       rs.newly_terminated.push_back(v);
     }
   });
-  s_.newly_terminated.clear();
+  std::size_t terminated = 0;
   for (const auto& rs : s_.recv_shards) {
-    s_.newly_terminated.insert(s_.newly_terminated.end(),
-                               rs.newly_terminated.begin(),
-                               rs.newly_terminated.end());
-  }
-  active_count_ -= static_cast<NodeId>(s_.newly_terminated.size());
-  if (sink_ != nullptr) {
-    for (const NodeId v : s_.newly_terminated) {
+    terminated += rs.newly_terminated.size();
+    if (sink_ == nullptr) continue;
+    for (const NodeId v : rs.newly_terminated) {
       materialize_edge_outputs(v, term_edge_outputs_);
       sink_->on_termination(round_, v, s_.node_output[v], term_edge_outputs_);
     }
   }
+  active_count_ -= static_cast<NodeId>(terminated);
   bool any_idle = false;
   for (const auto& sh : s_.shards) any_idle |= sh.any_idle;
-  if (s_.newly_terminated.empty() && !any_idle && s_.woken.empty()) return;
+  if (terminated == 0 && !any_idle && s_.woken.empty()) return;
 
   const std::size_t nu = static_cast<std::size_t>(graph_.num_nodes());
-  if (!s_.newly_terminated.empty()) {
-    pool_->run([&](int t) {
+  if (terminated > 0) {
+    for_each_shard([&](int t) {
       const std::size_t tu = static_cast<std::size_t>(t);
       auto& rs = s_.recv_shards[tu];
       rs.acct = detail::CongestAccount{};
@@ -1241,14 +1082,12 @@ void Engine::process_terminations_parallel(
                           static_cast<NodeId>(nu * (tu + 1) / S), rs.acct,
                           rs.touched, rs.wake);
     });
-    for (std::size_t t = 0; t < S; ++t) {
-      acct_.merge_from(s_.recv_shards[t].acct);
-    }
+    for (const auto& rs : s_.recv_shards) acct_.merge_from(rs.acct);
   } else {
     for (auto& rs : s_.recv_shards) rs.wake.clear();
   }
 
-  pool_->run([&](int t) {
+  for_each_shard([&](int t) {
     const std::size_t tu = static_cast<std::size_t>(t);
     auto& rs = s_.recv_shards[tu];
     rs.next_awake.clear();
@@ -1281,12 +1120,17 @@ void Engine::process_terminations_parallel(
       rs.next_awake.push_back(v);
     }
   });
-  s_.next_awake.clear();
-  for (const auto& rs : s_.recv_shards) {
-    s_.next_awake.insert(s_.next_awake.end(), rs.next_awake.begin(),
-                         rs.next_awake.end());
+  // recv may alias awake_nodes; it is not read again this round. One
+  // shard's segment is the whole worklist: take it without a copy.
+  if (S == 1) {
+    std::swap(s_.awake_nodes, s_.recv_shards[0].next_awake);
+    return;
   }
-  std::swap(s_.awake_nodes, s_.next_awake);
+  s_.awake_nodes.clear();
+  for (const auto& rs : s_.recv_shards) {
+    s_.awake_nodes.insert(s_.awake_nodes.end(), rs.next_awake.begin(),
+                          rs.next_awake.end());
+  }
 }
 
 RunResult Engine::run() {

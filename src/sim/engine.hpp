@@ -84,16 +84,15 @@ inline int message_width(std::size_t payload_words, int channel) {
   return static_cast<int>(payload_words) + (channel != 0 ? 1 : 0);
 }
 
-/// Message-metric accumulator shared by every accounting site — the
-/// delivery passes, the termination-notice charges, and the link scheduler
-/// — so the CONGEST bookkeeping cannot drift between the paths. The serial
-/// paths charge the engine's member account directly; the send phase
-/// charges pull broadcasts to one instance per send shard, and the
-/// parallel delivery and termination passes one per receiver shard, all
-/// merged into the member account in fixed shard order each round.
-/// Every counter is an order-independent reduction (sums, plus one max),
-/// so the merged totals are *exactly* — not approximately — the serial
-/// ones for any num_threads; folded into the RunResult once per run.
+/// Message-metric accumulator shared by every accounting site — the pull
+/// broadcasts of the send phase, the delivery pass and the
+/// termination-notice charges — so the CONGEST bookkeeping cannot drift
+/// between them. The send phase charges one instance per send shard, and
+/// the delivery and termination passes one per receiver shard, all merged
+/// into the engine's run account in fixed shard order each round. Every
+/// counter is an order-independent reduction (sums, plus one max), so the
+/// merged totals are *exactly* the same for any num_threads; folded into
+/// the RunResult once per run.
 ///
 /// `messages`/`words` are the *nominal* totals — what the uncompiled
 /// algorithm pays, suppressed traffic included — so compiling a run never
@@ -129,9 +128,8 @@ struct CongestAccount {
   }
 
   /// Merge another account into this one (the fixed-shard-order reduction
-  /// of the parallel delivery pass). All counters are sums except
-  /// max_width, which is a max — both order-independent, so the merged
-  /// account equals the serial one exactly.
+  /// of the sharded passes). All counters are sums except max_width, which
+  /// is a max — both order-independent, so the merge is exact.
   void merge_from(const CongestAccount& o) {
     messages += o.messages;
     words += o.words;
@@ -193,9 +191,9 @@ struct OutboxRef {
   int round_stamp = -1;
 };
 
-/// Outgoing traffic of one contiguous slice of the awake worklist. Serial
-/// runs use a single shard; parallel runs give each thread its own, merged
-/// in slice order so the round buffer is identical to the serial one.
+/// Outgoing traffic of one contiguous slice of the awake worklist, one
+/// shard per engine thread; read in slice order, the shards' buffers are
+/// the round's canonical send sequence for every thread count.
 ///
 /// A node-round's broadcasts take the pull path — one PullEntry each in
 /// `outbox`, charged here for every active neighbor — while everything the
@@ -203,7 +201,9 @@ struct OutboxRef {
 /// or channel decrease flushes those entries into per-neighbor `sends`
 /// records in send order, and the rest of its round uses records. Runs
 /// whose delivery keeps per-edge state (an enforcing link layer, the resend
-/// cache) put every broadcast on records.
+/// cache) put every broadcast on records. A node-round whose channels
+/// decreased has its records stable-sorted by channel after its send hook,
+/// so `sends` is always in (sender, channel, send order).
 struct SendShard {
   MessageArena arena;
   std::vector<SendRecord> sends;
@@ -212,7 +212,7 @@ struct SendShard {
   CongestAccount acct;               // charges of this round's outbox
   bool node_on_records = false;      // current node-round left the pull path
   std::uint32_t node_outbox_begin = 0;  // current node's first outbox entry
-  bool channels_monotone = true;  // every sender's channels non-decreasing?
+  bool node_unsorted = false;     // current node-round's channels fell
   int last_channel = 0;           // channel of the current node's last send
   bool any_idle = false;          // some node on this slice called idle()
   // Receive phase: the gathered inbox of `gathered_node` (this shard's
@@ -226,11 +226,11 @@ struct SendShard {
   std::int32_t default_channel = 0;
   std::uint32_t default_len = 0;
   Value default_words[SendRecord::kInlineCap];
-  // Receiver routing (parallel delivery only): this shard's send records
-  // grouped by the receiver shard that owns `to` — a stable counting sort
-  // of record indices, so each bucket preserves send order. route_begin
-  // holds S + 1 bucket offsets into route_idx. any_long notes a payload
-  // over SendRecord::kInlineCap this round (the serial between-phases step
+  // Receiver routing: this shard's send records grouped by the receiver
+  // shard that owns `to` — a stable counting sort of record indices, so
+  // each bucket preserves send order. route_begin holds S + 1 bucket
+  // offsets into route_idx. any_long notes a payload over
+  // SendRecord::kInlineCap this round (the serial between-passes step
   // sizes the compile cache's long-payload store before shards touch it).
   std::vector<std::uint32_t> route_idx;
   std::vector<std::uint32_t> route_begin;
@@ -238,25 +238,25 @@ struct SendShard {
   bool any_long = false;
 };
 
-/// Per-receiver-shard state of the parallel delivery and mutation passes.
-/// Receiver shard t owns the contiguous node range [n*t/S, n*(t+1)/S) for
-/// the whole run — a pure function of (n, S), never of scheduling — and
-/// every per-node slot (recv_count, inbox slices, active-neighbor
+/// Per-receiver-shard state of the delivery and termination passes.
+/// Receiver shard t of S owns the contiguous node range [n*t/S, n*(t+1)/S)
+/// for the whole run — a pure function of (n, S), never of scheduling —
+/// and every per-node slot (recv_count, inbox slices, active-neighbor
 /// prefixes, awake flags, and the compile pass's per-in-edge cache lines)
 /// of an owned node is touched by exactly one shard, so the passes need no
 /// locks and no atomics. Per-shard outputs (touched lists, wake lists,
 /// account) are merged serially in fixed shard order; because ownership
 /// ranges are contiguous and ascending, concatenation in shard order *is*
 /// ascending node order, and the account counters are order-independent
-/// reductions — which is why the merged result is bit-identical to the
-/// serial pass (docs/MODEL.md, "Simulator internals & performance model").
+/// reductions — which is why the merged result is the same for every S
+/// (docs/MODEL.md, "Simulator internals & performance model").
 struct RecvShard {
   CongestAccount acct;                       // merged in shard order
   std::vector<NodeId> touched;               // owned receivers, first-touch
   std::vector<std::uint32_t> touched_first;  // global index of first record
   std::uint32_t delivered = 0;               // records scattered by this shard
   std::uint32_t region = 0;                  // this shard's inbox_flat base
-  std::vector<NodeId> newly_terminated;      // T1 scratch (ascending)
+  std::vector<NodeId> newly_terminated;      // T1: this recv slice's (asc.)
   std::vector<NodeId> wake;                  // owned sleepers woken (sorted)
   std::vector<NodeId> next_awake;            // owned slice of the rebuild
 };
@@ -299,9 +299,6 @@ struct EngineScratch {
   std::vector<NodeId> awake_nodes;        // awake node indices, ascending
   std::vector<NodeId> recv_nodes;         // receive worklist (merged wakes)
   std::vector<NodeId> woken;              // sleepers woken by a delivery
-  std::vector<NodeId> wake_next;          // sleepers woken by a termination
-  std::vector<NodeId> next_awake;         // rebuild target for awake_nodes
-  std::vector<NodeId> newly_terminated;   // scratch for termination pass
   // --- struct-of-arrays node state ---
   std::vector<Value> node_output;         // key-0 outputs; kUndefined unset
   std::vector<NodeId> an_pool;            // active-neighbor live prefixes
@@ -310,15 +307,13 @@ struct EngineScratch {
   std::vector<std::uint32_t> edge_out_count;  // assigned slots per node
   // --- message data plane ---
   std::vector<detail::SendShard> shards;  // one per engine thread
-  std::vector<detail::SendRecord> sorted_sends;  // rare channel-repair path
   std::vector<Message> inbox_flat;        // receiver-grouped record messages
   std::vector<detail::InboxRef> inbox_ref;  // per node, stamped by round
   std::vector<detail::OutboxRef> outbox_ref;  // per node, stamped by round
   std::vector<std::uint32_t> recv_count;  // scratch; all-zero between rounds
   std::vector<NodeId> touched_receivers;  // receivers seen this round
-  // --- receiver-shard ownership (parallel delivery/mutation passes) ---
+  // --- receiver-shard ownership (delivery and termination passes) ---
   std::vector<detail::RecvShard> recv_shards;  // one per engine thread
-  std::vector<std::uint16_t> node_shard;  // owning receiver shard per node
   std::vector<std::uint32_t> send_base;   // global index base per send shard
   std::vector<std::size_t> merge_pos;     // touched-list merge cursor scratch
   // --- message-reduction compiler state (EngineOptions::compile), SoA per
@@ -514,9 +509,9 @@ struct EngineOptions {
   /// Null (the default) installs no sink: the engine then makes no
   /// virtual calls and does no per-message trace work at all.
   TraceSink* trace_sink = nullptr;
-  /// Shard the round pipeline over this many threads (1 = serial).
-  /// Results are bit-identical to the serial run regardless of the value —
-  /// see docs/MODEL.md "Simulator internals & performance model".
+  /// Shard the round pipeline over this many threads (1 = no pool).
+  /// Results are bit-identical for every value — see docs/MODEL.md
+  /// "Simulator internals & performance model".
   int num_threads = 1;
   /// Measure the wall-ns each round spends in each pipeline stage
   /// (RunResult::phase_ns; per-round deltas via
@@ -616,31 +611,29 @@ class Engine {
  private:
   friend class NodeContext;
 
+  /// Runs body(shard) once per shard: inline when there is one shard, on
+  /// the pool otherwise. Every sharded pass goes through here.
+  template <typename Body>
+  void for_each_shard(const Body& body);
   /// Runs body(shard, lo, hi) for each contiguous slice [lo, hi) of a
-  /// worklist of the given size — on the pool when configured, inline
-  /// otherwise. Slices are a pure function of (worklist size, shard
-  /// count), so concatenating per-shard output in shard order is
-  /// independent of the thread count; that is the heart of the
+  /// worklist of the given size. Slices are a pure function of (worklist
+  /// size, shard count), so concatenating per-shard output in shard order
+  /// is independent of the thread count; that is the heart of the
   /// determinism contract.
   template <typename Body>
   void run_sharded(std::size_t worklist_size, const Body& body);
+  /// The receiver shard owning node v: the t with v in [n*t/S, n*(t+1)/S).
+  std::size_t recv_shard_of(NodeId v) const;
   void send_phase();
-  void deliver_round_messages();
-  /// Reference delivery path: one serial fused resolve/charge/count pass
-  /// plus a serial scatter. Used when the engine is serial (one shard),
-  /// under an enforcing link layer, and on the rare channel-repair rounds;
-  /// the parallel path below must match it bit for bit.
-  void deliver_serial();
-  /// Receiver-sharded delivery: parallel resolve + route over sender
-  /// shards, then parallel charge/cache/count and inbox scatter over
+  /// Receiver-sharded delivery: resolve + route over sender shards, then
+  /// resend cache / charge / inbox count and the inbox scatter over
   /// receiver shards, with per-shard accounts merged in fixed shard order.
-  /// Requires monotone channels and no enforcing link layer.
-  void deliver_parallel();
-  /// Enforcing-policy tail of delivery: route the round's sends through the
-  /// link layer and scatter what it clears into the inboxes.
+  /// Under an enforcing policy the link layer replaces the inbox count and
+  /// scatter (deliver_enforced).
+  void deliver_round_messages();
+  /// Enforcing-policy tail of delivery: feed the round's sends to the link
+  /// layer in canonical order and scatter what it clears into the inboxes.
   void deliver_enforced();
-  template <typename Fn>
-  void for_each_send(const Fn& fn) const;
   /// Wake sleeping nodes that received traffic this round; returns the
   /// receive worklist (awake_nodes when nothing woke, else the merged
   /// recv_nodes).
@@ -653,32 +646,27 @@ class Engine {
   /// neighbor 3 receivers ahead. Everything it reads is frozen during the
   /// phase.
   void receive_phase(const std::vector<NodeId>& recv);
+  /// The termination pass, sharded like delivery: detection over recv
+  /// slices, notice charging / view compaction / wake collection over
+  /// owned neighbors, and the awake-worklist rebuild over owned recv
+  /// sub-ranges, each merged in fixed shard order.
   void process_terminations(const std::vector<NodeId>& recv,
                             std::vector<int>& termination_round);
-  /// Parallel twin of process_terminations, sharded by receiver ownership:
-  /// detection over recv slices, notice charging / view compaction / wake
-  /// collection over owned neighbors, and the awake-worklist rebuild over
-  /// owned recv sub-ranges. Byte-identical outcome by the RecvShard merge
-  /// argument.
-  void process_terminations_parallel(const std::vector<NodeId>& recv,
-                                     std::vector<int>& termination_round);
-  /// The termination pass's notice step, shared by both twins: charge the
-  /// Section 7 notices of s_.newly_terminated to their still-active
-  /// neighbors in [lo, hi) (all nodes serially, the owned range in pass
-  /// T2) into `acct`, compact those neighbors' active prefixes, void their
-  /// idle promises, and collect the sleepers this wakes into `wake`,
-  /// sorted. `touched` is scratch. At 2^16 nodes and more the compaction
-  /// prefetches the prefix row and count of the receiver 8 ahead, all of
-  /// them in [lo, hi).
+  /// The termination pass's notice step for receiver range [lo, hi):
+  /// charge the Section 7 notices of this round's terminated nodes to
+  /// their still-active neighbors in the range into `acct`, compact those
+  /// neighbors' active prefixes, void their idle promises, and collect the
+  /// sleepers this wakes into `wake`, sorted. `touched` is scratch. At
+  /// 2^16 nodes and more the compaction prefetches the prefix row and
+  /// count of the receiver 8 ahead, all of them in [lo, hi).
   void notify_terminations(NodeId lo, NodeId hi, detail::CongestAccount& acct,
                            std::vector<NodeId>& touched,
                            std::vector<NodeId>& wake);
-  /// Neighborhood-cache lookup/update for one resolved record. Called from
-  /// the serial delivery loop, or from the one receiver shard owning
-  /// r.to — each directed edge's cache line has exactly one writer, and it
-  /// sees that edge's records in canonical order either way. Returns true
-  /// when the record repeats the edge's previous message — the caller
-  /// marks it suppressed.
+  /// Neighborhood-cache lookup/update for one resolved record, called from
+  /// the one receiver shard owning r.to — each directed edge's cache line
+  /// has exactly one writer, and it sees that edge's records in canonical
+  /// order. Returns true when the record repeats the edge's previous
+  /// message — the caller marks it suppressed.
   bool cache_check_and_update(detail::SendRecord& r);
   /// Emit this round's delivered messages to the sink, receivers in
   /// first-touch order over the canonical sender sequence. Only called
@@ -712,10 +700,9 @@ class Engine {
   int round_ = 0;
   bool in_send_phase_ = false;
   NodeId active_count_ = 0;
-  // The run's message account. Serial paths (the reference delivery loop,
-  // the link layer's policies) charge here directly; the parallel delivery
-  // and termination passes charge per-receiver-shard accounts and merge
-  // them into this one in fixed shard order each round (exact — see
+  // The run's message account. The send phase and the delivery and
+  // termination passes charge per-shard accounts and merge them into this
+  // one in fixed shard order each round (exact — see
   // CongestAccount::merge_from). Folded into the RunResult once, at the
   // end of run().
   detail::CongestAccount acct_;
@@ -741,7 +728,6 @@ class Engine {
   // additionally reuses their capacity across consecutive engines) ---
   std::unique_ptr<EngineScratch> owned_scratch_;  // null when injected
   EngineScratch& s_;
-  bool use_sorted_sends_ = false;           // this round's sends were sorted
   std::unique_ptr<ThreadPool> owned_pool_;  // null when shared
   ThreadPool* pool_ = nullptr;              // workers when num_threads > 1
   // Bandwidth scheduler; only constructed for enforcing policies, so the

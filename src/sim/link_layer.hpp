@@ -21,16 +21,15 @@
 //                 fails, identifying the offending link and round.
 //
 // Determinism by construction: fresh sends are ingested in the engine's
-// canonical (sender, channel, send order); links transmit in ascending
-// (sender, neighbor) order; and all link-state mutation happens in the
-// serial delivery step between the (possibly parallel) send and receive
-// phases, so `num_threads` cannot influence the schedule. An enforcing
-// policy therefore selects the engine's serial reference delivery path —
-// the receiver-sharded parallel scatter never runs under a link layer, and
-// the layer charges the engine's run account directly (never the per-shard
-// accounts), so link budgets and RunResult counters stay exact. The full
-// contract lives in docs/MODEL.md, "CONGEST enforcement semantics";
-// tests/engine_test.cpp and tests/engine_determinism_test.cpp pin it.
+// canonical (sender, channel, send order) — the send shards' buffers, read
+// in shard order — links transmit in ascending (sender, neighbor) order,
+// and all link-state mutation happens in one serial step between the
+// engine's sharded delivery passes and its receive phase, so `num_threads`
+// cannot influence the schedule. The layer keeps no message account: the
+// engine's delivery pass has charged every record before ingest(). The
+// full contract lives in docs/MODEL.md, "CONGEST enforcement semantics";
+// tests/engine_test.cpp, tests/engine_determinism_test.cpp and
+// tests/reference_sim_test.cpp pin it.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +39,8 @@
 
 namespace dgap::detail {
 
-// message_width / CongestAccount — the shared accounting primitives — live
-// in sim/engine.hpp (the engine owns the run account; serial sites, this
-// link layer included, charge it directly, and the parallel delivery pass
-// merges its per-receiver-shard accounts into it in fixed shard order).
+// message_width lives in sim/engine.hpp, beside the engine's message
+// account, which this layer never charges.
 
 /// A message the link layer cleared for delivery this round. `words` stays
 /// valid through the round's receive phase (it points into either the

@@ -7,7 +7,8 @@
 //  2. Accounting: total == sent + suppressed exactly (nominal invariance),
 //     a knobs-off run suppresses nothing, and the split is identical
 //     across thread counts (the resend cache is keyed to receiver-shard
-//     ownership, so every delivery path replays the same hit sequence).
+//     ownership, so every thread count replays the same hit sequence, in
+//     inbox order).
 //  3. Reduction: flood_min re-sends collapse (> 30% of words off the wire).
 //  4. Composition hazards: a suppressed re-send meeting a terminating
 //     neighbor (the PR 3 stale-tentative hazard, now with caching), and
@@ -214,6 +215,38 @@ TEST(CompileReduction, CacheSuppressesExactRepeatsOnly) {
   // 12 directed edges, 4 rounds: rounds 2..4 are all hits.
   EXPECT_EQ(constant.messages_suppressed, 12 * 3);
   EXPECT_EQ(constant.messages_sent, 12);
+}
+
+/// Node 0 of a 2-node line sends (ch 1, {5}) in round 1, then (ch 2, {6})
+/// and (ch 1, {5}) in round 2. The receiver's memory of the edge meets the
+/// round-2 messages in inbox order, (sender, channel, send order), so the
+/// repeat of round 1 is a hit: one message is suppressed, at every thread
+/// count.
+TEST(CompileReduction, CacheSeesEachSendersMessagesInChannelOrder) {
+  Graph g = make_line(2);
+  struct DecreasingChannels final : NodeProgram {
+    void on_send(NodeContext& ctx) override {
+      if (ctx.index() != 0) return;
+      if (ctx.round() == 2) ctx.send(1, {Value(6)}, 2);
+      ctx.send(1, {Value(5)}, 1);
+    }
+    void on_receive(NodeContext& ctx) override {
+      if (ctx.round() == 2) {
+        ctx.set_output(1);
+        ctx.terminate();
+      }
+    }
+  };
+  for (const int threads : {1, 2}) {
+    EngineOptions opt;
+    opt.num_threads = threads;
+    opt.compile.cache_resends = true;
+    const auto r = run_algorithm(
+        g, [](NodeId) { return std::make_unique<DecreasingChannels>(); },
+        opt);
+    EXPECT_EQ(r.messages_suppressed, 1) << "threads " << threads;
+    EXPECT_EQ(r.messages_sent, 2) << "threads " << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------

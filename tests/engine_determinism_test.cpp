@@ -3,9 +3,11 @@
 //
 //  1. A run is a pure function of (graph, factory, options): running twice
 //     with the same seed yields a bit-identical RunResult.
-//  2. num_threads never affects the result: parallel runs are bit-identical
-//     to the serial run (shard slices are pure functions of the active
-//     count, and per-shard output is merged in slice order).
+//  2. num_threads never affects the result: every thread count, one
+//     included, runs the same sharded passes, whose slices are pure
+//     functions of the worklist size and shard count, and per-shard output
+//     is merged in shard order. reference_sim_test checks the runs against
+//     an independent model of docs/MODEL.md.
 //  3. Algorithms break symmetry by identifiers, never internal indices, so
 //     permuting the internal node order yields the same per-identifier
 //     outputs and the same global metrics.
@@ -18,9 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <map>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,40 +30,13 @@
 #include "mis/checkers.hpp"
 #include "mis/congest_global.hpp"
 #include "random/luby.hpp"
+#include "random_traffic.hpp"
 #include "sim/compile.hpp"
 #include "sim/engine.hpp"
 #include "sim/transcript.hpp"
 
 namespace dgap {
 namespace {
-
-/// Everything in RunResult except the host-clock measurements (wall_ms and
-/// phase_ns, explicitly excluded from the determinism contract) and
-/// peak_arena_bytes (capacity growth may differ across thread counts; the
-/// *contents* may not). The suppression split is compared exactly: the
-/// parallel delivery's per-shard accounts must merge to the same counters
-/// the serial reference path charges.
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.termination_round, b.termination_round);
-  EXPECT_EQ(a.outputs, b.outputs);
-  EXPECT_EQ(a.edge_outputs, b.edge_outputs);
-  EXPECT_EQ(a.total_messages, b.total_messages);
-  EXPECT_EQ(a.total_words, b.total_words);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.words_sent, b.words_sent);
-  EXPECT_EQ(a.messages_suppressed, b.messages_suppressed);
-  EXPECT_EQ(a.words_suppressed, b.words_suppressed);
-  EXPECT_EQ(a.max_message_words, b.max_message_words);
-  EXPECT_EQ(a.congest_violations, b.congest_violations);
-  EXPECT_EQ(a.deferred_messages, b.deferred_messages);
-  EXPECT_EQ(a.deferred_words, b.deferred_words);
-  EXPECT_EQ(a.truncated_messages, b.truncated_messages);
-  EXPECT_EQ(a.truncated_words, b.truncated_words);
-  EXPECT_EQ(a.link_backlog_peak_words, b.link_backlog_peak_words);
-  EXPECT_EQ(a.rounds_with_backlog, b.rounds_with_backlog);
-}
 
 Graph test_graph() {
   Rng rng(2024);
@@ -285,11 +258,11 @@ TEST(EngineDeterminism, DeferTranscriptIsThreadCountInvariant) {
   }
 }
 
-// Compile knobs change which delivery path charges the suppression split
-// (the parallel pass keys the resend cache to receiver-shard ownership),
-// so sweep them together with streamed transcripts: the on-disk bytes of
-// a compiled run must be identical for every thread count, and nonzero
-// suppression must merge to the same counters.
+// The resend cache is keyed to receiver-shard ownership and its hits are
+// charged to per-shard accounts, so sweep the compile knobs together with
+// streamed transcripts: the on-disk bytes of a compiled run must be
+// identical for every thread count, and nonzero suppression must merge to
+// the same counters.
 TEST(EngineDeterminism, CompiledStreamedTranscriptIsThreadCountInvariant) {
   // flood_min re-broadcasts its stabilized minimum every round, so the
   // resend cache must suppress most of the traffic.
@@ -346,106 +319,19 @@ TEST(EngineDeterminism, CompiledRoundsTranscriptIsThreadCountInvariant) {
   }
 }
 
-/// Seeded random traffic for the pull-versus-record comparison. Each
-/// node-round draws, from (seed, identifier, round, everything received so
-/// far), a few operations: broadcasts on channels 0–3 (so some sequences
-/// decrease), point-to-point sends to any neighbor (terminated ones
-/// included), payloads of 0–5 words (crossing SendRecord::kInlineCap), and
-/// a declared default that some payloads match. Received messages fold
-/// into a digest that steers later draws, idle() calls and terminations
-/// (some with an edge output), so any delivery difference changes the run.
-class RandomTrafficProgram final : public NodeProgram {
- public:
-  explicit RandomTrafficProgram(std::uint64_t seed) : seed_(seed) {}
-
-  void on_send(NodeContext& ctx) override {
-    Rng rng = draw(ctx, 1);
-    if (rng.flip(0.4)) {
-      ctx.declare_default({static_cast<Value>(rng.next_below(2))},
-                          static_cast<int>(rng.next_below(4)));
-    }
-    const auto nb = ctx.neighbors();
-    const int ops = static_cast<int>(rng.next_below(4));
-    for (int k = 0; k < ops; ++k) {
-      const int channel = static_cast<int>(rng.next_below(4));
-      const std::size_t len = rng.next_below(6);
-      Value words[5];
-      for (std::size_t i = 0; i < len; ++i) {
-        words[i] = static_cast<Value>(rng.next_below(3));
-      }
-      if (nb.empty() || rng.flip(0.7)) {
-        ctx.broadcast(words, len, channel);
-      } else {
-        ctx.send(nb[rng.next_below(nb.size())], words, len, channel);
-      }
-    }
-  }
-
-  void on_receive(NodeContext& ctx) override {
-    for (const Message& m : ctx.inbox()) {
-      digest_ = digest_ * 1315423911u +
-                static_cast<std::uint64_t>(ctx.neighbor_id(m.from));
-      digest_ = digest_ * 31u + static_cast<std::uint64_t>(m.channel);
-      for (const Value w : m.words) {
-        digest_ = digest_ * 31u + static_cast<std::uint64_t>(w);
-      }
-      digest_ = digest_ * 31u + m.words.size();
-    }
-    Rng rng = draw(ctx, 2);
-    const auto an = ctx.active_neighbors();
-    if (ctx.round() >= 4 && rng.flip(0.25)) {
-      ctx.set_output(static_cast<Value>(digest_ >> 1));
-      if (!an.empty() && rng.flip(0.5)) {
-        ctx.set_output_for(an[rng.next_below(an.size())],
-                           static_cast<Value>(digest_ & 0xff));
-      }
-      ctx.terminate();
-    } else if (!an.empty() && rng.flip(0.15)) {
-      ctx.idle();
-    }
-  }
-
- private:
-  Rng draw(const NodeContext& ctx, std::uint64_t salt) const {
-    return Rng(seed_ ^
-               (static_cast<std::uint64_t>(ctx.id()) * 0x9e3779b97f4a7c15ULL) ^
-               (static_cast<std::uint64_t>(ctx.round()) * 0xbf58476d1ce4e5b9ULL) ^
-               (digest_ * 0x94d049bb133111ebULL) ^ salt);
-  }
-
-  std::uint64_t seed_;
-  std::uint64_t digest_ = 1;
-};
-
-/// Every receiver's per-round message sequence from a kPayloads transcript.
-using InboxKey = std::pair<int, NodeId>;  // (round, receiver)
-using InboxEntry = std::tuple<NodeId, int, std::vector<Value>, bool>;
-std::map<InboxKey, std::vector<InboxEntry>> inboxes_of(
-    const std::vector<std::uint8_t>& bytes) {
-  std::map<InboxKey, std::vector<InboxEntry>> out;
-  for (const TranscriptRound& r : decode_transcript(bytes).rounds) {
-    for (const TranscriptMessage& m : r.messages) {
-      out[{r.round, m.to}].emplace_back(m.from, m.channel, m.words,
-                                        m.suppressed);
-    }
-  }
-  return out;
-}
-
 // Broadcasts take the pull path under kCount; kFail with a budget no
 // link's round traffic reaches keeps every broadcast on per-neighbor
-// records through the link layer. The two must agree on the RunResult and,
-// receiver by receiver, on every round's inbox. (Whole transcripts differ
-// in their headers, and in receiver order on rounds with decreasing
-// channels, where the link layer sees the repaired order.)
+// records through the link layer. The two must agree on the RunResult and
+// on every decoded round, receiver order included: both follow the
+// (sender, channel, send order) sequence the send phase sorts, also on
+// rounds where a node sends on decreasing channels. (Whole transcripts
+// differ in their headers.)
 TEST(EngineDeterminism, PullBroadcastsMatchRecordDeliveryPerReceiver) {
   Rng graph_rng(41);
   Graph g = make_random_connected(96, 160, graph_rng);
   randomize_ids(g, graph_rng);
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    const ProgramFactory factory = [seed](NodeId) {
-      return std::make_unique<RandomTrafficProgram>(seed);
-    };
+    const ProgramFactory factory = engine_factory<RandomTraffic>(seed);
     for (const bool defaults : {false, true}) {
       EngineOptions records = threaded_options(1);
       records.max_rounds = 60;
@@ -457,7 +343,7 @@ TEST(EngineDeterminism, PullBroadcastsMatchRecordDeliveryPerReceiver) {
       EXPECT_GT(reference.result.rounds, 4);
       EXPECT_GT(reference.result.total_messages, 0);
       EXPECT_EQ(reference.result.messages_suppressed > 0, defaults);
-      const auto want = inboxes_of(reference.transcript);
+      const auto want = decode_transcript(reference.transcript).rounds;
       std::vector<std::uint8_t> serial_pull;
       for (int threads : {1, 2, 4}) {
         EngineOptions pull = records;
@@ -469,7 +355,7 @@ TEST(EngineDeterminism, PullBroadcastsMatchRecordDeliveryPerReceiver) {
                                   " defaults " + std::to_string(defaults) +
                                   " threads " + std::to_string(threads);
         expect_identical(reference.result, run.result);
-        EXPECT_TRUE(want == inboxes_of(run.transcript)) << where;
+        EXPECT_TRUE(want == decode_transcript(run.transcript).rounds) << where;
         if (threads == 1) {
           serial_pull = run.transcript;
         } else {

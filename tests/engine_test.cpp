@@ -657,9 +657,9 @@ TEST(Engine, PhaseProfilerStreamsPerRoundDeltas) {
 }
 
 TEST(Engine, PhaseProfilerLinkAndTraceSpans) {
-  // Under an enforcing policy the delivery span is attributed to link_ns
-  // (the serial reference path), and a payload-recording sink makes the
-  // trace span nonzero.
+  // Under an enforcing policy the delivery span, link layer included, is
+  // attributed to link_ns, and a payload-recording sink makes the trace
+  // span nonzero.
   Rng rng(77);
   Graph g = make_gnp(128, 8.0 / 128, rng);
   EngineOptions opt;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,7 +154,7 @@ TEST(ScratchReuse, SurvivesRepeatedShrinkGrowCycles) {
 
 TEST(ScratchReuse, ThreadedDeliveryOnReusedScratchStaysIdentical) {
   // Sharded delivery writes per-thread send buffers through the same
-  // scratch; the serial fresh-scratch transcript is still the contract.
+  // scratch; the one-thread fresh-scratch transcript is still the contract.
   const std::vector<Step> steps = decreasing_steps();
   EngineScratch scratch;
   for (const Step& step : steps) {
@@ -161,6 +162,22 @@ TEST(ScratchReuse, ThreadedDeliveryOnReusedScratchStaysIdentical) {
     EXPECT_EQ(fresh, record(step, &scratch, /*num_threads=*/2))
         << step.label;
   }
+}
+
+TEST(ScratchReuse, RejectedThreadCountLeavesTheScratchAlone) {
+  // The range checks run before the engine touches the scratch, so a
+  // rejected num_threads allocates no shards in the caller's scratch.
+  // (Only 65,536 is tried: it fails the check and starts no thread.)
+  const std::vector<Step> steps = decreasing_steps();
+  EngineScratch scratch;
+  record(steps.front(), &scratch, /*num_threads=*/2);
+  ASSERT_EQ(scratch.shards.size(), 2u);
+  EngineOptions opt;
+  opt.num_threads = 65'536;
+  EXPECT_THROW(Engine engine(steps.front().graph, empty_predictions(),
+                             greedy_mis_algorithm(), opt, nullptr, &scratch),
+               std::invalid_argument);
+  EXPECT_EQ(scratch.shards.size(), 2u);
 }
 
 }  // namespace
