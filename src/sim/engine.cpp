@@ -396,7 +396,6 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   s_.recv_count.assign(nu, 0);
   s_.recv_nodes.clear();
   s_.woken.clear();
-  s_.touched_receivers.clear();
   s_.inbox_flat.clear();
   s_.shards.resize(static_cast<std::size_t>(options_.num_threads));
   for (auto& sh : s_.shards) {
@@ -419,15 +418,12 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   for (auto& rs : s_.recv_shards) {
     rs.acct = detail::CongestAccount{};
     rs.touched.clear();
-    rs.touched_first.clear();
     rs.delivered = 0;
     rs.region = 0;
     rs.newly_terminated.clear();
     rs.wake.clear();
     rs.next_awake.clear();
   }
-  s_.send_base.assign(nshards + 1, 0);
-  s_.merge_pos.assign(nshards, 0);
   if (options_.num_threads > 1) {
     if (shared_pool != nullptr) {
       DGAP_REQUIRE(shared_pool->num_slots() == options_.num_threads,
@@ -568,17 +564,13 @@ void Engine::deliver_round_messages() {
   //   C (serial) prefix-sum the per-shard inbox regions.
   //   D (over receiver shards) assign each owned receiver's slice inside
   //     this shard's region and scatter the owned records into it.
-  //   Then, serially and in O(shards + receivers), merge the per-shard
-  //     first-touch lists into the global first-touch order.
   //
   // The shard buffers are already in canonical (sender, channel, send
   // order) — the send phase sorts the rare node-round whose channels
   // decrease — so each receiver's slice, each edge's cache sequence and
-  // the account totals are the same for every S. The final merge on the
-  // global index of each receiver's first record recovers the trace
-  // spine's first-touch receiver order. inbox_flat's internal layout does
-  // depend on S (shard regions), but nothing observes the layout — every
-  // consumer goes through inbox_ref or touched_receivers.
+  // the account totals are the same for every S. inbox_flat's internal
+  // layout does depend on S (shard regions), but nothing observes the
+  // layout — every consumer goes through inbox_ref.
   //
   // Every sent message is charged in pass B — including messages addressed
   // to a node that terminated in an earlier round. The model's cost
@@ -618,17 +610,14 @@ void Engine::deliver_round_messages() {
     }
   });
 
-  // Serial inter-pass step: per-sender-shard global index bases, the arena
-  // high-water mark, and — when compiling — the long-payload store, sized
-  // here so pass B never resizes a shared vector concurrently.
+  // Serial inter-pass step: the arena high-water mark, and — when
+  // compiling — the long-payload store, sized here so pass B never resizes
+  // a shared vector concurrently.
   std::size_t arena_words = 0;
   bool any_long = false;
-  s_.send_base[0] = 0;
-  for (std::size_t k = 0; k < S; ++k) {
-    s_.send_base[k + 1] =
-        s_.send_base[k] + static_cast<std::uint32_t>(s_.shards[k].sends.size());
-    arena_words += s_.shards[k].arena.size();
-    any_long |= s_.shards[k].any_long;
+  for (const auto& sh : s_.shards) {
+    arena_words += sh.arena.size();
+    any_long |= sh.any_long;
   }
   peak_arena_words_ = std::max(peak_arena_words_, arena_words);
   if (compile_cache_ && any_long &&
@@ -641,11 +630,9 @@ void Engine::deliver_round_messages() {
     auto& rs = s_.recv_shards[tu];
     rs.acct = detail::CongestAccount{};
     rs.touched.clear();
-    rs.touched_first.clear();
     std::uint32_t delivered = 0;
     for (std::size_t k = 0; k < S; ++k) {
       auto& sh = s_.shards[k];
-      const std::uint32_t base_idx = s_.send_base[k];
       const std::uint32_t je = sh.route_begin[tu + 1];
       for (std::uint32_t j = sh.route_begin[tu]; j < je; ++j) {
         const std::uint32_t idx = S == 1 ? j : sh.route_idx[j];
@@ -656,10 +643,7 @@ void Engine::deliver_round_messages() {
         rs.acct.charge(r.len, r.channel, congest_limit, r.suppressed);
         // Under an enforcing policy the link layer decides what arrives.
         if (!enforce && s_.node_active[r.to]) {
-          if (s_.recv_count[r.to]++ == 0) {
-            rs.touched.push_back(r.to);
-            if (S > 1) rs.touched_first.push_back(base_idx + idx);
-          }
+          if (s_.recv_count[r.to]++ == 0) rs.touched.push_back(r.to);
           ++delivered;
         }
       }
@@ -698,36 +682,10 @@ void Engine::deliver_round_messages() {
         auto& ref = s_.inbox_ref[r.to];
         s_.inbox_flat[ref.begin + ref.count++] =
             Message{r.from, static_cast<int>(r.channel),
-                    WordSpan(r.words, r.len), false, r.suppressed};
+                    WordSpan(r.words, r.len), r.suppressed};
       }
     }
   });
-
-  // One shard's first-touch list is the global one; take it without a copy.
-  if (S == 1) {
-    std::swap(s_.touched_receivers, s_.recv_shards[0].touched);
-    return;
-  }
-  s_.touched_receivers.clear();
-  std::fill(s_.merge_pos.begin(), s_.merge_pos.end(), 0);
-  for (;;) {
-    std::size_t best = S;
-    std::uint32_t best_first = 0;
-    for (std::size_t t = 0; t < S; ++t) {
-      const auto& rs = s_.recv_shards[t];
-      const std::size_t pos = s_.merge_pos[t];
-      if (pos >= rs.touched_first.size()) continue;
-      const std::uint32_t f = rs.touched_first[pos];
-      if (best == S || f < best_first) {
-        best = t;
-        best_first = f;
-      }
-    }
-    if (best == S) break;
-    s_.touched_receivers.push_back(
-        s_.recv_shards[best].touched[s_.merge_pos[best]]);
-    ++s_.merge_pos[best];
-  }
 }
 
 void Engine::deliver_enforced() {
@@ -741,9 +699,9 @@ void Engine::deliver_enforced() {
     for (const auto& r : sh.sends) {
       if (r.suppressed) {
         // A suppressed message never crosses the wire, so it cannot be
-        // deferred, truncated, or charged against a link budget; it is
-        // synthesized at the receiver in its send round (the free lunch —
-        // compile_test pins the no-double-count property).
+        // deferred or charged against a link budget; it is synthesized at
+        // the receiver in its send round (the free lunch — compile_test
+        // pins the no-double-count property).
         if (s_.node_active[r.to]) link.deliver_suppressed(r);
         continue;
       }
@@ -756,13 +714,14 @@ void Engine::deliver_enforced() {
   // them with ascending senders and FIFO per link, so each receiver's slice
   // comes out in (sender, channel, send order) like the kCount path — for
   // carried-over traffic, ordered by the round the words finished crossing.
+  // Shard 0's touched list, which pass B cleared, collects the receivers.
   const auto& deliveries = link.deliveries();
-  s_.touched_receivers.clear();
+  auto& touched = s_.recv_shards[0].touched;
   for (const auto& d : deliveries) {
-    if (s_.recv_count[d.to]++ == 0) s_.touched_receivers.push_back(d.to);
+    if (s_.recv_count[d.to]++ == 0) touched.push_back(d.to);
   }
   std::uint32_t cursor = 0;
-  for (const NodeId to : s_.touched_receivers) {
+  for (const NodeId to : touched) {
     s_.inbox_ref[to] = {cursor, 0, round_};
     cursor += s_.recv_count[to];
     s_.recv_count[to] = 0;  // restore the all-zero invariant for next round
@@ -772,7 +731,7 @@ void Engine::deliver_enforced() {
     auto& ref = s_.inbox_ref[d.to];
     s_.inbox_flat[ref.begin + ref.count++] =
         Message{d.from, static_cast<int>(d.channel), WordSpan(d.words, d.len),
-                d.truncated, d.suppressed};
+                d.suppressed};
   }
 }
 
@@ -814,15 +773,17 @@ bool Engine::cache_check_and_update(detail::SendRecord& r) {
 const std::vector<NodeId>& Engine::collect_delivery_wakes() {
   // A delivery to a sleeping node wakes it for this round's receive phase
   // (it skipped the send phase, which is consistent with its quiescence
-  // promise — the wake event postdates the send phase anyway). Receivers
-  // in touched_receivers are already filtered to active nodes, and so are
-  // the active-neighbor prefixes a pull broadcast reaches; those are only
-  // walked when some node sleeps.
+  // promise — the wake event postdates the send phase anyway). The record
+  // receivers on the shards' touched lists are already filtered to active
+  // nodes, and so are the active-neighbor prefixes a pull broadcast
+  // reaches; those are only walked when some node sleeps.
   s_.woken.clear();
-  for (const NodeId to : s_.touched_receivers) {
-    if (!s_.node_awake[to]) {
-      s_.node_awake[to] = 1;
-      s_.woken.push_back(to);
+  for (const auto& rs : s_.recv_shards) {
+    for (const NodeId to : rs.touched) {
+      if (!s_.node_awake[to]) {
+        s_.node_awake[to] = 1;
+        s_.woken.push_back(to);
+      }
     }
   }
   if (round_has_pulls_ &&
@@ -847,46 +808,22 @@ const std::vector<NodeId>& Engine::collect_delivery_wakes() {
   return s_.recv_nodes;
 }
 
-void Engine::trace_deliveries() {
-  // Emit every receiver's inbox — receivers in first-touch order, each
-  // inbox in canonical (sender, channel, send order) — so the stream is
-  // exactly the round's inbox contents and is bit-identical across
-  // num_threads. Runs between delivery and the receive phase, on the main
-  // thread. Without pull entries touched_receivers already holds the
-  // first-touch order. Otherwise rebuild it over the canonical sender
-  // sequence the record path would have scattered: senders ascending, a
-  // record sender's records in (channel, send order), and a pull sender's
-  // broadcasts, which reach its active-neighbor prefix in ascending order.
-  // The recv_count scratch (all zero between rounds) marks receivers seen.
-  if (round_has_pulls_) {
-    s_.touched_receivers.clear();
-    const auto touch = [this](NodeId to) {
-      if (s_.recv_count[to]++ == 0) s_.touched_receivers.push_back(to);
-    };
-    for (const auto& sh : s_.shards) {
-      std::size_t ri = 0, pi = 0;
-      const std::size_t rn = sh.sends.size(), pn = sh.pull_senders.size();
-      while (ri < rn || pi < pn) {
-        if (ri >= rn || (pi < pn && sh.pull_senders[pi] < sh.sends[ri].from)) {
-          for (const NodeId x : active_prefix(sh.pull_senders[pi++])) touch(x);
-        } else {
-          const detail::SendRecord& r = sh.sends[ri++];
-          if (s_.node_active[r.to]) touch(r.to);
-        }
-      }
-    }
-    for (const NodeId to : s_.touched_receivers) s_.recv_count[to] = 0;
-  }
-  for (const NodeId to : s_.touched_receivers) {
+void Engine::trace_deliveries(const std::vector<NodeId>& recv) {
+  // Emit every nonempty inbox — receivers ascending, each inbox in its
+  // (sender, channel, send order) — so the stream is exactly the round's
+  // inbox contents and is bit-identical across num_threads. Runs between
+  // delivery and the receive phase, on the main thread. The receive
+  // worklist ascends and holds every receiver: deliveries reach only
+  // active nodes, and a delivery wakes a sleeper.
+  for (const NodeId to : recv) {
     std::span<const Message> inbox = record_inbox(to);
     if (round_has_pulls_) {
       gather_inbox(to, trace_inbox_);
       inbox = trace_inbox_;
     }
     for (const Message& m : inbox) {
-      const TraceMessage tm{round_, m.from, to, m.channel, m.words,
-                            m.truncated, m.suppressed};
-      sink_->on_message(tm);
+      sink_->on_message(
+          {round_, m.from, to, m.channel, m.words, m.suppressed});
     }
   }
 }
@@ -922,7 +859,7 @@ void Engine::gather_inbox(NodeId v, std::vector<Message>& out) const {
                                ? e.inline_words
                                : src.arena.data() + e.offset;
       out.push_back(Message{u, static_cast<int>(e.channel),
-                            WordSpan(words, e.len), false, e.suppressed});
+                            WordSpan(words, e.len), e.suppressed});
     }
   }
   out.insert(out.end(), records.begin() + static_cast<std::ptrdiff_t>(ri),
@@ -1173,7 +1110,7 @@ RunResult Engine::run() {
     const std::vector<NodeId>& recv = collect_delivery_wakes();
     (link_ ? rp.link_ns : rp.scatter_ns) = lap();
     if (trace_messages_) {
-      trace_deliveries();
+      trace_deliveries(recv);
       rp.trace_ns = lap();
     }
     receive_phase(recv);

@@ -44,9 +44,6 @@ enum class CongestPolicy {
   /// Enforce by store-and-forward: a link transmits at most B words per
   /// round; excess queues FIFO per link and arrives in a later round.
   kDefer,
-  /// Enforce by loss: words beyond the link's remaining round budget are
-  /// dropped and the delivered message is marked `Message::truncated`.
-  kTruncate,
   /// Enforce by contract: an over-budget send throws (DGAP_REQUIRE).
   kFail,
 };
@@ -57,8 +54,6 @@ enum class CongestPolicy {
 /// message, and its width is charged as one extra word whenever nonzero.
 /// `words` is a borrowed view into the engine's round arena — valid only
 /// during this round's receive phase; copy words out to keep them.
-/// `truncated` is set only under CongestPolicy::kTruncate, on messages
-/// that lost words to the link budget.
 /// `suppressed` is set only under message-reduction compilation
 /// (EngineOptions::compile): the payload never crossed the wire — the
 /// receiver reconstructs it from silence (a declared default or its
@@ -69,7 +64,6 @@ struct Message {
   NodeId from = kNoNode;  // sender's internal index
   int channel = 0;
   WordSpan words;
-  bool truncated = false;
   bool suppressed = false;
 };
 
@@ -244,21 +238,20 @@ struct SendShard {
 /// and every per-node slot (recv_count, inbox slices, active-neighbor
 /// prefixes, awake flags, and the compile pass's per-in-edge cache lines)
 /// of an owned node is touched by exactly one shard, so the passes need no
-/// locks and no atomics. Per-shard outputs (touched lists, wake lists,
-/// account) are merged serially in fixed shard order; because ownership
-/// ranges are contiguous and ascending, concatenation in shard order *is*
-/// ascending node order, and the account counters are order-independent
-/// reductions — which is why the merged result is the same for every S
-/// (docs/MODEL.md, "Simulator internals & performance model").
+/// locks and no atomics. Per-shard outputs (wake lists, account) are
+/// merged serially in fixed shard order; because ownership ranges are
+/// contiguous and ascending, concatenation in shard order *is* ascending
+/// node order, and the account counters are order-independent reductions —
+/// which is why the merged result is the same for every S (docs/MODEL.md,
+/// "Simulator internals & performance model").
 struct RecvShard {
-  CongestAccount acct;                       // merged in shard order
-  std::vector<NodeId> touched;               // owned receivers, first-touch
-  std::vector<std::uint32_t> touched_first;  // global index of first record
-  std::uint32_t delivered = 0;               // records scattered by this shard
-  std::uint32_t region = 0;                  // this shard's inbox_flat base
-  std::vector<NodeId> newly_terminated;      // T1: this recv slice's (asc.)
-  std::vector<NodeId> wake;                  // owned sleepers woken (sorted)
-  std::vector<NodeId> next_awake;            // owned slice of the rebuild
+  CongestAccount acct;                   // merged in shard order
+  std::vector<NodeId> touched;           // owned record receivers
+  std::uint32_t delivered = 0;           // records scattered by this shard
+  std::uint32_t region = 0;              // this shard's inbox_flat base
+  std::vector<NodeId> newly_terminated;  // T1: this recv slice's (asc.)
+  std::vector<NodeId> wake;              // owned sleepers woken (sorted)
+  std::vector<NodeId> next_awake;        // owned slice of the rebuild
 };
 
 /// Inbox of one node = a slice of the flat round buffer, valid for one
@@ -311,11 +304,8 @@ struct EngineScratch {
   std::vector<detail::InboxRef> inbox_ref;  // per node, stamped by round
   std::vector<detail::OutboxRef> outbox_ref;  // per node, stamped by round
   std::vector<std::uint32_t> recv_count;  // scratch; all-zero between rounds
-  std::vector<NodeId> touched_receivers;  // receivers seen this round
   // --- receiver-shard ownership (delivery and termination passes) ---
   std::vector<detail::RecvShard> recv_shards;  // one per engine thread
-  std::vector<std::uint32_t> send_base;   // global index base per send shard
-  std::vector<std::size_t> merge_pos;     // touched-list merge cursor scratch
   // --- message-reduction compiler state (EngineOptions::compile), SoA per
   // directed edge, addressed by the graph's CSR slot of (from, to). The
   // cache models the receiver's one-slot memory of the link's previous
@@ -421,7 +411,7 @@ class NodeContext {
   /// under CongestPolicy::kDefer.
   std::int64_t link_backlog(NodeId u) const;
   /// The per-link word budget this run defers excess traffic against, or 0
-  /// when delivery is same-round (count / truncate / fail policies).
+  /// when delivery is same-round (count / fail policies).
   /// Budget-aware schedules stretch their stages by this (it is global and
   /// round-invariant, so schedules stay pure functions of the instance).
   int link_budget() const;
@@ -554,9 +544,6 @@ struct RunResult {
   /// they had to carry into later rounds.
   std::int64_t deferred_messages = 0;
   std::int64_t deferred_words = 0;
-  /// Messages that lost words under kTruncate, and the words dropped.
-  std::int64_t truncated_messages = 0;
-  std::int64_t truncated_words = 0;
   /// High-water mark of any single link's carry-over queue, in words.
   std::int64_t link_backlog_peak_words = 0;
   /// Rounds that began with words still in flight — the gap between the
@@ -668,10 +655,10 @@ class Engine {
   /// order. Returns true when the record repeats the edge's previous
   /// message — the caller marks it suppressed.
   bool cache_check_and_update(detail::SendRecord& r);
-  /// Emit this round's delivered messages to the sink, receivers in
-  /// first-touch order over the canonical sender sequence. Only called
-  /// when a sink wants message detail.
-  void trace_deliveries();
+  /// Emit this round's delivered messages to the sink: each nonempty inbox
+  /// of the receive worklist `recv`, receivers ascending. Only called when
+  /// a sink wants message detail.
+  void trace_deliveries(const std::vector<NodeId>& recv);
   /// Node v's full inbox this round into `out`: its record slice merged,
   /// by sender, with the pull entries of its active neighbors. Two
   /// dependent random reads per pull sender (stamp, then entry); at 2^16

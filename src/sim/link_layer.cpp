@@ -43,20 +43,19 @@ void LinkLayer::begin_round(int round) {
 }
 
 void LinkLayer::deliver(NodeId to, NodeId from, std::int32_t channel,
-                        const Value* words, std::uint32_t len,
-                        bool truncated) {
-  deliveries_.push_back({to, from, channel, len, words, truncated});
+                        const Value* words, std::uint32_t len) {
+  deliveries_.push_back({to, from, channel, len, words});
 }
 
 void LinkLayer::deliver_suppressed(const SendRecord& r) {
   // Synthesized delivery: no link budget is consumed, no queue entry is
-  // created, nothing can be deferred or truncated. Arrives in its send
-  // round, before any link-transmitted traffic of the round (the engine
-  // ingests sends in canonical order, so these keep ascending-sender order
-  // among themselves). The record's payload pointer stays valid through the
+  // created, nothing can be deferred. Arrives in its send round, before
+  // any link-transmitted traffic of the round (the engine ingests sends in
+  // canonical order, so these keep ascending-sender order among
+  // themselves). The record's payload pointer stays valid through the
   // receive phase (it points into the frozen shard arenas).
   deliveries_.push_back(
-      {r.to, r.from, r.channel, r.len, r.words, false, /*suppressed=*/true});
+      {r.to, r.from, r.channel, r.len, r.words, /*suppressed=*/true});
 }
 
 void LinkLayer::ingest(const SendRecord& r, const std::uint8_t* node_active) {
@@ -84,26 +83,6 @@ void LinkLayer::ingest(const SendRecord& r, const std::uint8_t* node_active) {
       }
       break;
     }
-    case CongestPolicy::kTruncate: {
-      // The message arrives this round regardless; only the words beyond
-      // the link's remaining budget are lost. A nonzero channel tag is
-      // transmitted first (the receiver needs it to route the message).
-      used_touched_.push_back(link);
-      const std::uint32_t avail = budget_ - used_[link];
-      const std::uint32_t consumed = std::min(width, avail);
-      used_[link] += consumed;
-      std::uint32_t payload_len = consumed;
-      if (r.channel != 0) payload_len = consumed > 0 ? consumed - 1 : 0;
-      const bool truncated = consumed < width;
-      if (truncated) {
-        ++truncated_messages_;
-        truncated_words_ += width - consumed;
-      }
-      if (node_active[r.to]) {
-        deliver(r.to, r.from, r.channel, r.words, payload_len, truncated);
-      }
-      break;
-    }
     case CongestPolicy::kFail: {
       used_touched_.push_back(link);
       DGAP_REQUIRE(
@@ -116,9 +95,7 @@ void LinkLayer::ingest(const SendRecord& r, const std::uint8_t* node_active) {
               std::to_string(used_[link]) + " already on the link (budget " +
               std::to_string(budget_) + " words per link per round)");
       used_[link] += width;
-      if (node_active[r.to]) {
-        deliver(r.to, r.from, r.channel, r.words, r.len, false);
-      }
+      if (node_active[r.to]) deliver(r.to, r.from, r.channel, r.words, r.len);
       break;
     }
     case CongestPolicy::kCount:
@@ -151,8 +128,7 @@ void LinkLayer::finish_round(const std::uint8_t* node_active) {
         const auto len = static_cast<std::uint32_t>(p.payload.size());
         delivered_store_.push_back(std::move(p.payload));
         // The heap buffer is stable even as delivered_store_ grows.
-        deliver(p.to, p.from, p.channel, delivered_store_.back().data(), len,
-                false);
+        deliver(p.to, p.from, p.channel, delivered_store_.back().data(), len);
       }
       ++ls.head;
     }
@@ -186,8 +162,6 @@ std::int64_t LinkLayer::backlog_words(NodeId from, NodeId to) const {
 void LinkLayer::export_metrics(RunResult& m) const {
   m.deferred_messages = deferred_messages_;
   m.deferred_words = deferred_words_;
-  m.truncated_messages = truncated_messages_;
-  m.truncated_words = truncated_words_;
   m.link_backlog_peak_words = backlog_peak_;
   m.rounds_with_backlog = rounds_with_backlog_;
 }

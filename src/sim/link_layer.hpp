@@ -14,9 +14,6 @@
 //                 message arrives in the round its last word is
 //                 transmitted, so a w-word message occupies the link for
 //                 ceil(w / B) rounds;
-//   * kTruncate — messages always arrive in their send round, but words
-//                 beyond the link's remaining round budget are dropped and
-//                 the message is marked `Message::truncated`;
 //   * kFail     — an over-budget send is a model violation: DGAP_REQUIRE
 //                 fails, identifying the offending link and round.
 //
@@ -51,7 +48,6 @@ struct DeliveredMessage {
   std::int32_t channel = 0;
   std::uint32_t len = 0;
   const Value* words = nullptr;
-  bool truncated = false;
   bool suppressed = false;  // synthesized delivery; never crossed the link
 };
 
@@ -66,13 +62,13 @@ class LinkLayer {
   /// delivered payload storage.
   void begin_round(int round);
 
-  /// Feed one fresh send (canonical order). kTruncate / kFail resolve it
+  /// Feed one fresh send (canonical order). kFail resolves it
   /// immediately; kDefer queues it on its link.
   void ingest(const SendRecord& r, const std::uint8_t* node_active);
 
   /// Deliver a compile-suppressed message in its send round without
   /// touching any link budget: its words never cross the wire, so it can
-  /// neither be deferred, truncated, nor fail the budget contract (the
+  /// neither be deferred nor fail the budget contract (the
   /// no-double-count property compile_test pins). The caller has already
   /// filtered terminated receivers.
   void deliver_suppressed(const SendRecord& r);
@@ -125,7 +121,7 @@ class LinkLayer {
   /// Graph::edge_slot(from, to).
   std::size_t link_index(NodeId from, NodeId to) const;
   void deliver(NodeId to, NodeId from, std::int32_t channel,
-               const Value* words, std::uint32_t len, bool truncated);
+               const Value* words, std::uint32_t len);
 
   const Graph& graph_;
   const CongestPolicy policy_;
@@ -141,7 +137,7 @@ class LinkLayer {
   // receive phase (their heap buffers are stable under vector growth).
   std::vector<std::vector<Value>> delivered_store_;
 
-  // kTruncate / kFail state: per-link words consumed this round.
+  // kFail state: per-link words consumed this round.
   std::vector<std::uint32_t> used_;
   std::vector<std::size_t> used_touched_;
 
@@ -150,8 +146,6 @@ class LinkLayer {
   // Enforcement metrics (see RunResult).
   std::int64_t deferred_messages_ = 0;
   std::int64_t deferred_words_ = 0;
-  std::int64_t truncated_messages_ = 0;
-  std::int64_t truncated_words_ = 0;
   std::int64_t backlog_peak_ = 0;
   std::int64_t rounds_with_backlog_ = 0;
 };

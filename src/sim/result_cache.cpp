@@ -39,8 +39,10 @@ void walk_result(const RunResult& r, Hasher& h) {
   h.word(word_of(r.congest_violations));
   h.word(word_of(r.deferred_messages));
   h.word(word_of(r.deferred_words));
-  h.word(word_of(r.truncated_messages));
-  h.word(word_of(r.truncated_words));
+  // Two zero words where the retired loss-policy counters were hashed, so
+  // every result_checksum pinned before their removal stays valid.
+  h.word(0);
+  h.word(0);
   h.word(word_of(r.link_backlog_peak_words));
   h.word(word_of(r.rounds_with_backlog));
 }

@@ -9,9 +9,7 @@
 //
 //   * TranscriptWriter (sim/transcript.hpp) — the versioned binary
 //     record/replay format behind golden-transcript regression, the
-//     ReplayEngine debugger and `tools/dgap_trace`;
-//   * VerifySink (sim/transcript.hpp) — replays a recorded transcript
-//     against a live run and fails at the first divergent event.
+//     ReplayEngine debugger and `tools/dgap_trace`.
 //
 // Cost contract: when no sink is installed the engine performs no virtual
 // calls and no per-message work — the hot path tests one cached integer.
@@ -67,7 +65,7 @@ enum class TraceDetail {
   /// Round begins (with active counts) and terminations (with outputs).
   kRounds = 0,
   /// Plus one event per delivered message: (round, from, to, channel,
-  /// word count, truncated) — the communication pattern without payloads.
+  /// word count, suppressed) — the communication pattern without payloads.
   kMessages = 1,
   /// Plus the payload words of every delivered message.
   kPayloads = 2,
@@ -84,7 +82,6 @@ struct TraceMessage {
   NodeId to = kNoNode;
   int channel = 0;
   WordSpan words;
-  bool truncated = false;
   /// Synthesized by the message-reduction pass (sim/compile.hpp): the
   /// payload never crossed the wire, but the receiver observed it all the
   /// same, so it is part of the delivery stream.
@@ -94,9 +91,9 @@ struct TraceMessage {
 /// Observer of one engine run. Hooks fire in run order:
 ///   on_run_begin, then per round (on_round_begin, on_message*,
 ///   on_termination*), then on_run_end. Messages of a round arrive
-///   receiver-grouped in the engine's canonical delivery order (the inbox
-///   order: receivers in first-touch order, each slice sorted by (sender,
-///   channel, send order)); terminations arrive in ascending node order.
+///   receiver by receiver, receivers ascending, each inbox in its order
+///   (sender, channel, send order); terminations arrive in ascending node
+///   order.
 /// The stream is bit-identical across num_threads and batch scheduling —
 /// the same determinism contract as RunResult, and the property the
 /// transcript tests pin.

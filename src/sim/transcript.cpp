@@ -1,5 +1,6 @@
 #include "sim/transcript.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 
@@ -250,11 +251,8 @@ void TranscriptWriter::on_message(const TraceMessage& m) {
   put_varint(out_, static_cast<std::uint64_t>(m.from));
   put_varint(out_, static_cast<std::uint64_t>(m.to));
   put_zigzag(out_, m.channel);
-  // Per-message flags byte: bit 0 truncated, bit 1 suppressed. The common
-  // (both clear) encoding is the byte 0 the pre-compile format wrote, so
-  // suppression-free files stay byte-identical under version 1.
-  out_.push_back(static_cast<std::uint8_t>((m.truncated ? 1 : 0) |
-                                           (m.suppressed ? 2 : 0)));
+  // Per-message flags byte: bit 1 suppressed; bit 0 is unassigned.
+  out_.push_back(m.suppressed ? 2 : 0);
   put_varint(out_, m.words.size());
   if (detail_ == TraceDetail::kPayloads) {
     for (const Value w : m.words) put_zigzag(out_, w);
@@ -396,14 +394,17 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
         m.to = static_cast<NodeId>(r.small("message receiver"));
         DGAP_REQUIRE(m.from < t.n && m.to < t.n,
                      "transcript message endpoint out of range");
+        std::vector<TranscriptMessage>& messages = t.rounds.back().messages;
+        DGAP_REQUIRE(messages.empty() || messages.back().to <= m.to,
+                     "transcript round lists receivers out of order");
         const std::int64_t channel = r.zigzag();
         DGAP_REQUIRE(channel >= -0x80000000LL && channel <= 0x7fffffffLL,
                      "transcript channel out of range");
         m.channel = static_cast<int>(channel);
         const std::uint8_t flags = r.byte();
-        DGAP_REQUIRE(flags <= 3, "invalid transcript message flags");
-        m.truncated = (flags & 1) != 0;
-        m.suppressed = (flags & 2) != 0;
+        DGAP_REQUIRE(flags == 0 || flags == 2,
+                     "invalid transcript message flags");
+        m.suppressed = flags == 2;
         m.len = static_cast<std::uint32_t>(r.small("message length"));
         if (t.detail == TraceDetail::kPayloads) {
           m.words.reserve(m.len);
@@ -411,7 +412,7 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
             m.words.push_back(r.zigzag());
           }
         }
-        t.rounds.back().messages.push_back(std::move(m));
+        messages.push_back(std::move(m));
         break;
       }
       case kTagTermination: {
@@ -484,8 +485,8 @@ std::vector<std::uint8_t> encode_transcript(const Transcript& t) {
                      "payload-detail message length disagrees with words");
         words = WordSpan(m.words.data(), m.words.size());
       }
-      w.on_message({round.round, m.from, m.to, m.channel, words,
-                    m.truncated, m.suppressed});
+      w.on_message(
+          {round.round, m.from, m.to, m.channel, words, m.suppressed});
     }
     for (const TranscriptTermination& term : round.terminations) {
       w.on_termination(round.round, term.node, term.output,
@@ -524,150 +525,6 @@ std::vector<std::uint8_t> read_transcript_file(const std::string& path) {
   std::fclose(f);
   DGAP_REQUIRE(ok, "error reading transcript file: " + path);
   return bytes;
-}
-
-// ---------------------------------------------------------------------------
-// VerifySink
-// ---------------------------------------------------------------------------
-
-VerifySink::VerifySink(const Transcript& golden) : golden_(&golden) {}
-
-const TranscriptRound& VerifySink::cur() const {
-  return golden_->rounds[round_idx_];
-}
-
-void VerifySink::on_run_begin(NodeId n, const EngineOptions& options) {
-  DGAP_REQUIRE(n == golden_->n,
-               "transcript records a different instance (n mismatch)");
-  DGAP_REQUIRE(options.max_rounds == golden_->max_rounds &&
-                   options.congest_word_limit == golden_->congest_word_limit &&
-                   options.congest_policy == golden_->congest_policy,
-               "transcript records different engine options");
-}
-
-void VerifySink::finish_round() {
-  if (!in_round_) return;
-  DGAP_ASSERT(msg_idx_ == cur().messages.size(),
-              "transcript divergence at round " +
-                  std::to_string(cur().round) + ": live run delivered " +
-                  std::to_string(msg_idx_) + " of " +
-                  std::to_string(cur().messages.size()) +
-                  " recorded messages");
-  DGAP_ASSERT(term_idx_ == cur().terminations.size(),
-              "transcript divergence at round " +
-                  std::to_string(cur().round) + ": live run produced " +
-                  std::to_string(term_idx_) + " of " +
-                  std::to_string(cur().terminations.size()) +
-                  " recorded terminations");
-  ++round_idx_;
-  in_round_ = false;
-}
-
-void VerifySink::on_round_begin(int round, NodeId active) {
-  finish_round();
-  DGAP_ASSERT(round_idx_ < golden_->rounds.size(),
-              "transcript divergence at round " + std::to_string(round) +
-                  ": live run outlives the recorded " +
-                  std::to_string(golden_->rounds.size()) + " rounds");
-  DGAP_ASSERT(cur().round == round,
-              "transcript divergence: expected round " +
-                  std::to_string(cur().round) + ", live run is at round " +
-                  std::to_string(round));
-  DGAP_ASSERT(cur().active == active,
-              "transcript divergence at round " + std::to_string(round) +
-                  ": active count " + std::to_string(active) +
-                  " (recorded " + std::to_string(cur().active) + ")");
-  msg_idx_ = 0;
-  term_idx_ = 0;
-  in_round_ = true;
-}
-
-void VerifySink::on_message(const TraceMessage& m) {
-  const std::string at = "transcript divergence at round " +
-                         std::to_string(m.round) + ", message " +
-                         std::to_string(msg_idx_) + ": ";
-  DGAP_ASSERT(in_round_ && msg_idx_ < cur().messages.size(),
-              at + "live run delivered an extra message (node " +
-                  std::to_string(m.from) + " -> " + std::to_string(m.to) +
-                  ")");
-  const TranscriptMessage& rec = cur().messages[msg_idx_];
-  DGAP_ASSERT(rec.from == m.from && rec.to == m.to,
-              at + "endpoints " + std::to_string(m.from) + " -> " +
-                  std::to_string(m.to) + " (recorded " +
-                  std::to_string(rec.from) + " -> " +
-                  std::to_string(rec.to) + ")");
-  DGAP_ASSERT(rec.channel == m.channel,
-              at + "channel " + std::to_string(m.channel) + " (recorded " +
-                  std::to_string(rec.channel) + ")");
-  DGAP_ASSERT(rec.truncated == m.truncated, at + "truncated flag differs");
-  DGAP_ASSERT(rec.suppressed == m.suppressed, at + "suppressed flag differs");
-  DGAP_ASSERT(rec.len == m.words.size(),
-              at + "width " + std::to_string(m.words.size()) +
-                  " (recorded " + std::to_string(rec.len) + ")");
-  if (golden_->detail == TraceDetail::kPayloads) {
-    for (std::size_t i = 0; i < rec.len; ++i) {
-      DGAP_ASSERT(rec.words[i] == m.words[i],
-                  at + "payload word " + std::to_string(i) + " is " +
-                      std::to_string(m.words[i]) + " (recorded " +
-                      std::to_string(rec.words[i]) + ")");
-    }
-  }
-  ++msg_idx_;
-}
-
-void VerifySink::on_termination(
-    int round, NodeId node, Value output,
-    std::span<const std::pair<NodeId, Value>> edge_outputs) {
-  const std::string at = "transcript divergence at round " +
-                         std::to_string(round) + ": ";
-  DGAP_ASSERT(in_round_ && term_idx_ < cur().terminations.size(),
-              at + "unrecorded termination of node " + std::to_string(node));
-  const TranscriptTermination& rec = cur().terminations[term_idx_];
-  DGAP_ASSERT(rec.node == node,
-              at + "termination of node " + std::to_string(node) +
-                  " (recorded node " + std::to_string(rec.node) + ")");
-  DGAP_ASSERT(rec.output == output,
-              at + "node " + std::to_string(node) + " output " +
-                  std::to_string(output) + " (recorded " +
-                  std::to_string(rec.output) + ")");
-  DGAP_ASSERT(rec.edge_outputs.size() == edge_outputs.size(),
-              at + "node " + std::to_string(node) +
-                  " edge output count differs");
-  for (std::size_t i = 0; i < edge_outputs.size(); ++i) {
-    DGAP_ASSERT(rec.edge_outputs[i] == edge_outputs[i],
-                at + "node " + std::to_string(node) + " edge output " +
-                    std::to_string(i) + " differs");
-  }
-  ++term_idx_;
-}
-
-void VerifySink::on_run_end(const RunResult& result) {
-  finish_round();
-  DGAP_ASSERT(round_idx_ == golden_->rounds.size(),
-              "transcript divergence: live run ended after round " +
-                  std::to_string(result.rounds) + " of the recorded " +
-                  std::to_string(golden_->rounds.size()));
-  const TranscriptSummary& s = golden_->summary;
-  DGAP_ASSERT(s.completed == result.completed && s.rounds == result.rounds,
-              "transcript divergence: completion (" +
-                  std::to_string(result.completed) + ", " +
-                  std::to_string(result.rounds) + " rounds) differs from "
-                  "the recorded summary");
-  DGAP_ASSERT(s.total_messages == result.total_messages &&
-                  s.total_words == result.total_words,
-              "transcript divergence: message/word totals differ from the "
-              "recorded summary");
-}
-
-RunResult run_verified(const Graph& g, const Predictions& predictions,
-                       ProgramFactory factory, EngineOptions options,
-                       const Transcript& golden) {
-  DGAP_REQUIRE(options.trace_sink == nullptr,
-               "run_verified installs its own trace sink");
-  VerifySink sink(golden);
-  options.trace_sink = &sink;
-  Engine engine(g, predictions, std::move(factory), options);
-  return engine.run();
 }
 
 RecordedRun record_run(const Graph& g, const Predictions& predictions,
@@ -763,13 +620,12 @@ std::span<const TranscriptMessage> ReplayEngine::messages() const {
   return t_->rounds[idx_ - 1].messages;
 }
 
-std::vector<const TranscriptMessage*> ReplayEngine::inbox(NodeId v) const {
+std::span<const TranscriptMessage> ReplayEngine::inbox(NodeId v) const {
   DGAP_REQUIRE(v >= 0 && v < t_->n, "node out of range");
-  std::vector<const TranscriptMessage*> out;
-  for (const TranscriptMessage& m : messages()) {
-    if (m.to == v) out.push_back(&m);
-  }
-  return out;
+  const std::span<const TranscriptMessage> all = messages();
+  const auto found =
+      std::ranges::equal_range(all, v, {}, &TranscriptMessage::to);
+  return {found.begin(), found.end()};
 }
 
 std::span<const TranscriptTermination> ReplayEngine::terminations() const {
@@ -835,8 +691,6 @@ std::optional<TranscriptDivergence> round_diff(const TranscriptRound& x,
       } else if (p.len != q.len) {
         what += "width (" + std::to_string(p.len) + " vs " +
                 std::to_string(q.len) + ")";
-      } else if (p.truncated != q.truncated) {
-        what += "truncated flag";
       } else if (p.suppressed != q.suppressed) {
         what += "suppressed flag";
       } else {

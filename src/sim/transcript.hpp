@@ -1,5 +1,5 @@
-// Binary round transcripts: record a run's full event stream, then verify,
-// replay, or diff it.
+// Binary round transcripts: record a run's full event stream, then replay
+// or diff it.
 //
 // The engine is deterministic, so the event stream a TraceSink observes
 // (sim/trace.hpp) is a complete replay artifact: everything a RunResult
@@ -18,8 +18,9 @@
 //            (the determinism witness the batch and engine tests pin).
 //            Wall-clock is likewise excluded.
 //   rounds   one block per round: round number, active count, delivered
-//            messages (at the recorded detail level), terminations with
-//            outputs, and an FNV-1a checksum of the block's bytes.
+//            messages (at the recorded detail level; receivers ascending,
+//            each inbox in its order), terminations with outputs, and an
+//            FNV-1a checksum of the block's bytes.
 //   trailer  completed flag, round count, message/word totals (the
 //            engine's sender-side accounting, which also charges sends
 //            dropped because the receiver had already terminated — so the
@@ -33,12 +34,12 @@
 //   * TranscriptWriter — a TraceSink producing the bytes;
 //   * decode_transcript / encode_transcript — structured form and exact
 //     round-trip (fuzzed in tests/transcript_test.cpp);
-//   * VerifySink / run_verified — run live against a recorded transcript
-//     and fail (DGAP_ASSERT) at the first divergent round: the
-//     golden-transcript regression gate (`dgap_trace verify`, CI);
 //   * ReplayEngine — single-step rounds out of a transcript without
 //     re-executing programs, exposing active sets / inboxes / outputs;
 //   * diff_transcripts — first divergent (round, field) of two runs.
+//
+// A golden is verified by re-recording its run and comparing bytes;
+// diff_transcripts names the first divergence (`dgap_trace verify`, CI).
 //
 // See docs/MODEL.md, "Transcripts & replay".
 #pragma once
@@ -56,7 +57,9 @@
 
 namespace dgap {
 
-inline constexpr std::uint32_t kTranscriptVersion = 1;
+/// Version 2: each round lists its receivers in ascending order, and flag
+/// bit 0 is unassigned. decode_transcript reads this version only.
+inline constexpr std::uint32_t kTranscriptVersion = 2;
 
 /// One delivered message. `words` is populated only at TraceDetail::
 /// kPayloads; at kMessages only the width survives.
@@ -65,11 +68,8 @@ struct TranscriptMessage {
   NodeId to = kNoNode;
   int channel = 0;
   std::uint32_t len = 0;
-  bool truncated = false;
   /// Synthesized by the message-reduction pass (sim/compile.hpp). Encoded
-  /// as bit 1 of the per-message flags byte (bit 0 is truncated), so a
-  /// suppression-free transcript is byte-identical to a version-1 file
-  /// written before the pass existed — no format version bump.
+  /// as bit 1 of the per-message flags byte; the other bits are zero.
   bool suppressed = false;
   std::vector<Value> words;
 
@@ -89,7 +89,7 @@ struct TranscriptTermination {
 struct TranscriptRound {
   int round = 0;
   NodeId active = 0;  // active nodes at the start of the round
-  std::vector<TranscriptMessage> messages;        // canonical inbox order
+  std::vector<TranscriptMessage> messages;  // receivers asc., inbox order
   std::vector<TranscriptTermination> terminations;  // ascending node order
 
   friend bool operator==(const TranscriptRound&,
@@ -205,8 +205,9 @@ class TranscriptWriter final : public TraceSink {
 
 /// Parse a serialized transcript. Every structural defect — bad magic,
 /// unknown version or tag, truncation, a checksum mismatch, trailing
-/// bytes — throws via DGAP_REQUIRE; decoding never exhibits UB on
-/// corrupted input (fuzzed under asan/ubsan in CI).
+/// bytes, a flags byte other than 0 or 2, a round whose receivers descend
+/// — throws via DGAP_REQUIRE; decoding never exhibits UB on corrupted
+/// input (fuzzed under asan/ubsan in CI).
 Transcript decode_transcript(std::span<const std::uint8_t> bytes);
 
 /// Serialize a structured transcript — the exact inverse of
@@ -218,42 +219,6 @@ std::vector<std::uint8_t> encode_transcript(const Transcript& t);
 void write_transcript_file(const std::string& path,
                            std::span<const std::uint8_t> bytes);
 std::vector<std::uint8_t> read_transcript_file(const std::string& path);
-
-/// TraceSink that checks a live run against a recorded transcript and
-/// fails — DGAP_ASSERT, naming the round and the divergent quantity — at
-/// the first event that does not match. Instance/option mismatches at
-/// run begin are reported as DGAP_REQUIRE (caller error, not regression).
-class VerifySink final : public TraceSink {
- public:
-  /// `golden` is borrowed and must outlive the run.
-  explicit VerifySink(const Transcript& golden);
-
-  TraceDetail detail() const override { return golden_->detail; }
-  void on_run_begin(NodeId n, const EngineOptions& options) override;
-  void on_round_begin(int round, NodeId active) override;
-  void on_message(const TraceMessage& m) override;
-  void on_termination(int round, NodeId node, Value output,
-                      std::span<const std::pair<NodeId, Value>>
-                          edge_outputs) override;
-  void on_run_end(const RunResult& result) override;
-
- private:
-  const TranscriptRound& cur() const;
-  void finish_round();
-
-  const Transcript* golden_;
-  std::size_t round_idx_ = 0;  // rounds fully verified
-  std::size_t msg_idx_ = 0;
-  std::size_t term_idx_ = 0;
-  bool in_round_ = false;
-};
-
-/// Convenience: run (g, predictions, factory, options) live with a
-/// VerifySink installed. Returns the (verified) result; throws at the
-/// first divergence. `options` must not already carry a trace sink.
-RunResult run_verified(const Graph& g, const Predictions& predictions,
-                       ProgramFactory factory, EngineOptions options,
-                       const Transcript& golden);
 
 /// A recorded run: the result plus its serialized transcript.
 struct RecordedRun {
@@ -314,8 +279,9 @@ class ReplayEngine {
 
   /// The current round's deliveries, in canonical order.
   std::span<const TranscriptMessage> messages() const;
-  /// The current round's inbox of node v (pointers into the transcript).
-  std::vector<const TranscriptMessage*> inbox(NodeId v) const;
+  /// The current round's inbox of node v: a contiguous run of
+  /// messages(), since a decoded round lists receivers ascending.
+  std::span<const TranscriptMessage> inbox(NodeId v) const;
   /// Nodes that terminated at the end of the current round.
   std::span<const TranscriptTermination> terminations() const;
 

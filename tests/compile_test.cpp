@@ -15,11 +15,12 @@
 //     mid-run cut sweeps of the compiled template assemblies
 //     (property_sweep_test pattern).
 //  5. Enforced CONGEST interaction: suppression never touches a link
-//     budget — a fully-suppressible workload under kDefer/kTruncate at
-//     B = 1 runs exactly like the unenforced one (the free lunch).
+//     budget — a fully-suppressible workload under kDefer/kFail at B = 1
+//     runs exactly like the unenforced one (the free lunch).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -152,9 +153,11 @@ TEST(CompileEquivalence, PayloadTranscriptsDifferOnlyInSuppressedFlag) {
   EXPECT_EQ(flagged, compiled.result.messages_suppressed);
   // The flags byte survives its own codec: decode(encode(t)) == t.
   EXPECT_EQ(encode_transcript(b), compiled.transcript);
-  // And the compiled run verifies against its own recorded transcript.
-  EngineOptions opt2 = opt;
-  run_verified(g, empty_predictions(), flood_min_algorithm(), opt2, b);
+  // And a re-record of the compiled run reproduces its bytes.
+  EXPECT_EQ(record_run(g, empty_predictions(), flood_min_algorithm(), opt,
+                       TraceDetail::kPayloads)
+                .transcript,
+            compiled.transcript);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,34 +358,33 @@ TEST(CompileCongest, SuppressionBypassesEnforcedBudgetsWithoutDoubleCount) {
   const auto nominal = run_algorithm(g, factory);
 
   for (const CongestPolicy policy :
-       {CongestPolicy::kDefer, CongestPolicy::kTruncate}) {
+       {CongestPolicy::kDefer, CongestPolicy::kFail}) {
     SCOPED_TRACE(static_cast<int>(policy));
     EngineOptions enforced;
     enforced.congest_policy = policy;
     enforced.congest_word_limit = 1;
-    const auto uncompiled = run_algorithm(g, factory, enforced);
 
     EngineOptions compiled = enforced;
     compiled.compile.decode_defaults = true;
     const auto r = run_algorithm(g, factory, compiled);
     // Nothing crossed the wire, so B = 1 enforcement has nothing to defer
-    // or truncate and the run is byte-equal to the unenforced one.
+    // or reject and the run is byte-equal to the unenforced one.
     EXPECT_GT(r.messages_suppressed, 0);
     EXPECT_EQ(r.messages_sent, 0);
     EXPECT_EQ(r.deferred_messages, 0);
     EXPECT_EQ(r.deferred_words, 0);
-    EXPECT_EQ(r.truncated_messages, 0);
     EXPECT_EQ(r.link_backlog_peak_words, 0);
     EXPECT_EQ(r.rounds, nominal.rounds);
     EXPECT_EQ(r.outputs, nominal.outputs);
     EXPECT_EQ(r.words_sent + r.words_suppressed, nominal.total_words);
+    // The uncompiled 2-word messages DO hit the B = 1 budget — the
+    // contrast that makes the bypass observable.
     if (policy == CongestPolicy::kDefer) {
-      // The uncompiled 2-word messages DO hit the B = 1 budget — the
-      // contrast that makes the bypass observable.
+      const auto uncompiled = run_algorithm(g, factory, enforced);
       EXPECT_GT(uncompiled.deferred_words, 0);
       EXPECT_GT(uncompiled.link_backlog_peak_words, 0);
     } else {
-      EXPECT_GT(uncompiled.truncated_messages, 0);
+      EXPECT_THROW(run_algorithm(g, factory, enforced), std::invalid_argument);
     }
   }
 }

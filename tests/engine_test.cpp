@@ -480,46 +480,6 @@ TEST(Engine, DeferPreservesFifoAndSenderOrder) {
   EXPECT_EQ(result.outputs[1], 11'031'012'032LL);
 }
 
-TEST(Engine, TruncateDropsExcessWords) {
-  // Two messages on one link in one round under a 2-word budget: a 3-word
-  // message keeps its first 2 words; the following 2-word message finds
-  // the budget exhausted and arrives empty. Both are marked.
-  class TwoWidthsProgram final : public NodeProgram {
-   public:
-    void on_send(NodeContext& ctx) override {
-      if (ctx.round() == 1 && ctx.index() == 0) {
-        ctx.send(1, {41, 42, 43});
-        ctx.send(1, {91, 92});
-      }
-    }
-    void on_receive(NodeContext& ctx) override {
-      Value seen = 0;
-      for (const Message& m : ctx.inbox()) {
-        seen = seen * 1000 + static_cast<Value>(m.words.size()) * 10 +
-               (m.truncated ? 1 : 0);
-        for (std::size_t i = 0; i < m.words.size(); ++i) {
-          EXPECT_LT(m.words.at(i), 50);  // nothing of {91, 92} got through
-        }
-      }
-      ctx.set_output(seen + 1);
-      ctx.terminate();
-    }
-  };
-  Graph g = make_line(2);
-  EngineOptions opt;
-  opt.congest_policy = CongestPolicy::kTruncate;
-  opt.congest_word_limit = 2;
-  auto result = run_algorithm(
-      g, [](NodeId) { return std::make_unique<TwoWidthsProgram>(); }, opt);
-  EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.rounds, 1);  // truncation never delays delivery
-  // (len 2, truncated) then (len 0, truncated), +1.
-  EXPECT_EQ(result.outputs[1], 21'001 + 1);
-  EXPECT_EQ(result.truncated_messages, 2);
-  EXPECT_EQ(result.truncated_words, 1 + 2);
-  EXPECT_EQ(result.deferred_words, 0);
-}
-
 TEST(Engine, FailPolicyThrowsAtOffendingSend) {
   class WideProgram final : public NodeProgram {
    public:

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -136,36 +137,38 @@ ref::Factory model_factory(Args... args) {
   };
 }
 
-/// Compares every receiver's per-round inbox in a kPayloads transcript with
-/// `want`. Returns the first (round, receiver) whose inbox differs, or an
-/// empty string when they all match.
+/// Walks a kPayloads transcript's messages and `want` in step: read in key
+/// order, `want` is the transcript's message sequence (rounds ascending,
+/// receivers ascending, each inbox in its order). Returns the first
+/// (round, receiver) where they differ, or an empty string when they match.
 inline std::string inbox_mismatch(const ref::Inboxes& want,
                                   const std::vector<std::uint8_t>& bytes) {
-  std::size_t matched = 0;
+  auto it = want.begin();
+  std::size_t k = 0;  // position in it->second
+  const auto at = [](std::pair<int, NodeId> key) {
+    return "round " + std::to_string(key.first) + " receiver " +
+           std::to_string(key.second);
+  };
   for (const TranscriptRound& r : decode_transcript(bytes).rounds) {
-    const auto& msgs = r.messages;
-    for (std::size_t i = 0; i < msgs.size(); ++matched) {
-      // A round lists each receiver's inbox contiguously.
-      const NodeId to = msgs[i].to;
-      const auto it = want.find({r.round, to});
-      bool same = it != want.end();
-      std::size_t k = 0;
-      for (; i < msgs.size() && msgs[i].to == to; ++i, ++k) {
-        if (!same || k == it->second.size()) {
-          same = false;
-          continue;
-        }
-        const auto& [from, channel, words, suppressed] = it->second[k];
-        same = from == msgs[i].from && channel == msgs[i].channel &&
-               words == msgs[i].words && suppressed == msgs[i].suppressed;
+    for (const TranscriptMessage& m : r.messages) {
+      const std::pair<int, NodeId> key{r.round, m.to};
+      // Of two different keys, the smaller names an inbox that one side
+      // lacks or ends early.
+      if (it == want.end() || it->first != key) {
+        return at(it == want.end() ? key : std::min(it->first, key));
       }
-      if (!same || k != it->second.size()) {
-        return "round " + std::to_string(r.round) + " receiver " +
-               std::to_string(to);
+      const auto& [from, channel, words, suppressed] = it->second[k];
+      if (from != m.from || channel != m.channel || words != m.words ||
+          suppressed != m.suppressed) {
+        return at(key);
+      }
+      if (++k == it->second.size()) {
+        ++it;
+        k = 0;
       }
     }
   }
-  if (matched != want.size()) return "an inbox the transcript lacks";
+  if (it != want.end()) return at(it->first);
   return {};
 }
 
@@ -189,8 +192,6 @@ inline void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.congest_violations, b.congest_violations);
   EXPECT_EQ(a.deferred_messages, b.deferred_messages);
   EXPECT_EQ(a.deferred_words, b.deferred_words);
-  EXPECT_EQ(a.truncated_messages, b.truncated_messages);
-  EXPECT_EQ(a.truncated_words, b.truncated_words);
   EXPECT_EQ(a.link_backlog_peak_words, b.link_backlog_peak_words);
   EXPECT_EQ(a.rounds_with_backlog, b.rounds_with_backlog);
 }

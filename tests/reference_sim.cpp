@@ -9,8 +9,6 @@ namespace dgap::ref {
 
 Run run_model(const Graph& g, const Factory& factory,
               const EngineOptions& options) {
-  DGAP_REQUIRE(options.congest_policy != CongestPolicy::kTruncate,
-               "the reference model has no kTruncate");
   return Context(g, options).run(factory);
 }
 
@@ -150,9 +148,8 @@ void Context::receive() {
           log_.emplace_hint(log_.end(), std::pair{round_, v_},
                             std::exchange(x.received, {}))->second;
       for (const auto& [from, channel, words, suppressed] : logged) {
-        x.inbox.push_back(Message{from, channel,
-                                  WordSpan(words.data(), words.size()),
-                                  false, suppressed});
+        x.inbox.push_back(Message{
+            from, channel, WordSpan(words.data(), words.size()), suppressed});
       }
     }
     x.program->on_receive(*this);

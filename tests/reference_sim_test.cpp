@@ -1,7 +1,8 @@
 // The engine against the reference model of docs/MODEL.md
 // (tests/reference_sim.hpp): seeded random programs under every engine
-// option must produce the model's RunResult and, round by round and
-// receiver by receiver, the model's inboxes. The thread-count tests in
+// option must produce the model's RunResult and, message by message, the
+// model's inboxes in transcript order (rounds, then receivers, ascending).
+// The thread-count tests in
 // engine_determinism_test pin that the engine agrees with itself; this
 // binary pins what it agrees on.
 #include <gtest/gtest.h>

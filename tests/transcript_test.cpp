@@ -7,16 +7,16 @@
 //     engine executed, and re-encoding reproduces the bytes.
 //  3. Robustness: truncated or corrupted files fail with DGAP_REQUIRE
 //     (std::invalid_argument) — never UB (this test runs under
-//     asan/ubsan in CI).
-//  4. Verification: an identical re-run passes run_verified; a perturbed
-//     engine (different algorithm seed) fails with DGAP_ASSERT naming the
-//     exact first divergent round.
-//  5. Replay: ReplayEngine reconstructs active sets, outputs, and
+//     asan/ubsan in CI) — and so do a version-1 header, a flags byte
+//     other than 0 or 2, a round whose receivers descend and a policy
+//     code above kFail.
+//  4. Replay: ReplayEngine reconstructs active sets, outputs, and
 //     termination rounds bit-identically to the live RunResult.
-//  6. Diff: first divergent (round, field) between two recorded runs.
-//  7. Golden regression: the committed transcripts under tests/golden/
-//     verify against a live re-run of their canonical cases
-//     (DGAP_GOLDEN_DIR; the same files gate CI via `dgap_trace verify`).
+//  5. Diff: first divergent (round, field) between two recorded runs.
+//  6. Golden regression: re-recording each canonical case reproduces its
+//     committed transcript under tests/golden/ byte for byte
+//     (DGAP_GOLDEN_DIR; the same files gate CI via `dgap_trace verify`),
+//     and a golden with one payload word flipped fails, naming its round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,7 +67,7 @@ Transcript random_transcript(Rng& rng) {
   t.n = static_cast<NodeId>(rng.uniform(1, 40));
   t.max_rounds = static_cast<int>(rng.uniform(0, 1'000'000));
   t.congest_word_limit = static_cast<int>(rng.uniform(0, 8));
-  t.congest_policy = static_cast<CongestPolicy>(rng.next_below(4));
+  t.congest_policy = static_cast<CongestPolicy>(rng.next_below(3));
   const int rounds = static_cast<int>(rng.next_below(8));
   for (int r = 1; r <= rounds; ++r) {
     TranscriptRound round;
@@ -83,7 +83,7 @@ Transcript random_transcript(Rng& rng) {
             static_cast<std::uint64_t>(t.n)));
         m.channel = static_cast<int>(rng.uniform(-3, 3));
         m.len = static_cast<std::uint32_t>(rng.next_below(6));
-        m.truncated = rng.flip(0.1);
+        m.suppressed = rng.flip(0.1);
         if (t.detail == TraceDetail::kPayloads) {
           for (std::uint32_t w = 0; w < m.len; ++w) {
             m.words.push_back(random_value(rng));
@@ -91,6 +91,8 @@ Transcript random_transcript(Rng& rng) {
         }
         round.messages.push_back(std::move(m));
       }
+      // A round lists its receivers in ascending order.
+      std::ranges::stable_sort(round.messages, {}, &TranscriptMessage::to);
     }
     const int terms = static_cast<int>(rng.next_below(4));
     for (int i = 0; i < terms; ++i) {
@@ -162,6 +164,72 @@ TEST(TranscriptCodec, EveryByteFlipFailsCleanly) {
       }
     }
   }
+}
+
+/// Decoding `bytes` throws std::invalid_argument naming `why`.
+void expect_rejected(const std::vector<std::uint8_t>& bytes,
+                     const std::string& why) {
+  try {
+    decode_transcript(bytes);
+    ADD_FAILURE() << "decoded a transcript with " << why;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+/// One round holding one kMessages-level message, 9 -> 4.
+Transcript one_message_transcript() {
+  Transcript t;
+  t.detail = TraceDetail::kMessages;
+  t.n = 16;
+  TranscriptRound round;
+  round.round = 1;
+  round.active = 16;
+  TranscriptMessage m;
+  m.from = 9;
+  m.to = 4;
+  m.len = 1;
+  round.messages.push_back(m);
+  t.rounds.push_back(round);
+  t.summary.rounds = 1;
+  return t;
+}
+
+TEST(TranscriptCodec, RejectsVersionOne) {
+  std::vector<std::uint8_t> bytes = encode_transcript(one_message_transcript());
+  ASSERT_EQ(bytes[4], kTranscriptVersion);  // the varint after "DGTR"
+  bytes[4] = 1;
+  expect_rejected(bytes, "unsupported transcript version");
+}
+
+TEST(TranscriptCodec, RejectsFlagsBytesOtherThanZeroOrTwo) {
+  Transcript t = one_message_transcript();
+  const std::vector<std::uint8_t> plain = encode_transcript(t);
+  t.rounds[0].messages[0].suppressed = true;
+  const std::vector<std::uint8_t> suppressed = encode_transcript(t);
+  // The first byte the suppressed flag changes is the flags byte.
+  const auto at = std::ranges::mismatch(plain, suppressed).in1 - plain.begin();
+  ASSERT_EQ(plain[at], 0);
+  ASSERT_EQ(suppressed[at], 2);
+  for (const std::uint8_t flags : {std::uint8_t{1}, std::uint8_t{3}}) {
+    std::vector<std::uint8_t> bytes = plain;
+    bytes[at] = flags;
+    expect_rejected(bytes, "invalid transcript message flags");
+  }
+}
+
+TEST(TranscriptCodec, RejectsDescendingReceivers) {
+  Transcript t = one_message_transcript();
+  TranscriptMessage m = t.rounds[0].messages[0];
+  m.to = 3;
+  t.rounds[0].messages.push_back(m);
+  expect_rejected(encode_transcript(t), "receivers out of order");
+}
+
+TEST(TranscriptCodec, RejectsPolicyCodesAboveFail) {
+  Transcript t = one_message_transcript();
+  t.congest_policy = static_cast<CongestPolicy>(3);
+  expect_rejected(encode_transcript(t), "invalid transcript congest policy");
 }
 
 TEST(TranscriptCodec, GarbageInputFailsCleanly) {
@@ -322,8 +390,8 @@ TEST(TranscriptStream, BufferStaysBoundedByOneRoundBlock) {
     writer.on_round_begin(r, kN);
     for (NodeId v = 0; v + 1 < kN; ++v) {
       const Value words[4] = {1, 2, 3, v};
-      writer.on_message({r, v, static_cast<NodeId>(v + 1), 0,
-                         WordSpan(words, 4), false});
+      writer.on_message(
+          {r, v, static_cast<NodeId>(v + 1), 0, WordSpan(words, 4)});
     }
   }
   RunResult result;
@@ -339,9 +407,10 @@ TEST(TranscriptStream, BufferStaysBoundedByOneRoundBlock) {
 }
 
 TEST(TranscriptStream, MidRoundFlushesMatchTheInMemoryRecording) {
-  // Round 1 is about 3 MB of kPayloads messages, so the streaming
-  // writer flushes twice inside it: the round and file checksums must
-  // carry across those partial flushes and land on the in-memory values.
+  // Round 1 is about 3 MB of kPayloads messages, listed receiver by
+  // receiver, so the streaming writer flushes twice inside it: the round
+  // and file checksums must carry across those partial flushes and land
+  // on the in-memory values.
   const std::string path = ::testing::TempDir() + "dgap_stream_midround.dgaptr";
   constexpr NodeId kN = 4096;
   constexpr int kPerNode = 20;
@@ -354,12 +423,12 @@ TEST(TranscriptStream, MidRoundFlushesMatchTheInMemoryRecording) {
   for (TranscriptWriter* writer : {&memory, &stream}) {
     writer->on_run_begin(kN, EngineOptions{});
     writer->on_round_begin(1, kN);
-    for (NodeId v = 0; v < kN; ++v) {
+    for (NodeId to = 0; to < kN; ++to) {
       for (int k = 0; k < kPerNode; ++k) {
+        const NodeId v = (to + kN - k - 1) % kN;
         const Value words[8] = {std::numeric_limits<Value>::min(), v, k,
                                 Value{1} << 60, -v, 7, v * k, -1};
-        writer->on_message({1, v, static_cast<NodeId>((v + k + 1) % kN), k,
-                            WordSpan(words, 8), false});
+        writer->on_message({1, v, to, k, WordSpan(words, 8)});
       }
     }
     writer->on_termination(1, 0, 1, {});
@@ -399,51 +468,6 @@ TEST(TranscriptStream, MisuseFailsCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Verification
-// ---------------------------------------------------------------------------
-
-TEST(TranscriptVerify, IdenticalRerunPasses) {
-  const Graph g = fixture_graph();
-  const RecordedRun run =
-      record_run(g, {}, luby_mis_algorithm(11), {}, TraceDetail::kPayloads);
-  const Transcript golden = decode_transcript(run.transcript);
-  const RunResult result =
-      run_verified(g, {}, luby_mis_algorithm(11), {}, golden);
-  EXPECT_EQ(result.outputs, run.result.outputs);
-  EXPECT_EQ(result.rounds, run.result.rounds);
-}
-
-TEST(TranscriptVerify, PerturbedEngineNamesFirstDivergentRound) {
-  const Graph g = fixture_graph();
-  const RecordedRun run =
-      record_run(g, {}, luby_mis_algorithm(11), {}, TraceDetail::kPayloads);
-  const Transcript golden = decode_transcript(run.transcript);
-
-  // A different Luby seed produces different round-1 coin payloads, so
-  // verification must fail at round 1 exactly, via DGAP_ASSERT.
-  try {
-    run_verified(g, {}, luby_mis_algorithm(12), {}, golden);
-    FAIL() << "perturbed run verified against the golden transcript";
-  } catch (const std::logic_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("transcript divergence at round 1"),
-              std::string::npos)
-        << "divergence message does not name round 1: " << what;
-  }
-}
-
-TEST(TranscriptVerify, InstanceMismatchIsRequireNotAssert) {
-  const Graph g = fixture_graph();
-  const RecordedRun run =
-      record_run(g, {}, luby_mis_algorithm(11), {}, TraceDetail::kPayloads);
-  const Transcript golden = decode_transcript(run.transcript);
-  Rng rng(99);
-  const Graph other = make_gnp(32, 0.2, rng);
-  EXPECT_THROW(run_verified(other, {}, luby_mis_algorithm(11), {}, golden),
-               std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
 // Replay
 // ---------------------------------------------------------------------------
 
@@ -469,6 +493,7 @@ TEST(TranscriptReplay, ReconstructsRunStateRoundByRound) {
     // Inboxes partition the round's messages.
     std::size_t inbox_total = 0;
     for (NodeId v = 0; v < replay.n(); ++v) {
+      for (const TranscriptMessage& m : replay.inbox(v)) EXPECT_EQ(m.to, v);
       inbox_total += replay.inbox(v).size();
     }
     EXPECT_EQ(inbox_total, replay.messages().size());
@@ -528,14 +553,33 @@ TEST(TranscriptGolden, CommittedTranscriptsVerifyAgainstLiveReruns) {
   for (const CanonicalCase& c : canonical_cases()) {
     const std::string path =
         std::string(DGAP_GOLDEN_DIR) + "/" + golden_file_name(c);
-    const Transcript golden = decode_transcript(read_transcript_file(path));
+    const std::vector<std::uint8_t> bytes = read_transcript_file(path);
+    const Transcript golden = decode_transcript(bytes);
     EXPECT_EQ(golden.label, c.name);
     ASSERT_TRUE(golden.spec.has_value()) << c.name;
     EXPECT_EQ(*golden.spec, c.spec) << c.name;
-    EXPECT_NO_THROW(verify_canonical_case(c, golden)) << c.name;
     // Re-recording reproduces the committed bytes exactly.
-    const RecordedRun rerun = record_canonical_case(c);
-    EXPECT_EQ(rerun.transcript, read_transcript_file(path)) << c.name;
+    EXPECT_NO_THROW(verify_canonical_case(c, bytes)) << c.name;
+  }
+}
+
+TEST(TranscriptGolden, FlippedPayloadWordFailsVerifyNamingItsRound) {
+  const CanonicalCase& c = *find_canonical_case("luby_gnp256");
+  Transcript golden = decode_transcript(read_transcript_file(
+      std::string(DGAP_GOLDEN_DIR) + "/" + golden_file_name(c)));
+  // Flip the first payload word of the middle round.
+  TranscriptRound& round = golden.rounds[golden.rounds.size() / 2];
+  const auto m = std::ranges::find_if(
+      round.messages, [](const TranscriptMessage& x) { return x.len > 0; });
+  ASSERT_NE(m, round.messages.end());
+  m->words[0] ^= 1;
+  try {
+    verify_canonical_case(c, encode_transcript(golden));
+    FAIL() << "a golden with a flipped payload word verified";
+  } catch (const std::logic_error& e) {
+    const std::string want = "round " + std::to_string(round.round) + ":";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
   }
 }
 

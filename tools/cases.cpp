@@ -96,15 +96,20 @@ RecordedRun record_canonical_case(const CanonicalCase& c, TraceDetail detail) {
 }
 
 RunResult verify_canonical_case(const CanonicalCase& c,
-                                const Transcript& golden) {
-  DGAP_REQUIRE(golden.label == c.name,
-               "transcript '" + golden.label + "' is not case '" + c.name +
-                   "'");
-  const Graph g = c.spec.build();
-  const Predictions predictions =
-      c.provider ? provide_with_seed(*c.provider, g, c.kind, c.prediction_seed)
-                 : Predictions{};
-  return run_verified(g, predictions, c.factory(), c.options, golden);
+                                std::span<const std::uint8_t> golden) {
+  const Transcript want = decode_transcript(golden);
+  DGAP_REQUIRE(want.label == c.name,
+               "transcript '" + want.label + "' is not case '" + c.name + "'");
+  RecordedRun run = record_canonical_case(c, want.detail);
+  if (!std::ranges::equal(run.transcript, golden)) {
+    // Diverged: name the first differing round and field.
+    const auto d = diff_transcripts(want, decode_transcript(run.transcript));
+    DGAP_ASSERT(false, "case '" + c.name + "' " +
+                           (d ? "diverges at round " +
+                                    std::to_string(d->round) + ": " + d->field
+                              : "transcripts differ only in encoding"));
+  }
+  return run.result;
 }
 
 std::string golden_file_name(const CanonicalCase& c) {

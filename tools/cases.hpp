@@ -5,10 +5,11 @@
 // to re-execute the run from the transcript header alone. The committed
 // goldens under tests/golden/ are these cases at TraceDetail::kPayloads;
 // `dgap_trace verify` (and transcript_test's golden fixture, and the CI
-// gate) re-runs each case against its golden and fails at the first
-// divergent round. The corpus spans the three engine regimes: the plain
-// fast path (Luby on G(n, p)), the enforced link layer under kDefer
-// (CONGEST global MIS), and a composed prediction template cut mid-run.
+// gate) re-records each case, compares the bytes with its golden and
+// names the first divergent round. The corpus spans the three engine
+// regimes: the plain fast path (Luby on G(n, p)), the enforced link layer
+// under kDefer (CONGEST global MIS), and a composed prediction template
+// cut mid-run.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +48,11 @@ const CanonicalCase* find_canonical_case(const std::string& name);
 RecordedRun record_canonical_case(const CanonicalCase& c,
                                   TraceDetail detail = TraceDetail::kPayloads);
 
-/// Re-execute `c` live against a recorded transcript; throws
-/// (DGAP_ASSERT) at the first divergent round.
+/// Re-record `c` and compare it byte-for-byte with `golden`; returns the
+/// re-recorded result, or throws (DGAP_ASSERT) naming the first divergent
+/// round and field (diff_transcripts).
 RunResult verify_canonical_case(const CanonicalCase& c,
-                                const Transcript& golden);
+                                std::span<const std::uint8_t> golden);
 
 /// Golden file name for a case: "<name>.dgaptr".
 std::string golden_file_name(const CanonicalCase& c);

@@ -5,8 +5,8 @@
 //   dgap_trace record <case>|all <dir>
 //       Re-execute canonical case(s) and write <dir>/<case>.dgaptr.
 //   dgap_trace verify <file>...
-//       Re-execute each transcript's canonical case (matched by label)
-//       live against it; exits nonzero naming the first divergent round.
+//       Re-record each transcript's canonical case (matched by label) and
+//       compare the bytes; exits nonzero naming the first divergent round.
 //       This is the CI golden-regression gate.
 //   dgap_trace diff <a> <b>
 //       First divergent (round, field) of two transcripts; exit 1 if they
@@ -131,7 +131,7 @@ int cmd_verify(const std::vector<std::string>& files) {
         ++failures;
         continue;
       }
-      const RunResult result = verify_canonical_case(*c, golden);
+      const RunResult result = verify_canonical_case(*c, bytes);
       std::printf("OK   %s: %s, %d rounds, %lld messages\n", path.c_str(),
                   c->name.c_str(), result.rounds,
                   static_cast<long long>(result.total_messages));
