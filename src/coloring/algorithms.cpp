@@ -16,8 +16,7 @@ bool legal_palette_color(const NodeContext& ctx, Value c) {
 Value smallest_free_color(const NodeContext& ctx) {
   const Value palette = ctx.delta() + 1;
   std::vector<bool> used(static_cast<std::size_t>(palette + 1), false);
-  for (NodeId u : ctx.neighbors()) {
-    const Value c = ctx.neighbor_output(u);
+  for (const Value c : ctx.neighbor_outputs()) {
     if (c >= 1 && c <= palette) used[static_cast<std::size_t>(c)] = true;
   }
   for (Value c = 1; c <= palette; ++c) {

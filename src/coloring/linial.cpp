@@ -193,8 +193,7 @@ PhaseProgram::Status LinialColoringPhase::on_receive(NodeContext& ctx,
         if (options_.respect_terminated_outputs) {
           // Palette colors already output by terminated neighbors (their
           // outputs are 1-based palette colors; internal colors 0-based).
-          for (NodeId u : ctx.neighbors()) {
-            const Value out = ctx.neighbor_output(u);
+          for (const Value out : ctx.neighbor_outputs()) {
             if (out >= 1 && out <= delta + 1) {
               used[static_cast<std::size_t>(out - 1)] = true;
             }

@@ -215,9 +215,10 @@ void MatchingCleanupPhase::on_send(NodeContext&, Channel&) {}
 
 PhaseProgram::Status MatchingCleanupPhase::on_receive(NodeContext& ctx,
                                                       Channel&) {
-  for (NodeId u : ctx.neighbors()) {
-    if (ctx.neighbor_output(u) == ctx.id()) {
-      ctx.set_output(ctx.neighbor_id(u));
+  const NeighborOutputs outs = ctx.neighbor_outputs();
+  for (std::size_t j = 0; j < outs.size(); ++j) {
+    if (outs[j] == ctx.id()) {
+      ctx.set_output(ctx.neighbor_id(ctx.neighbors()[j]));
       ctx.terminate();
       break;
     }

@@ -6,8 +6,8 @@ namespace dgap {
 
 namespace {
 bool sees_mis_neighbor(const NodeContext& ctx) {
-  for (NodeId u : ctx.neighbors()) {
-    if (ctx.neighbor_output(u) == 1) return true;
+  for (const Value out : ctx.neighbor_outputs()) {
+    if (out == 1) return true;
   }
   return false;
 }
@@ -26,10 +26,8 @@ void LubyMisPhase::on_send(NodeContext& ctx, Channel& ch) {
 }
 
 PhaseProgram::Status LubyMisPhase::on_receive(NodeContext& ctx, Channel& ch) {
-  const bool select_round = (step_ % 2 == 0);
-  const Value mine = static_cast<Value>(priority(ctx) >> 1);
-  ++step_;
-  if (select_round) {
+  if (step_ % 2 == 0) {  // select round: only it reads the priority
+    const Value mine = static_cast<Value>(priority(ctx) >> 1);
     bool wins = true;
     for (const Message* m : ch.inbox()) {
       const Value theirs = m->words.at(0);
@@ -49,6 +47,7 @@ PhaseProgram::Status LubyMisPhase::on_receive(NodeContext& ctx, Channel& ch) {
     ctx.set_output(0);
     ctx.terminate();
   }
+  ++step_;
   return Status::kRunning;
 }
 

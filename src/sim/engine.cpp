@@ -77,12 +77,9 @@ bool NodeContext::neighbor_active(NodeId u) const {
   return std::binary_search(an.begin(), an.end(), u);
 }
 
-Value NodeContext::neighbor_output(NodeId u) const {
-  DGAP_REQUIRE(engine_->graph_.has_edge(index_, u), "not a neighbor");
-  if (engine_->s_.node_active[u]) {
-    return kUndefined;  // outputs become visible on termination
-  }
-  return engine_->s_.node_output[u];
+NeighborOutputs NodeContext::neighbor_outputs() const {
+  return {neighbors(), engine_->s_.node_active.data(),
+          engine_->s_.node_output.data()};
 }
 
 Value NodeContext::neighbor_output_for(NodeId u, NodeId key) const {
@@ -906,34 +903,61 @@ void Engine::receive_phase(const std::vector<NodeId>& recv) {
   });
 }
 
-void Engine::notify_terminations(NodeId lo, NodeId hi,
+void Engine::notify_terminations(NodeId lo, NodeId hi, std::size_t terminated,
                                  detail::CongestAccount& acct,
                                  std::vector<NodeId>& touched,
                                  std::vector<NodeId>& wake) {
-  // Charge the notification messages implied by the Section 7 convention
-  // (one message carrying the node's outputs to each neighbor that is
-  // still active) and collect the affected neighbors, deduplicated via the
-  // s_.recv_count scratch (all-zero between rounds, restored below). Every
-  // range scans every terminated node, from each T1 slice in order.
+  // The Section 7 convention: one notice carrying the node's outputs to
+  // each neighbor that is still active. A live prefix holds exactly the
+  // neighbors that were active when the round began, so its entries that
+  // T1 marked inactive are exactly this round's terminated neighbors:
+  // `compact` drops them in place, one notice each. A termination is also
+  // a wake event: the neighbor's view changes next round, so any idle
+  // promise it made is void.
   const int congest_limit = options_.congest_word_limit;
-  touched.clear();
+  const auto compact = [&](NodeId u) {
+    NodeId* live = s_.an_pool.data() + graph_.row_begin(u);
+    const std::uint32_t count = s_.an_count[u];
+    std::uint32_t w = 0;  // entries before the first drop stay in place
+    while (w < count && s_.node_active[live[w]]) ++w;
+    if (w == count) return;
+    for (std::uint32_t i = w; i < count; ++i) {
+      const NodeId x = live[i];
+      if (s_.node_active[x]) {
+        live[w++] = x;
+      } else {
+        acct.charge(1 + edge_output_count(x), /*channel=*/0, congest_limit);
+      }
+    }
+    s_.an_count[u] = w;
+    s_.idle_request[u] = 0;
+    if (!s_.node_awake[u]) {
+      s_.node_awake[u] = 1;
+      wake.push_back(u);
+    }
+  };
   wake.clear();
+  if (detail::pull_terminations(terminated,
+                                static_cast<std::size_t>(hi - lo))) {
+    // Pull: the range's own rows in ascending order, so wakes ascend.
+    for (NodeId u = lo; u < hi; ++u) {
+      if (s_.node_active[u]) compact(u);
+    }
+    return;
+  }
+  // Push: collect the terminated nodes' still-active neighbors in the
+  // range, deduplicated via the s_.recv_count scratch (all-zero between
+  // rounds, restored below). Every range scans every terminated node, from
+  // each T1 slice in order.
+  touched.clear();
   for (const auto& rs : s_.recv_shards) {
     for (const NodeId v : rs.newly_terminated) {
-      const std::size_t notice_words = 1 + edge_output_count(v);
       for (const NodeId u : graph_.neighbors(v)) {
         if (u < lo || u >= hi || !s_.node_active[u]) continue;
-        acct.charge(notice_words, /*channel=*/0, congest_limit);
         if (s_.recv_count[u]++ == 0) touched.push_back(u);
       }
     }
   }
-  // Drop every terminated node from each affected view by compacting the
-  // node's live CSR prefix in one linear pass (an invariant of the view is
-  // that it never contains inactive nodes, so filtering on the active flag
-  // removes exactly this round's batch). A termination is also a wake
-  // event: the neighbor's view changes next round, so any idle promise it
-  // made is void.
   for (std::size_t k = 0; k < touched.size(); ++k) {
     if (lookahead_ && k + kCompactLookahead < touched.size()) {
       // Touched receivers come in first-touch order, so each row and count
@@ -942,21 +966,8 @@ void Engine::notify_terminations(NodeId lo, NodeId hi,
       __builtin_prefetch(s_.an_pool.data() + graph_.row_begin(ahead));
       __builtin_prefetch(&s_.an_count[ahead]);
     }
-    const NodeId u = touched[k];
-    s_.recv_count[u] = 0;
-    NodeId* live = s_.an_pool.data() + graph_.row_begin(u);
-    const std::uint32_t count = s_.an_count[u];
-    std::uint32_t w = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const NodeId x = live[i];
-      if (s_.node_active[x]) live[w++] = x;
-    }
-    s_.an_count[u] = w;
-    s_.idle_request[u] = 0;
-    if (!s_.node_awake[u]) {
-      s_.node_awake[u] = 1;
-      wake.push_back(u);
-    }
+    s_.recv_count[touched[k]] = 0;
+    compact(touched[k]);
   }
   std::sort(wake.begin(), wake.end());
 }
@@ -974,9 +985,11 @@ void Engine::process_terminations(const std::vector<NodeId>& recv,
   //   T2 (over receiver shards)  charge the Section 7 notices for owned
   //       still-active neighbors into the shard's account, compact their
   //       active-neighbor prefixes, void their idle promises, and wake
-  //       owned sleepers. Every shard scans the full terminated-node
-  //       adjacency but writes only owned nodes' slots; node_active is
-  //       frozen after T1, so cross-shard reads are safe.
+  //       owned sleepers. A dense round's shard pulls: it scans its own
+  //       nodes' prefixes. Otherwise it pushes: it scans the full
+  //       terminated-node adjacency. Either way it writes only owned
+  //       nodes' slots; node_active is frozen after T1, so cross-shard
+  //       reads are safe.
   //   T3 (over receiver shards)  rebuild the awake worklist: each shard
   //       merges its owned sub-range of recv (a binary search — recv is
   //       ascending), filtered by liveness and this round's idle requests,
@@ -1016,8 +1029,8 @@ void Engine::process_terminations(const std::vector<NodeId>& recv,
       auto& rs = s_.recv_shards[tu];
       rs.acct = detail::CongestAccount{};
       notify_terminations(static_cast<NodeId>(nu * tu / S),
-                          static_cast<NodeId>(nu * (tu + 1) / S), rs.acct,
-                          rs.touched, rs.wake);
+                          static_cast<NodeId>(nu * (tu + 1) / S), terminated,
+                          rs.acct, rs.touched, rs.wake);
     });
     for (const auto& rs : s_.recv_shards) acct_.merge_from(rs.acct);
   } else {

@@ -12,7 +12,7 @@
 // this convention once, for every algorithm: when a node terminates at the
 // end of round r, each still-active neighbor's view is updated for round
 // r+1 — the node disappears from active_neighbors() and its outputs become
-// readable through neighbor_output(). The notification traffic is charged
+// readable through neighbor_outputs(). The notification traffic is charged
 // to the message metrics (one message per still-active neighbor, one word
 // per output value), so CONGEST accounting stays honest.
 #pragma once
@@ -254,6 +254,17 @@ struct RecvShard {
   std::vector<NodeId> next_awake;        // owned slice of the rebuild
 };
 
+/// The direction of the termination pass for one receiver range of
+/// `range` nodes, in a round where `terminated` nodes terminated. Pull —
+/// each active node of the range drops the terminated entries of its own
+/// active-neighbor prefix, in ascending order — when the terminations are
+/// many against the range; else push each terminated node's notices to
+/// its neighbors in the range. Both directions charge the same notices
+/// and leave the same prefixes and wakes, so no result depends on it.
+inline bool pull_terminations(std::size_t terminated, std::size_t range) {
+  return 16 * terminated >= range;
+}
+
 /// Inbox of one node = a slice of the flat round buffer, valid for one
 /// round. The stamp makes stale entries read as empty without any
 /// per-round clearing.
@@ -324,6 +335,57 @@ struct EngineScratch {
   std::vector<std::vector<Value>> cache_long;  // lazily sized on first use
 };
 
+/// A node's view of its neighbors' key-0 outputs, aligned with
+/// NodeContext::neighbors(): element j is the output of neighbors()[j] once
+/// that neighbor has terminated (kUndefined if it never set one), and
+/// kUndefined while it is active. Its indices come from the node's own CSR
+/// row, so no element needs a membership check. Its values are for the
+/// hook that produced it; like ChannelInbox's, its iterators point into
+/// engine storage.
+class NeighborOutputs {
+ public:
+  class iterator {
+   public:
+    // The active flag first: an active neighbor's hook may be writing its
+    // output on another shard, and a terminated one's never changes again.
+    Value operator*() const {
+      return active_[*cur_] ? kUndefined : output_[*cur_];
+    }
+    iterator& operator++() {
+      ++cur_;
+      return *this;
+    }
+    bool operator!=(const iterator& o) const { return cur_ != o.cur_; }
+
+   private:
+    friend class NeighborOutputs;
+    iterator(const NodeId* cur, const std::uint8_t* active,
+             const Value* output)
+        : cur_(cur), active_(active), output_(output) {}
+    const NodeId* cur_;
+    const std::uint8_t* active_;
+    const Value* output_;
+  };
+
+  std::size_t size() const { return neighbors_.size(); }
+  Value operator[](std::size_t j) const { return *at(j); }
+  iterator begin() const { return at(0); }
+  iterator end() const { return at(neighbors_.size()); }
+
+ private:
+  friend class NodeContext;
+  NeighborOutputs(std::span<const NodeId> neighbors,
+                  const std::uint8_t* active, const Value* output)
+      : neighbors_(neighbors), active_(active), output_(output) {}
+  iterator at(std::size_t j) const {
+    return {neighbors_.data() + j, active_, output_};
+  }
+
+  std::span<const NodeId> neighbors_;
+  const std::uint8_t* active_;
+  const Value* output_;
+};
+
 /// Per-node view handed to programs each round. All queries reflect the
 /// node's legitimate local knowledge: its identifier, its neighbors'
 /// identifiers, n, d, Δ (Section 2: "Each node is assumed to know its
@@ -350,9 +412,9 @@ class NodeContext {
   std::span<const NodeId> active_neighbors() const;
   bool neighbor_active(NodeId u) const;
 
-  /// Output of a terminated neighbor (kUndefined if it never set one, or
-  /// if u is still active).
-  Value neighbor_output(NodeId u) const;
+  /// Key-0 outputs of the neighbors, aligned with neighbors(): kUndefined
+  /// at a neighbor that is still active (see NeighborOutputs).
+  NeighborOutputs neighbor_outputs() const;
   /// Edge-keyed output of a terminated neighbor (for edge problems).
   Value neighbor_output_for(NodeId u, NodeId key) const;
 
@@ -427,7 +489,7 @@ class NodeContext {
   /// calling the node's hooks after this round and wakes it when a message
   /// is delivered to it (same round's receive phase) or a neighbor
   /// terminates (next round, when the updated active_neighbors() /
-  /// neighbor_output() view becomes visible). Purely a scheduling hint:
+  /// neighbor_outputs() view becomes visible). Purely a scheduling hint:
   /// rounds still advance globally, and an algorithm that never idles runs
   /// exactly as before. Only valid in onReceive. See docs/MODEL.md,
   /// "Idle nodes and event-driven scheduling".
@@ -635,18 +697,23 @@ class Engine {
   void receive_phase(const std::vector<NodeId>& recv);
   /// The termination pass, sharded like delivery: detection over recv
   /// slices, notice charging / view compaction / wake collection over
-  /// owned neighbors, and the awake-worklist rebuild over owned recv
+  /// owned nodes, and the awake-worklist rebuild over owned recv
   /// sub-ranges, each merged in fixed shard order.
   void process_terminations(const std::vector<NodeId>& recv,
                             std::vector<int>& termination_round);
-  /// The termination pass's notice step for receiver range [lo, hi):
-  /// charge the Section 7 notices of this round's terminated nodes to
-  /// their still-active neighbors in the range into `acct`, compact those
-  /// neighbors' active prefixes, void their idle promises, and collect the
-  /// sleepers this wakes into `wake`, sorted. `touched` is scratch. At
-  /// 2^16 nodes and more the compaction prefetches the prefix row and
-  /// count of the receiver 8 ahead, all of them in [lo, hi).
-  void notify_terminations(NodeId lo, NodeId hi, detail::CongestAccount& acct,
+  /// The termination pass's notice step for receiver range [lo, hi), in a
+  /// round where `terminated` nodes terminated: charge the Section 7
+  /// notices of this round's terminated nodes to their still-active
+  /// neighbors in the range into `acct`, compact those neighbors' active
+  /// prefixes, void their idle promises, and collect the sleepers this
+  /// wakes into `wake`, ascending. detail::pull_terminations picks the
+  /// direction. Pull walks the range's active nodes in ascending order and
+  /// drops each prefix's inactive entries, one notice each. Push walks the
+  /// terminated nodes' rows, with `touched` as scratch, and at 2^16 nodes
+  /// and more its compaction prefetches the prefix row and count of the
+  /// receiver 8 ahead, all of them in [lo, hi).
+  void notify_terminations(NodeId lo, NodeId hi, std::size_t terminated,
+                           detail::CongestAccount& acct,
                            std::vector<NodeId>& touched,
                            std::vector<NodeId>& wake);
   /// Neighborhood-cache lookup/update for one resolved record, called from

@@ -196,6 +196,8 @@ void TranscriptWriter::maybe_partial_flush() {
 
 void TranscriptWriter::on_run_begin(NodeId n, const EngineOptions& options) {
   DGAP_REQUIRE(!begun_, "a TranscriptWriter records exactly one run");
+  DGAP_REQUIRE(options.congest_policy <= CongestPolicy::kFail,
+               "congest policy code above kFail");
   begun_ = true;
   out_.reserve(256);
   for (const std::uint8_t b : kMagic) out_.push_back(b);
@@ -242,11 +244,14 @@ void TranscriptWriter::on_round_begin(int round, NodeId active) {
   put_varint(out_, static_cast<std::uint64_t>(round));
   put_varint(out_, static_cast<std::uint64_t>(active));
   in_round_ = true;
+  last_to_ = 0;
 }
 
 void TranscriptWriter::on_message(const TraceMessage& m) {
   DGAP_REQUIRE(in_round_ && detail_ >= TraceDetail::kMessages,
                "message event outside an open round");
+  DGAP_REQUIRE(m.to >= last_to_, "a round's receivers must not descend");
+  last_to_ = m.to;
   out_.push_back(kTagMessage);
   put_varint(out_, static_cast<std::uint64_t>(m.from));
   put_varint(out_, static_cast<std::uint64_t>(m.to));

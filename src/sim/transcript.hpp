@@ -124,7 +124,10 @@ struct Transcript {
 
 /// TraceSink that serializes the run into the binary format. Install via
 /// EngineOptions::trace_sink; after run() returns, bytes() holds the
-/// complete file image. A writer records exactly one run.
+/// complete file image. A writer records exactly one run. It throws via
+/// DGAP_REQUIRE on events the decoder would reject, so it never writes a
+/// file that cannot be read back: a round whose receivers descend, or a
+/// policy code above kFail.
 ///
 /// Large runs: stream_to(path) switches the writer to write-through mode —
 /// the buffer is flushed to disk after the header, after every closed
@@ -183,6 +186,7 @@ class TranscriptWriter final : public TraceSink {
   std::optional<GraphSpec> spec_;
   std::vector<std::uint8_t> out_;
   std::size_t round_start_ = 0;  // offset of the open round block
+  NodeId last_to_ = 0;           // the open round's last receiver
   bool begun_ = false;
   bool in_round_ = false;
   bool finished_ = false;
@@ -212,7 +216,8 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes);
 
 /// Serialize a structured transcript — the exact inverse of
 /// decode_transcript, and byte-identical to what a TranscriptWriter
-/// produces for the run it records.
+/// produces for the run it records. Like the writer it drives, it throws
+/// on a round whose receivers descend or a policy code above kFail.
 std::vector<std::uint8_t> encode_transcript(const Transcript& t);
 
 /// File I/O. Both throw (DGAP_REQUIRE) on I/O errors.

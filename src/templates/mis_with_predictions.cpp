@@ -181,11 +181,9 @@ PhaseProgram::Status BwGreedyMisPhase::on_receive(NodeContext& ctx,
   if (inner == 1) {
     if (!my_turn(ctx)) return Status::kRunning;
     // Local max among active neighbors with MY prediction color.
-    bool covered = false;
-    for (NodeId u : ctx.neighbors()) {
-      if (ctx.neighbor_output(u) == 1) covered = true;
+    for (const Value out : ctx.neighbor_outputs()) {
+      if (out == 1) return Status::kRunning;  // handled next (even) round
     }
-    if (covered) return Status::kRunning;  // handled next (even) round
     for (NodeId u : ctx.active_neighbors()) {
       auto it = std::lower_bound(
           neighbor_predictions_.begin(), neighbor_predictions_.end(),
@@ -199,8 +197,8 @@ PhaseProgram::Status BwGreedyMisPhase::on_receive(NodeContext& ctx,
     ctx.set_output(1);
     ctx.terminate();
   } else {
-    for (NodeId u : ctx.neighbors()) {
-      if (ctx.neighbor_output(u) == 1) {
+    for (const Value out : ctx.neighbor_outputs()) {
+      if (out == 1) {
         ctx.set_output(0);
         ctx.terminate();
         break;

@@ -8,8 +8,8 @@ namespace {
 constexpr Value kMsgRoot = 7;
 
 bool sees_mis_neighbor(const NodeContext& ctx) {
-  for (NodeId u : ctx.neighbors()) {
-    if (ctx.neighbor_output(u) == 1) return true;
+  for (const Value out : ctx.neighbor_outputs()) {
+    if (out == 1) return true;
   }
   return false;
 }

@@ -68,8 +68,8 @@ class ObserveTerminationProgram final : public NodeProgram {
       ctx.terminate();
       return;
     }
-    for (NodeId u : ctx.neighbors()) {
-      if (!ctx.neighbor_active(u) && ctx.neighbor_output(u) == 7) {
+    for (const Value out : ctx.neighbor_outputs()) {
+      if (out == 7) {
         // Encode the round at which the notice became visible.
         ctx.set_output(100 + ctx.round());
         ctx.terminate();
@@ -105,6 +105,70 @@ class StallProgram final : public NodeProgram {
   void on_send(NodeContext&) override {}
   void on_receive(NodeContext&) override {}
 };
+
+/// Star with center 0 and leaves 1–3, plus the isolated node 4. Each node
+/// logs its neighbor_outputs() view every round, then follows a script:
+/// node 1 sets an output in round 1 and terminates in round 2 with
+/// another, node 0 sets its output in round 3 and terminates in round 4.
+class OutputsViewProgram final : public NodeProgram {
+ public:
+  explicit OutputsViewProgram(std::vector<std::vector<Value>>* log)
+      : log_(log) {}
+  void on_send(NodeContext&) override {}
+  void on_receive(NodeContext& ctx) override {
+    const NeighborOutputs view = ctx.neighbor_outputs();
+    EXPECT_EQ(view.size(), ctx.neighbors().size());
+    std::vector<Value> seen;
+    for (const Value out : view) seen.push_back(out);
+    for (std::size_t j = 0; j < view.size(); ++j) EXPECT_EQ(view[j], seen[j]);
+    log_->push_back(seen);
+    const NodeId v = ctx.index();
+    if (v == 1 && ctx.round() == 1) ctx.set_output(11);
+    if (v == 0 && ctx.round() == 3) ctx.set_output(1);
+    constexpr int kLast[] = {4, 2, 1, 5, 1};
+    constexpr Value kOutput[] = {1, 12, 21, 31, 41};
+    if (ctx.round() == kLast[v]) {
+      ctx.set_output(kOutput[v]);
+      ctx.terminate();
+    }
+  }
+
+ private:
+  std::vector<std::vector<Value>>* log_;
+};
+
+TEST(Engine, NeighborOutputsShowTerminatedNeighborsOnly) {
+  GraphBuilder b(5);
+  b.add_edge(0, 1);
+  b.add_edge(0, 2);
+  b.add_edge(0, 3);
+  const Graph g = b.build();
+  constexpr Value U = kUndefined;
+  // Per node, per round: the view, aligned with neighbors(). A neighbor's
+  // output shows from the round after it terminates (node 2's 21 in round
+  // 2), never while it is active, even once it has set one (node 1's 11,
+  // node 0's 1 before round 5).
+  const std::vector<std::vector<std::vector<Value>>> want = {
+      {{U, U, U}, {U, 21, U}, {12, 21, U}, {12, 21, U}},
+      {{U}, {U}},
+      {{U}},
+      {{U}, {U}, {U}, {U}, {1}},
+      {{}},
+  };
+  for (const int threads : {1, 2, 4}) {
+    std::vector<std::vector<std::vector<Value>>> logs(5);
+    EngineOptions opt;
+    opt.num_threads = threads;
+    const RunResult result = run_algorithm(
+        g,
+        [&logs](NodeId v) {
+          return std::make_unique<OutputsViewProgram>(&logs[v]);
+        },
+        opt);
+    EXPECT_TRUE(result.completed) << threads << " threads";
+    EXPECT_EQ(logs, want) << threads << " threads";
+  }
+}
 
 TEST(Engine, MaxRoundsCutoffReportsIncomplete) {
   Graph g = make_line(2);

@@ -42,6 +42,16 @@ Run Context::run(const Factory& factory) {
   return {std::move(res_), std::move(log_)};
 }
 
+std::vector<Value> Context::neighbor_outputs() const {
+  std::vector<Value> out;
+  for (const NodeId u : neighbors()) {
+    const bool active = std::binary_search(at().view.begin(),
+                                           at().view.end(), u);
+    out.push_back(active ? kUndefined : nodes_[u].output);
+  }
+  return out;
+}
+
 Context::Node& Context::acts(const char* act) {
   DGAP_ASSERT(!at().asleep, "node " + std::to_string(v_) + " " + act +
                                 " asleep in round " + std::to_string(round_));

@@ -59,6 +59,9 @@ class Context {
   std::span<const NodeId> neighbors() const { return g_.neighbors(v_); }
   Value neighbor_id(NodeId u) const { return g_.id(u); }
   std::span<const NodeId> active_neighbors() const { return at().view; }
+  /// Aligned with neighbors(): a neighbor's output once it has left the
+  /// view, kUndefined while it is in it.
+  std::vector<Value> neighbor_outputs() const;
   std::span<const Message> inbox() const { return at().inbox; }
   void send(NodeId to, const Value* words, std::size_t count, int channel = 0);
   void broadcast(const Value* words, std::size_t count, int channel = 0) {

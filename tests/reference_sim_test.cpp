@@ -7,6 +7,7 @@
 // binary pins what it agrees on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -195,6 +196,179 @@ TEST(ReferenceModel, LookaheadSizedRunMatchesModel) {
                                       opt, TraceDetail::kPayloads);
   expect_identical(want.result, four.result);
   EXPECT_TRUE(one.transcript == four.transcript);
+}
+
+// ---------------------------------------------------------------------------
+// The termination pass's two directions (detail::pull_terminations): push
+// walks the terminated nodes' rows, pull each shard's own prefixes.
+// ---------------------------------------------------------------------------
+
+enum Act { kStay, kIdle, kExit };
+
+/// What node `id` does at the end of `round`, and the rounds in which
+/// awake nodes broadcast.
+struct Script {
+  Act (*act)(Value id, int round);
+  int talk_rounds;
+};
+
+/// Follows a Script. An awake node folds its inbox and its view — both
+/// active_neighbors() and neighbor_outputs() — into a digest every round,
+/// broadcasts the digest in the talk rounds, and exits with it as its
+/// output (and, for a third of the digests, one edge output). It keeps
+/// its idle promise as RandomTraffic does: asleep until its inbox is
+/// nonempty or its view shrinks.
+template <typename Ctx>
+class ScriptedExits {
+ public:
+  explicit ScriptedExits(Script s) : s_(s) {}
+
+  void on_send(Ctx& ctx) {
+    if (asleep(ctx) || ctx.round() > s_.talk_rounds) return;
+    const Value word = static_cast<Value>(digest_ >> 1);
+    ctx.broadcast(&word, 1);
+  }
+
+  void on_receive(Ctx& ctx) {
+    if (ctx.inbox().empty() && asleep(ctx)) return;
+    idle_view_ = kAwake;
+    for (const Message& m : ctx.inbox()) fold(m.words[0]);
+    for (const NodeId u : ctx.active_neighbors()) fold(ctx.neighbor_id(u));
+    const auto outs = ctx.neighbor_outputs();
+    for (std::size_t j = 0; j < outs.size(); ++j) fold(outs[j]);
+    switch (s_.act(ctx.id(), ctx.round())) {
+      case kStay:
+        break;
+      case kIdle:
+        ctx.idle();
+        idle_view_ = ctx.active_neighbors().size();
+        break;
+      case kExit:
+        ctx.set_output(static_cast<Value>(digest_ >> 1));
+        if (digest_ % 3 == 0 && !ctx.active_neighbors().empty()) {
+          ctx.set_output_for(ctx.active_neighbors()[0], 1);  // 2-word notices
+        }
+        ctx.terminate();
+        break;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kAwake = ~std::size_t{0};
+
+  bool asleep(const Ctx& ctx) {
+    if (idle_view_ == ctx.active_neighbors().size()) return true;
+    idle_view_ = kAwake;
+    return false;
+  }
+  void fold(Value x) {
+    digest_ = digest_ * 1315423911u + static_cast<std::uint64_t>(x);
+  }
+
+  Script s_;
+  std::uint64_t digest_ = 1;
+  std::size_t idle_view_ = kAwake;
+};
+
+/// All but 1/64 of the nodes exit in round 2, the rest in round 4; the
+/// round-3 broadcasts reach exactly the pulled views.
+Act dense(Value id, int round) {
+  if (round == 2 && id % 64 != 1) return kExit;
+  return round == 4 ? kExit : kStay;
+}
+
+/// A fifth of the nodes idle in round 1, and nothing is sent after it, so
+/// only a notice can wake them. Most others exit in round 2, a pull round;
+/// a sleeper exits once woken, the rest exit in round 4.
+Act pulled_wake(Value id, int round) {
+  if (id % 5 == 0) return round == 1 ? kIdle : round >= 3 ? kExit : kStay;
+  if (round == 2 && id % 64 != 1) return kExit;
+  return round == 4 ? kExit : kStay;
+}
+
+/// On a path with identifiers in order, one or two exits per round in
+/// rounds 2–4 (push; 498's exit wakes the sleeper 497 in round 3), then
+/// every awake node in round 6 (pull), which wakes the sleepers that exit
+/// in round 7 (pull).
+Act push_then_pull(Value id, int round) {
+  if (id % 7 == 0) return round == 1 ? kIdle : round >= 3 ? kExit : kStay;
+  if ((round == 2 && id == 498) || (round == 3 && id == 100) ||
+      (round == 4 && id == 900)) {
+    return kExit;
+  }
+  return round == 6 ? kExit : kStay;
+}
+
+/// At lookahead size: 70 exits in round 2 (push, 140 receivers, so the
+/// compaction prefetches), all but 1% in round 3 (pull), the rest in
+/// round 4.
+Act lookahead_push_then_pull(Value id, int round) {
+  if (round == 2) return id % 1000 == 500 ? kExit : kStay;
+  if (round == 3) return id % 100 != 0 ? kExit : kStay;
+  return round == 4 ? kExit : kStay;
+}
+
+TEST(ReferenceModel, TerminationPassMatchesModelInBothDirections) {
+  struct Case {
+    const char* name;
+    Graph graph;
+    Script script;
+    std::vector<int> push_rounds, pull_rounds;
+    int woken_round;  // only sleepers a notice woke exit in it (0: none)
+  };
+  Rng rng(24);
+  std::vector<Case> cases;
+  cases.push_back({"dense", make_gnp_sparse(2000, 8.0 / 2000, rng),
+                   {dense, 3}, {}, {2}, 0});
+  cases.push_back({"pulled wake", make_gnp_sparse(2000, 8.0 / 2000, rng),
+                   {pulled_wake, 1}, {}, {2}, 3});
+  cases.push_back(
+      {"push then pull", make_line(1000), {push_then_pull, 1}, {2, 3, 4},
+       {6, 7}, 7});
+  cases.push_back({"lookahead push then pull", make_line(70'000),
+                   {lookahead_push_then_pull, 0}, {2}, {3}, 0});
+  EngineScratch shared;  // one scratch across both directions and cases
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Graph& g = c.graph;
+    EngineOptions opt;
+    opt.max_rounds = 20;
+    const ref::Run want =
+        ref::run_model(g, model_factory<ScriptedExits>(c.script), opt);
+    // The instance takes the directions it is named for, at every S.
+    const auto exits = [&want](int round) {
+      return static_cast<std::size_t>(
+          std::count(want.result.termination_round.begin(),
+                     want.result.termination_round.end(), round));
+    };
+    const auto n = static_cast<std::size_t>(g.num_nodes());
+    for (const std::size_t S : {1u, 2u, 4u}) {
+      for (std::size_t t = 0; t < S; ++t) {
+        const std::size_t range = n * (t + 1) / S - n * t / S;
+        for (const int r : c.push_rounds) {
+          EXPECT_GT(exits(r), 0u) << r;
+          EXPECT_FALSE(detail::pull_terminations(exits(r), range)) << r;
+        }
+        for (const int r : c.pull_rounds) {
+          EXPECT_TRUE(detail::pull_terminations(exits(r), range)) << r;
+        }
+      }
+    }
+    if (c.woken_round > 0) {
+      EXPECT_GT(exits(c.woken_round), 0u);
+    }
+    for (const int threads : {1, 2, 4}) {
+      EngineOptions topt = opt;
+      topt.num_threads = threads;
+      RunResult got;
+      const std::vector<std::uint8_t> bytes =
+          record(g, engine_factory<ScriptedExits>(c.script), topt,
+                 /*stream=*/false, threads == 2 ? nullptr : &shared, got);
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      expect_identical(want.result, got);
+      EXPECT_EQ(inbox_mismatch(want.inboxes, bytes), "");
+    }
+  }
 }
 
 /// Node id 1 idles in round 1 and broadcasts in round 2 although nothing

@@ -195,6 +195,13 @@ Transcript one_message_transcript() {
   return t;
 }
 
+/// Offset of the first byte where two encodings differ.
+std::size_t first_difference(const std::vector<std::uint8_t>& a,
+                             const std::vector<std::uint8_t>& b) {
+  return static_cast<std::size_t>(std::ranges::mismatch(a, b).in1 -
+                                  a.begin());
+}
+
 TEST(TranscriptCodec, RejectsVersionOne) {
   std::vector<std::uint8_t> bytes = encode_transcript(one_message_transcript());
   ASSERT_EQ(bytes[4], kTranscriptVersion);  // the varint after "DGTR"
@@ -208,7 +215,7 @@ TEST(TranscriptCodec, RejectsFlagsBytesOtherThanZeroOrTwo) {
   t.rounds[0].messages[0].suppressed = true;
   const std::vector<std::uint8_t> suppressed = encode_transcript(t);
   // The first byte the suppressed flag changes is the flags byte.
-  const auto at = std::ranges::mismatch(plain, suppressed).in1 - plain.begin();
+  const std::size_t at = first_difference(plain, suppressed);
   ASSERT_EQ(plain[at], 0);
   ASSERT_EQ(suppressed[at], 2);
   for (const std::uint8_t flags : {std::uint8_t{1}, std::uint8_t{3}}) {
@@ -218,18 +225,38 @@ TEST(TranscriptCodec, RejectsFlagsBytesOtherThanZeroOrTwo) {
   }
 }
 
+// The decoder checks receiver order and the policy code before any
+// checksum, so one patched byte of a valid encoding reaches each check.
+// The encoder refuses to write either defect.
+
 TEST(TranscriptCodec, RejectsDescendingReceivers) {
   Transcript t = one_message_transcript();
   TranscriptMessage m = t.rounds[0].messages[0];
-  m.to = 3;
+  m.to = 5;  // receivers 4, 5
   t.rounds[0].messages.push_back(m);
-  expect_rejected(encode_transcript(t), "receivers out of order");
+  const std::vector<std::uint8_t> valid = encode_transcript(t);
+  t.rounds[0].messages[1].to = 6;
+  const std::size_t at = first_difference(valid, encode_transcript(t));
+  ASSERT_EQ(valid[at], 5);  // the second receiver's varint
+  std::vector<std::uint8_t> bytes = valid;
+  bytes[at] = 3;
+  expect_rejected(bytes, "receivers out of order");
+  t.rounds[0].messages[1].to = 3;
+  EXPECT_THROW(encode_transcript(t), std::invalid_argument);
 }
 
 TEST(TranscriptCodec, RejectsPolicyCodesAboveFail) {
   Transcript t = one_message_transcript();
+  t.congest_policy = CongestPolicy::kFail;
+  const std::vector<std::uint8_t> valid = encode_transcript(t);
+  t.congest_policy = CongestPolicy::kDefer;
+  const std::size_t at = first_difference(valid, encode_transcript(t));
+  ASSERT_EQ(valid[at], 2);  // kFail's code
+  std::vector<std::uint8_t> bytes = valid;
+  bytes[at] = 3;
+  expect_rejected(bytes, "invalid transcript congest policy");
   t.congest_policy = static_cast<CongestPolicy>(3);
-  expect_rejected(encode_transcript(t), "invalid transcript congest policy");
+  EXPECT_THROW(encode_transcript(t), std::invalid_argument);
 }
 
 TEST(TranscriptCodec, GarbageInputFailsCleanly) {
