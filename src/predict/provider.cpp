@@ -218,6 +218,32 @@ class WarmStartProvider final : public PredictionProvider {
   std::vector<Value> outputs_;
 };
 
+class LiteralProvider final : public PredictionProvider {
+ public:
+  explicit LiteralProvider(Predictions predictions)
+      : predictions_(std::move(predictions)) {}
+  std::string name() const override { return "literal"; }
+  std::uint64_t digest() const override {
+    // Every value, each list length-prefixed so no two layouts collide.
+    WordDigest d = tagged("literal");
+    d.word(predictions_.node_values().size());
+    d.array(predictions_.node_values());
+    d.word(predictions_.edge_values().size());
+    for (const std::vector<Value>& row : predictions_.edge_values()) {
+      d.word(row.size());
+      d.array(row);
+    }
+    return d.value();
+  }
+  Predictions provide(const Graph& /*g*/, ProblemKind /*kind*/,
+                      Rng& /*rng*/) const override {
+    return predictions_;
+  }
+
+ private:
+  Predictions predictions_;
+};
+
 }  // namespace
 
 const char* problem_kind_name(ProblemKind kind) {
@@ -271,6 +297,10 @@ ProviderPtr stale_graph_provider(int remove_edges, int add_edges) {
 ProviderPtr warm_start_provider(Graph prev, std::vector<Value> prev_outputs) {
   return std::make_shared<WarmStartProvider>(std::move(prev),
                                              std::move(prev_outputs));
+}
+
+ProviderPtr literal_provider(Predictions predictions) {
+  return std::make_shared<LiteralProvider>(std::move(predictions));
 }
 
 }  // namespace dgap

@@ -21,8 +21,9 @@
 //     compared across builds.
 //
 // Adapters below wrap every existing source: the synthetic generators
-// (predict/generators.hpp), the stale-graph scenario of Section 1.1, and
-// the epoch warm-start adapters (predict/warm_start.hpp). The learned
+// (predict/generators.hpp), the stale-graph scenario of Section 1.1, the
+// epoch warm-start adapters (predict/warm_start.hpp) and literal,
+// already materialized predictions. The learned
 // backend lives in predict/learned.hpp. Providers are a CONSTRUCTION-TIME
 // layer: they run before the engine does, so wrapping a source in a
 // provider never changes engine behavior (the golden transcripts pin
@@ -100,5 +101,12 @@ ProviderPtr stale_graph_provider(int remove_edges, int add_edges);
 /// Node-valued kinds only. The digest covers `prev`'s identifiers and
 /// the outputs, so distinct histories never collide.
 ProviderPtr warm_start_provider(Graph prev, std::vector<Value> prev_outputs);
+
+/// An already materialized prediction: provide() returns a copy of
+/// `predictions` for whatever graph, kind and rng it is asked with, so the
+/// caller pairs it with the graph it was computed for. The digest covers
+/// every node and edge value. This is how a batch job given literal
+/// predictions (sim/batch.hpp's make_job) carries them.
+ProviderPtr literal_provider(Predictions predictions);
 
 }  // namespace dgap

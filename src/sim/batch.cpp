@@ -10,24 +10,33 @@
 
 namespace dgap {
 
-BatchJob make_job(const Graph& g, ProgramFactory factory,
-                  Predictions predictions, EngineOptions options) {
+namespace {
+
+BatchJob job_with(ProgramFactory factory, Predictions predictions,
+                  EngineOptions options) {
   BatchJob job;
-  job.graph = &g;
-  job.predictions = std::move(predictions);
+  if (predictions.has_node_values() || predictions.has_edge_values()) {
+    job.provider = literal_provider(std::move(predictions));
+  }
   job.factory = std::move(factory);
   job.options = options;
   return job;
 }
 
+}  // namespace
+
+BatchJob make_job(const Graph& g, ProgramFactory factory,
+                  Predictions predictions, EngineOptions options) {
+  BatchJob job = job_with(std::move(factory), std::move(predictions), options);
+  job.graph = &g;
+  return job;
+}
+
 BatchJob make_job(const GraphSpec& spec, ProgramFactory factory,
                   Predictions predictions, EngineOptions options) {
-  BatchJob job;
+  BatchJob job = job_with(std::move(factory), std::move(predictions), options);
   job.spec = spec;
   job.use_spec = true;
-  job.predictions = std::move(predictions);
-  job.factory = std::move(factory);
-  job.options = options;
   return job;
 }
 
@@ -39,8 +48,6 @@ BatchRunner::BatchRunner(BatchOptions options) : options_(options) {
 
 BatchRunner::~BatchRunner() = default;
 
-int BatchRunner::num_workers() const { return pool_->num_slots(); }
-
 std::size_t BatchRunner::add(BatchJob job) {
   DGAP_REQUIRE(job.factory != nullptr, "a batch job needs a program factory");
   DGAP_REQUIRE(job.graph != nullptr || job.use_spec,
@@ -51,10 +58,6 @@ std::size_t BatchRunner::add(BatchJob job) {
   DGAP_REQUIRE(job.algorithm_id.empty() || job.options.trace_sink == nullptr,
                "a content-addressed job cannot carry a trace sink — the "
                "sink would not fire on a cache hit");
-  DGAP_REQUIRE(job.provider == nullptr || (!job.predictions.has_node_values() &&
-                                           !job.predictions.has_edge_values()),
-               "a provider job materializes its own predictions; give one "
-               "source, not both");
   jobs_.push_back(std::move(job));
   return jobs_.size() - 1;
 }
@@ -71,16 +74,20 @@ std::size_t BatchRunner::add(const GraphSpec& spec, ProgramFactory factory,
 }
 
 std::vector<BatchResult> BatchRunner::run_all() {
+  const std::size_t count = jobs_.size();
   // Resolve every spec through the cache up front, serially: cache fills in
   // submission order, and workers then only read shared immutable graphs.
-  for (BatchJob& job : jobs_) {
-    if (job.use_spec && job.graph == nullptr) {
-      job.shared_graph = cache_.get(job.spec);
-      job.graph = job.shared_graph.get();
+  // add() guarantees a job without a graph has a spec.
+  std::vector<std::shared_ptr<const Graph>> resolved(count);
+  std::vector<const Graph*> graphs(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    graphs[i] = jobs_[i].graph;
+    if (graphs[i] == nullptr) {
+      resolved[i] = cache_.get(jobs_[i].spec);
+      graphs[i] = resolved[i].get();
     }
   }
 
-  const std::size_t count = jobs_.size();
   std::vector<BatchResult> results(count);
 
   // Content addressing, serially and in submission order on both sides of
@@ -95,15 +102,16 @@ std::vector<BatchResult> BatchRunner::run_all() {
     if (job.algorithm_id.empty()) continue;
     cacheable[i] = 1;
     const std::uint64_t instance =
-        job.use_spec ? spec_digest(job.spec) : graph_digest(*job.graph);
+        job.use_spec ? spec_digest(job.spec) : graph_digest(*graphs[i]);
     const std::uint64_t pred_slot =
         job.provider != nullptr
             ? provider_slot_digest(*job.provider, job.provider_kind,
                                    job.provider_seed)
-            : predictions_digest(job.predictions);
+            : 0;
     keys[i] = result_cache_key(instance, job.algorithm_id, pred_slot,
                                options_digest(job.options),
-                               job.capture_transcript, job.transcript_detail);
+                               job.capture_transcript, job.transcript_detail,
+                               job.transcript_label);
     if (auto entry = results_.get(keys[i])) {
       results[i].index = i;
       results[i].ok = true;
@@ -117,11 +125,12 @@ std::vector<BatchResult> BatchRunner::run_all() {
   // Materialize provider predictions for the jobs that will actually
   // run, serially in submission order (providers are deterministic given
   // the seed, so this is reproducible regardless of worker count).
+  std::vector<Predictions> predictions(count);
   for (std::size_t i = 0; i < count; ++i) {
-    BatchJob& job = jobs_[i];
+    const BatchJob& job = jobs_[i];
     if (job.provider == nullptr || cached[i]) continue;
-    job.predictions = provide_with_seed(*job.provider, *job.graph,
-                                        job.provider_kind, job.provider_seed);
+    predictions[i] = provide_with_seed(*job.provider, *graphs[i],
+                                       job.provider_kind, job.provider_seed);
   }
 
   std::atomic<std::size_t> next{0};
@@ -150,8 +159,8 @@ std::vector<BatchResult> BatchRunner::run_all() {
         options.trace_sink = writer.get();
       }
       try {
-        Engine engine(*job.graph, job.predictions, std::move(job.factory),
-                      options, /*shared_pool=*/nullptr, &scratch);
+        Engine engine(*graphs[i], predictions[i], std::move(job.factory),
+                      options, &scratch);
         out.result = engine.run();
         out.ok = true;
         if (writer) out.transcript = writer->take_bytes();

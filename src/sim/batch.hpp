@@ -18,6 +18,12 @@
 // submission index, so scheduling cannot leak into outputs.
 // tests/batch_test.cpp pins this.
 //
+// run_all() is the one code path that turns a job into a run: cache
+// lookup, prediction materialization, transcript capture, engine run and
+// cache fill. The epoch harness (sim/epoch.hpp) runs on it too. A job
+// gets its predictions only from a PredictionProvider; make_job wraps
+// literal predictions in a literal_provider.
+//
 // Amortization: jobs given as GraphSpec are resolved through a keyed
 // GraphCache (repeated-seed sweeps build each distinct instance once),
 // and each worker slot owns one EngineScratch reused by every engine it
@@ -39,14 +45,15 @@
 namespace dgap {
 
 /// One simulation to run: an instance (borrowed graph or cache-resolved
-/// spec), the algorithm, optional predictions, and engine options.
-/// `options.num_threads` is forced to 1 inside a batch.
+/// spec), the algorithm, an optional prediction provider, and engine
+/// options. `options.num_threads` is forced to 1 inside a batch.
 struct BatchJob {
-  const Graph* graph = nullptr;  // borrowed; must outlive run_all()
-  std::shared_ptr<const Graph> shared_graph;  // keeps a resolved spec alive
+  /// Borrowed; must outlive run_all(). When null, the runner resolves
+  /// `spec` through its graph cache. A spec job (use_spec) is keyed by its
+  /// spec, and its transcript header embeds it, either way.
+  const Graph* graph = nullptr;
   GraphSpec spec;
   bool use_spec = false;
-  Predictions predictions;  // empty = no predictions
   ProgramFactory factory;
   EngineOptions options;
   /// Record this job's run as a binary transcript (sim/transcript.hpp);
@@ -59,28 +66,32 @@ struct BatchJob {
   /// Stable name of the algorithm `factory` builds (e.g. "mis/greedy").
   /// When non-empty, the job is CONTENT-ADDRESSED through the runner's
   /// ResultCache (sim/result_cache.hpp): an identical job — same instance,
-  /// options, predictions, algorithm id, transcript request — submitted in
-  /// any later (or the same) batch is served from the cache without
-  /// executing. The id is the caller's contract that equal ids mean equal
-  /// per-node behavior. Incompatible with options.trace_sink (the sink
-  /// would not fire on a hit; DGAP_REQUIRE at add()).
+  /// options, provider slot, algorithm id, transcript request (label
+  /// included) — submitted in any later (or the same) batch is served
+  /// from the cache without executing. The id is the caller's contract
+  /// that equal ids mean equal per-node behavior. Incompatible with
+  /// options.trace_sink (the sink would not fire on a hit; DGAP_REQUIRE
+  /// at add()).
   std::string algorithm_id;
-  /// Provider-sourced predictions: when set (with `predictions` left
-  /// empty — DGAP_REQUIRE at add()), the runner materializes the
-  /// predictions itself via provider->provide(graph, provider_kind,
-  /// Rng(provider_seed)) in a serial pre-pass, and a content-addressed
-  /// job is keyed by provider_slot_digest(*provider, kind, seed) instead
-  /// of hashing a materialized vector — so a cache HIT never pays for
-  /// materialization at all.
+  /// The job's only source of predictions; null runs without any. The
+  /// runner materializes provider->provide(graph, provider_kind,
+  /// Rng(provider_seed)) in a serial pre-pass, and only for jobs that
+  /// miss the cache: a content-addressed job is keyed by
+  /// provider_slot_digest(*provider, kind, seed), so a HIT never pays for
+  /// materialization at all. Literal predictions travel as a
+  /// literal_provider (predict/provider.hpp); make_job wraps them.
   ProviderPtr provider;
   ProblemKind provider_kind = ProblemKind::kMis;
   std::uint64_t provider_seed = 0;
 };
 
 /// Job against an existing graph (borrowed; caller keeps it alive).
+/// Non-empty `predictions` become the job's literal_provider; empty ones
+/// mean no provider.
 BatchJob make_job(const Graph& g, ProgramFactory factory,
                   Predictions predictions = {}, EngineOptions options = {});
-/// Job against a spec, resolved through the runner's graph cache.
+/// Job against a spec, resolved through the runner's graph cache;
+/// `predictions` as above.
 BatchJob make_job(const GraphSpec& spec, ProgramFactory factory,
                   Predictions predictions = {}, EngineOptions options = {});
 
@@ -128,7 +139,6 @@ class BatchRunner {
                   Predictions predictions = {}, EngineOptions options = {});
 
   std::size_t pending() const { return jobs_.size(); }
-  int num_workers() const;
 
   /// Execute every pending job; results in submission order. Clears the
   /// pending list. Jobs that threw are reported, not rethrown.

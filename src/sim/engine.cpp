@@ -343,7 +343,7 @@ void Engine::materialize_edge_outputs(
 
 Engine::Engine(const Graph& g, const Predictions& predictions,
                ProgramFactory factory, EngineOptions options,
-               ThreadPool* shared_pool, EngineScratch* scratch)
+               EngineScratch* scratch)
     : graph_(g),
       predictions_(&predictions),
       options_(options),
@@ -422,14 +422,7 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
     rs.next_awake.clear();
   }
   if (options_.num_threads > 1) {
-    if (shared_pool != nullptr) {
-      DGAP_REQUIRE(shared_pool->num_slots() == options_.num_threads,
-                   "shared pool slot count must equal num_threads");
-      pool_ = shared_pool;
-    } else {
-      owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-      pool_ = owned_pool_.get();
-    }
+    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
   if (options_.congest_policy != CongestPolicy::kCount) {
     link_ = std::make_unique<detail::LinkLayer>(g, options_.congest_policy,
@@ -1130,10 +1123,7 @@ RunResult Engine::run() {
     rp.receive_ns = lap();
     process_terminations(recv, result.termination_round);
     rp.mutate_ns = lap();
-    if (prof) {
-      result.phase_ns.accumulate(rp);
-      if (sink_ != nullptr) sink_->on_round_profile(round_, rp);
-    }
+    if (prof) result.phase_ns.accumulate(rp);
   }
 
   result.completed = (active_count_ == 0);
@@ -1160,16 +1150,14 @@ const Predictions& empty_predictions() {
 }
 
 RunResult run_algorithm(const Graph& g, ProgramFactory factory,
-                        EngineOptions options, ThreadPool* shared_pool) {
-  Engine engine(g, empty_predictions(), std::move(factory), options,
-                shared_pool);
+                        EngineOptions options) {
+  Engine engine(g, empty_predictions(), std::move(factory), options);
   return engine.run();
 }
 
 RunResult run_with_predictions(const Graph& g, const Predictions& predictions,
-                               ProgramFactory factory, EngineOptions options,
-                               ThreadPool* shared_pool) {
-  Engine engine(g, predictions, std::move(factory), options, shared_pool);
+                               ProgramFactory factory, EngineOptions options) {
+  Engine engine(g, predictions, std::move(factory), options);
   return engine.run();
 }
 

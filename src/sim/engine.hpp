@@ -565,9 +565,8 @@ struct EngineOptions {
   /// Results are bit-identical for every value — see docs/MODEL.md
   /// "Simulator internals & performance model".
   int num_threads = 1;
-  /// Measure the wall-ns each round spends in each pipeline stage
-  /// (RunResult::phase_ns; per-round deltas via
-  /// TraceSink::on_round_profile). Off by default under the trace spine's
+  /// Measure the wall-ns the run spends in each pipeline stage
+  /// (RunResult::phase_ns). Off by default under the trace spine's
   /// cost contract: the measurement is a handful of clock reads per round,
   /// invisible on message-bound runs but measurable on runs with millions
   /// of sub-microsecond rounds. Never affects simulated behavior.
@@ -617,8 +616,7 @@ struct RunResult {
   double wall_ms = 0;
   /// Cumulative wall-ns per pipeline stage (sim/trace.hpp) — where inside
   /// run() the wall time went. Host measurements like wall_ms: excluded
-  /// from determinism comparisons and never part of a transcript. The
-  /// per-round deltas stream through TraceSink::on_round_profile.
+  /// from determinism comparisons and never part of a transcript.
   PhaseProfile phase_ns;
   /// High-water mark of per-round message-payload arena usage, in bytes.
   /// Plateaus once the arena reaches steady state (no per-round allocation).
@@ -644,14 +642,12 @@ class Engine {
  public:
   /// The predictions object may be empty for algorithms without
   /// predictions; it is borrowed and must stay alive until run() returns.
-  /// `shared_pool` (optional, used only when options.num_threads > 1, slot
-  /// count must equal num_threads) lets repeated threaded runs reuse one
-  /// set of parked workers instead of respawning threads per simulation.
-  /// `scratch` (optional) lets a sweep reuse the data-plane buffers across
-  /// consecutive engines — see EngineScratch.
+  /// With options.num_threads > 1 the engine owns a pool of that many
+  /// slots for its lifetime. `scratch` (optional) lets a sweep reuse the
+  /// data-plane buffers across consecutive engines — see EngineScratch.
   Engine(const Graph& g, const Predictions& predictions,
          ProgramFactory factory, EngineOptions options = {},
-         ThreadPool* shared_pool = nullptr, EngineScratch* scratch = nullptr);
+         EngineScratch* scratch = nullptr);
   ~Engine();
 
   /// Run to global termination (or max_rounds).
@@ -782,8 +778,7 @@ class Engine {
   // additionally reuses their capacity across consecutive engines) ---
   std::unique_ptr<EngineScratch> owned_scratch_;  // null when injected
   EngineScratch& s_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // null when shared
-  ThreadPool* pool_ = nullptr;              // workers when num_threads > 1
+  std::unique_ptr<ThreadPool> pool_;  // workers when num_threads > 1
   // Bandwidth scheduler; only constructed for enforcing policies, so the
   // default (kCount) data plane is untouched by the link layer.
   std::unique_ptr<detail::LinkLayer> link_;
@@ -801,17 +796,14 @@ class Engine {
 /// without predictions, so hot sweep loops never construct one per call.
 const Predictions& empty_predictions();
 
-/// Convenience: run an algorithm without predictions. The optional shared
-/// pool is forwarded to the engine (see Engine's constructor).
+/// Convenience: run an algorithm without predictions.
 RunResult run_algorithm(const Graph& g, ProgramFactory factory,
-                        EngineOptions options = {},
-                        ThreadPool* shared_pool = nullptr);
+                        EngineOptions options = {});
 
 /// Convenience: run an algorithm with predictions.
 RunResult run_with_predictions(const Graph& g, const Predictions& predictions,
                                ProgramFactory factory,
-                               EngineOptions options = {},
-                               ThreadPool* shared_pool = nullptr);
+                               EngineOptions options = {});
 
 /// Apply `fn` to every message in `inbox` with the given channel, in inbox
 /// order. Allocation-free — the filter runs inline, so per-round hot loops

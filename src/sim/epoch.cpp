@@ -5,7 +5,6 @@
 #include "common/digest.hpp"
 #include "common/require.hpp"
 #include "predict/provider.hpp"
-#include "sim/transcript.hpp"
 
 namespace dgap {
 
@@ -56,103 +55,43 @@ std::uint64_t epoch_report_checksum(const EpochReport& report) {
 }
 
 EpochHarness::EpochHarness(EpochProblem problem, EpochConfig config)
-    : problem_(std::move(problem)), config_(std::move(config)) {
+    : problem_(std::move(problem)),
+      config_(std::move(config)),
+      runner_(BatchOptions{config_.workers}) {
   DGAP_REQUIRE(config_.epochs >= 1, "an epoch stream needs >= 1 epochs");
   DGAP_REQUIRE(problem_.factory && problem_.scratch != nullptr &&
                    problem_.eta && problem_.check,
                "epoch problem package is missing a required member");
-  DGAP_REQUIRE(config_.workers >= 0, "workers must be >= 0");
-  DGAP_REQUIRE(config_.workers == 0 || config_.options.num_threads == 1,
-               "batch execution forces single-threaded engines; use "
-               "workers == 0 to honor options.num_threads");
+  DGAP_REQUIRE(config_.options.num_threads == 1,
+               "batch execution forces single-threaded engines; "
+               "parallelism is config.workers");
   DGAP_REQUIRE(config_.options.trace_sink == nullptr,
                "the harness installs its own transcript writers");
-  if (config_.workers >= 1) {
-    runner_ = std::make_unique<BatchRunner>(BatchOptions{config_.workers});
-  } else {
-    own_cache_ = std::make_unique<ResultCache>();
-  }
-}
-
-EpochHarness::~EpochHarness() = default;
-
-ResultCache& EpochHarness::result_cache() {
-  return runner_ ? runner_->result_cache() : *own_cache_;
 }
 
 EpochReport EpochHarness::run() {
-  const std::string algorithm_id =
-      config_.use_result_cache ? problem_.name : std::string{};
-  ResultCache& cache = result_cache();
+  const ResultCache& cache = runner_.result_cache();
   const std::int64_t hits0 = cache.hits();
   const std::int64_t misses0 = cache.misses();
-
-  EpochReport report;
-  Graph current = config_.base.build();
-  Graph prev_graph;
-  std::vector<Value> prev_outputs;
   // Providers are deterministic; the fixed seed keeps every execution
   // axis (workers, repeats) addressing the same cache slots.
   constexpr std::uint64_t kProviderSeed = 0;
 
-  // Runs one provider-sourced job on the inline path: probe the cache by
-  // the provider's slot digest, and only on a miss materialize the
-  // prediction and execute (honoring options.num_threads, reusing the
-  // harness scratch), then fill.
-  auto run_inline = [&](const Graph& g, const PredictionProvider& provider,
-                        bool capture, const std::string& label,
-                        std::optional<GraphSpec> spec,
-                        std::uint64_t instance_digest, RunResult& out,
-                        std::vector<std::uint8_t>& transcript_out,
-                        bool& hit_out) {
-    const bool cacheable = !algorithm_id.empty();
-    std::uint64_t key = 0;
-    if (cacheable) {
-      key = result_cache_key(
-          instance_digest, algorithm_id,
-          provider_slot_digest(provider, problem_.kind, kProviderSeed),
-          options_digest(config_.options), capture, config_.detail);
-      if (auto entry = own_cache_->get(key)) {
-        out = entry->result;
-        transcript_out = entry->transcript;
-        hit_out = true;
-        return;
-      }
-    }
-    const Predictions pred =
-        provide_with_seed(provider, g, problem_.kind, kProviderSeed);
-    EngineOptions options = config_.options;
-    std::unique_ptr<TranscriptWriter> writer;
-    if (capture) {
-      writer = std::make_unique<TranscriptWriter>(config_.detail, label,
-                                                  std::move(spec));
-      options.trace_sink = writer.get();
-    }
-    Engine engine(g, pred, problem_.factory(), options,
-                  /*shared_pool=*/nullptr, &scratch_);
-    out = engine.run();
-    if (writer) transcript_out = writer->take_bytes();
-    hit_out = false;
-    if (cacheable) own_cache_->put(key, out, transcript_out);
-  };
-
+  EpochReport report;
+  Graph current = config_.base.build();
+  // Epoch 0 has no history: the warm run falls back to the scratch
+  // provider, exactly like the control.
+  ProviderPtr warm_source = problem_.scratch;
   for (int k = 0; k < config_.epochs; ++k) {
     if (k > 0) {
       const EditBatch batch = config_.churn.generate(current, k);
       Graph next = apply_edits(current, batch);
-      prev_graph = std::move(current);
+      warm_source = warm_start_provider(std::move(current),
+                                        report.epochs.back().warm.outputs);
       current = std::move(next);
     }
-    const bool spec_built = (k == 0);
-    // Epoch 0 has no history: the warm run falls back to the scratch
-    // provider, exactly like the control.
-    const ProviderPtr warm_provider =
-        spec_built ? problem_.scratch
-                   : warm_start_provider(prev_graph, prev_outputs);
-    const Predictions warm_pred = provide_with_seed(
-        *warm_provider, current, problem_.kind, kProviderSeed);
-    const std::string label =
-        config_.label + "_e" + std::to_string(k);
+    Predictions warm_pred = provide_with_seed(*warm_source, current,
+                                              problem_.kind, kProviderSeed);
 
     EpochRecord record;
     record.epoch = k;
@@ -160,60 +99,40 @@ EpochReport EpochHarness::run() {
     record.edges = current.num_edges();
     record.eta = problem_.eta(current, warm_pred);
 
-    if (runner_) {
-      BatchJob warm_job;
-      if (spec_built) {
-        warm_job.spec = config_.base;
-        warm_job.use_spec = true;
+    // The warm and control jobs differ only in their predictions and in
+    // whether the run is recorded. Epoch 0 is spec-built, so its jobs are
+    // keyed by the spec and their transcripts embed it.
+    const auto add_job = [&](ProviderPtr provider, bool capture) {
+      BatchJob job;
+      if (k == 0) {
+        job.spec = config_.base;
+        job.use_spec = true;
       } else {
-        warm_job.graph = &current;
+        job.graph = &current;
       }
-      warm_job.provider = warm_provider;
-      warm_job.provider_kind = problem_.kind;
-      warm_job.provider_seed = kProviderSeed;
-      warm_job.factory = problem_.factory();
-      warm_job.options = config_.options;
-      warm_job.capture_transcript = config_.capture_transcripts;
-      warm_job.transcript_detail = config_.detail;
-      warm_job.transcript_label = label;
-      warm_job.algorithm_id = algorithm_id;
-      runner_->add(std::move(warm_job));
-      BatchJob control_job;
-      if (spec_built) {
-        control_job.spec = config_.base;
-        control_job.use_spec = true;
-      } else {
-        control_job.graph = &current;
-      }
-      control_job.provider = problem_.scratch;
-      control_job.provider_kind = problem_.kind;
-      control_job.provider_seed = kProviderSeed;
-      control_job.factory = problem_.factory();
-      control_job.options = config_.options;
-      control_job.algorithm_id = algorithm_id;
-      runner_->add(std::move(control_job));
-      std::vector<BatchResult> results = runner_->run_all();
-      DGAP_ASSERT(results[0].ok, "warm epoch run failed: " + results[0].error);
-      record.warm = std::move(results[0].result);
-      record.warm_transcript = std::move(results[0].transcript);
-      record.warm_cache_hit = results[0].cache_hit;
-      DGAP_ASSERT(results[1].ok,
-                  "control epoch run failed: " + results[1].error);
-      record.control = std::move(results[1].result);
-      record.control_cache_hit = results[1].cache_hit;
-    } else {
-      const std::uint64_t instance = spec_built ? spec_digest(config_.base)
-                                                : graph_digest(current);
-      run_inline(current, *warm_provider, config_.capture_transcripts, label,
-                 spec_built ? std::optional<GraphSpec>(config_.base)
-                            : std::nullopt,
-                 instance, record.warm, record.warm_transcript,
-                 record.warm_cache_hit);
-      std::vector<std::uint8_t> unused;
-      run_inline(current, *problem_.scratch, /*capture=*/false, label,
-                 std::nullopt, instance, record.control, unused,
-                 record.control_cache_hit);
-    }
+      job.provider = std::move(provider);
+      job.provider_kind = problem_.kind;
+      job.provider_seed = kProviderSeed;
+      job.factory = problem_.factory();
+      job.options = config_.options;
+      job.capture_transcript = capture;
+      job.transcript_detail = config_.detail;
+      job.transcript_label = config_.label + "_e" + std::to_string(k);
+      job.algorithm_id = problem_.name;
+      runner_.add(std::move(job));
+    };
+    add_job(literal_provider(std::move(warm_pred)),
+            config_.capture_transcripts);
+    add_job(problem_.scratch, /*capture=*/false);
+    std::vector<BatchResult> results = runner_.run_all();
+    DGAP_ASSERT(results[0].ok, "warm epoch run failed: " + results[0].error);
+    record.warm = std::move(results[0].result);
+    record.warm_transcript = std::move(results[0].transcript);
+    record.warm_cache_hit = results[0].cache_hit;
+    DGAP_ASSERT(results[1].ok,
+                "control epoch run failed: " + results[1].error);
+    record.control = std::move(results[1].result);
+    record.control_cache_hit = results[1].cache_hit;
 
     const std::string warm_error = problem_.check(current, record.warm);
     DGAP_ASSERT(warm_error.empty(),
@@ -224,7 +143,6 @@ EpochReport EpochHarness::run() {
                 "epoch " + std::to_string(k) +
                     " control output invalid: " + control_error);
 
-    prev_outputs = record.warm.outputs;
     report.epochs.push_back(std::move(record));
   }
 

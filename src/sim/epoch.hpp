@@ -16,24 +16,24 @@
 // error measure η, its degradation bound, and the validity checker
 // (assemblies for MIS / matching / coloring live in
 // templates/epoch_problems.hpp, above this layer). Warm starts need no
-// per-problem adapter anymore: the harness wraps epoch k−1's outputs in
-// a warm_start_provider (predict/provider.hpp), and the provider's
-// digest — not a hash of the materialized prediction — content-addresses
-// the run, so a cache HIT skips prediction materialization entirely.
+// per-problem adapter: the harness wraps epoch k−1's outputs in a
+// warm_start_provider (predict/provider.hpp) and materializes the warm
+// prediction once, to measure η on it; the warm job then carries that
+// prediction as a literal_provider.
 //
-// Execution is deterministic and cacheable. workers >= 1 schedules each
-// epoch's jobs on a BatchRunner (engines single-threaded, per the batch
-// contract); workers == 0 runs engines inline honoring
-// options.num_threads. Either way the per-epoch transcripts are
-// byte-identical — tests/epoch_test.cpp pins bytes across both axes — and
-// every job is content-addressed through a ResultCache, so repeated
-// configurations (and the control runs of a zero-churn stream) are served
-// without executing. See docs/MODEL.md, "Epochs & warm-starting".
+// Execution is deterministic and cacheable. Each epoch's two jobs run on
+// the harness's BatchRunner — the one code path that turns a job into a
+// run — with engines single-threaded per the batch contract, so the
+// per-epoch transcripts are byte-identical for every worker count
+// (tests/epoch_test.cpp pins bytes). Every job is content-addressed
+// through the runner's ResultCache, so repeated configurations (and the
+// control runs of a zero-churn stream) are served without executing; a
+// captured transcript's label is part of its key, so a hit never carries
+// another epoch's label. See docs/MODEL.md, "Epochs & warm-starting".
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -71,10 +71,10 @@ struct EpochConfig {
   GraphSpec base;   // the epoch-0 instance
   ChurnSpec churn;  // edit-batch generator for epochs 1..
   int epochs = 6;
-  /// Engine options for every run. num_threads is honored only when
-  /// workers == 0 (the batch runner forces single-threaded engines).
+  /// Engine options for every run. Batch engines run single-threaded, so
+  /// num_threads must be 1; parallelism is `workers`.
   EngineOptions options;
-  /// Batch worker slots; 0 = run engines inline on the calling thread.
+  /// BatchRunner worker slots (>= 1).
   int workers = 1;
   /// Record each epoch's warm run as a binary transcript
   /// (EpochRecord::warm_transcript; encode_epoch_sequence() frames them).
@@ -82,8 +82,6 @@ struct EpochConfig {
   TraceDetail detail = TraceDetail::kPayloads;
   /// Transcript label stem; epoch k's label is "<label>_e<k>".
   std::string label = "epochs";
-  /// Content-address all runs through the harness's ResultCache.
-  bool use_result_cache = true;
 };
 
 struct EpochRecord {
@@ -120,24 +118,15 @@ std::uint64_t epoch_report_checksum(const EpochReport& report);
 class EpochHarness {
  public:
   EpochHarness(EpochProblem problem, EpochConfig config);
-  ~EpochHarness();
-
-  EpochHarness(const EpochHarness&) = delete;
-  EpochHarness& operator=(const EpochHarness&) = delete;
 
   /// Run the full epoch stream. Repeatable: a second run() replays the
-  /// same stream (and, with the cache on, is served almost entirely from
-  /// the result cache).
+  /// same stream and is served entirely from the runner's result cache.
   EpochReport run();
-
-  ResultCache& result_cache();
 
  private:
   EpochProblem problem_;
   EpochConfig config_;
-  std::unique_ptr<BatchRunner> runner_;   // workers >= 1
-  std::unique_ptr<ResultCache> own_cache_;  // workers == 0
-  EngineScratch scratch_;                 // inline path reuse
+  BatchRunner runner_;  // its result cache outlives each run()
 };
 
 // ---- Epoch-sequence container ---------------------------------------------

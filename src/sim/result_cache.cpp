@@ -9,8 +9,7 @@ namespace dgap {
 namespace {
 
 // Domain tags (ASCII) of the digests that fill one key slot side by side,
-// so a spec key and a structural key, or a provider slot and a raw
-// predictions digest, never collide by construction.
+// so a spec key and a structural key never collide by construction.
 constexpr std::uint64_t kGraphDomain = 0x4752415048ULL;  // "GRAPH"
 constexpr std::uint64_t kSpecDomain = 0x53504543ULL;     // "SPEC"
 constexpr std::uint64_t kSlotDomain = 0x534C4F54ULL;     // "SLOT"
@@ -115,17 +114,21 @@ std::uint64_t options_digest(const EngineOptions& options) {
 
 std::uint64_t result_cache_key(std::uint64_t instance_digest,
                                std::string_view algorithm_id,
-                               std::uint64_t predictions_digest,
+                               std::uint64_t predictions_slot,
                                std::uint64_t options_digest, bool capture,
-                               TraceDetail detail) {
+                               TraceDetail detail, std::string_view label) {
   WordDigest d;
   d.word(instance_digest);
   d.word(algorithm_id.size());
   d.array(algorithm_id);
-  d.word(predictions_digest);
+  d.word(predictions_slot);
   d.word(options_digest);
   d.word(capture ? 1 : 0);
-  d.word(word_of(static_cast<int>(detail)));
+  if (capture) {
+    d.word(word_of(static_cast<int>(detail)));
+    d.word(label.size());
+    d.array(label);
+  }
   return d.value();
 }
 

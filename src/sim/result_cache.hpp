@@ -22,9 +22,10 @@
 // sinks) are excluded from digests, exactly like the transcript header —
 // a key names the logical run. Everything that can change a result is
 // in, the compile options too: a compiled run reports different wire
-// counters. Whether a transcript was captured, and at which detail, IS
-// part of the key, so a hit always carries the artifacts the job asked
-// for.
+// counters. Whether a transcript was captured IS part of the key, and so
+// are a captured transcript's detail and label (the label is written into
+// its header), so a hit always carries the artifacts the job asked for.
+// An uncaptured job's key ignores both.
 //
 // Poisoning guard: every entry stores a digest of its own payload at
 // put() time — every transcript byte and every field result_checksum
@@ -61,8 +62,8 @@ namespace dgap {
 std::uint64_t result_checksum(const RunResult& result);
 std::uint64_t results_checksum(std::span<const RunResult> results);
 
-/// Digest of a literal prediction vector: the predictions slot of a key
-/// for jobs without a provider. Byte-exact FNV-1a because tests pin it.
+/// Digest of a materialized prediction vector. Byte-exact FNV-1a because
+/// tests pin it; cache keys hash a provider_slot_digest instead.
 std::uint64_t predictions_digest(const Predictions& pred);
 
 // ---- In-process digests (WordDigest) over the cache key's components -------
@@ -91,13 +92,16 @@ std::uint64_t provider_slot_digest(const PredictionProvider& provider,
 std::uint64_t options_digest(const EngineOptions& options);
 
 /// The content address of one job. `instance_digest` is spec_digest() or
-/// graph_digest(); `capture`/`detail` describe the transcript request.
+/// graph_digest(); `predictions_slot` is provider_slot_digest(), or 0 for
+/// a job without predictions; `capture`/`detail`/`label` describe the
+/// transcript request (detail and label count only when capturing).
 std::uint64_t result_cache_key(std::uint64_t instance_digest,
                                std::string_view algorithm_id,
-                               std::uint64_t predictions_digest,
+                               std::uint64_t predictions_slot,
                                std::uint64_t options_digest,
                                bool capture = false,
-                               TraceDetail detail = TraceDetail::kPayloads);
+                               TraceDetail detail = TraceDetail::kPayloads,
+                               std::string_view label = {});
 
 // ---- The cache ------------------------------------------------------------
 

@@ -10,7 +10,6 @@ void TraceSink::on_round_begin(int, NodeId) {}
 void TraceSink::on_message(const TraceMessage&) {}
 void TraceSink::on_termination(int, NodeId, Value,
                                std::span<const std::pair<NodeId, Value>>) {}
-void TraceSink::on_round_profile(int, const PhaseProfile&) {}
 void TraceSink::on_run_end(const RunResult&) {}
 
 }  // namespace dgap

@@ -34,8 +34,7 @@ struct RunResult;
 
 /// Wall-clock nanoseconds spent in each stage of the engine's round
 /// pipeline. The engine accumulates one instance over the run
-/// (RunResult::phase_ns) and emits the per-round deltas through
-/// TraceSink::on_round_profile, so a perf regression is attributable to a
+/// (RunResult::phase_ns), so a perf regression is attributable to a
 /// stage instead of rediscovered by bisection. Like RunResult::wall_ms,
 /// these are measurements of the host, not of the simulated network:
 /// excluded from determinism comparisons and never part of a transcript.
@@ -118,12 +117,6 @@ class TraceSink {
   virtual void on_termination(int round, NodeId node, Value output,
                               std::span<const std::pair<NodeId, Value>>
                                   edge_outputs);
-  /// End of round `round`: the wall-ns this round spent in each pipeline
-  /// stage. Fired after the round's state mutations, before the next
-  /// on_round_begin. A profiling event on the host clock — sinks must not
-  /// record it into transcripts (same rule as wall_ms; the committed
-  /// transcript writers ignore it, which keeps goldens byte-identical).
-  virtual void on_round_profile(int round, const PhaseProfile& profile);
   /// End of run(): the finished result (wall_ms not yet stamped; sinks
   /// must not record it — transcripts exclude wall-clock by design).
   virtual void on_run_end(const RunResult& result);

@@ -4,8 +4,7 @@
 //  * the graph cache returns the same immutable Graph object for equal
 //    specs;
 //  * a throwing job fails alone, with its index and error reported;
-//  * engine-level reuse (shared scratch, shared thread pool) never changes
-//    results.
+//  * a shared engine scratch never changes results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include "predict/provider.hpp"
 #include "random/luby.hpp"
 #include "sim/batch.hpp"
-#include "sim/thread_pool.hpp"
 #include "sim/transcript.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -143,6 +141,20 @@ TEST(Batch, SpecJobsMatchBorrowedGraphJobs) {
   EXPECT_TRUE(is_valid_mis(g, results[0].outputs));
 }
 
+TEST(Batch, LiteralPredictionsTravelAsALiteralProvider) {
+  const Graph g = GraphSpec::gnp(18, 0.25, /*seed=*/3).build();
+  Rng rng(5);
+  const Predictions pred = mis_correct_prediction(g, rng);
+  EXPECT_EQ(make_job(g, mis_simple_greedy()).provider, nullptr);
+  EXPECT_EQ(make_job(g, mis_simple_greedy(), Predictions{}).provider, nullptr);
+  const BatchJob job = make_job(g, mis_simple_greedy(), pred);
+  ASSERT_NE(job.provider, nullptr);
+  EXPECT_EQ(job.provider->digest(), literal_provider(pred)->digest());
+  EXPECT_EQ(provide_with_seed(*job.provider, g, ProblemKind::kMis, 0)
+                .node_values(),
+            pred.node_values());
+}
+
 TEST(Batch, GraphCacheHitReturnsSameObject) {
   GraphCache cache;
   const auto spec = GraphSpec::gnp(30, 0.15, /*seed=*/11);
@@ -223,13 +235,11 @@ TEST(Batch, ScratchReuseAcrossEnginesIsBitIdentical) {
 
   EngineScratch scratch;
   {
-    Engine e(big, empty_predictions(), luby_mis_algorithm(5), {}, nullptr,
-             &scratch);
+    Engine e(big, empty_predictions(), luby_mis_algorithm(5), {}, &scratch);
     expect_identical(fresh_big, e.run(), "big on shared scratch");
   }
   {
-    Engine e(small, empty_predictions(), greedy_mis_algorithm(), {}, nullptr,
-             &scratch);
+    Engine e(small, empty_predictions(), greedy_mis_algorithm(), {}, &scratch);
     expect_identical(fresh_small, e.run(), "small after big");
   }
   {
@@ -237,40 +247,13 @@ TEST(Batch, ScratchReuseAcrossEnginesIsBitIdentical) {
              [](NodeId) -> std::unique_ptr<NodeProgram> {
                return std::make_unique<TerminateWithoutOutput>();
              },
-             {}, nullptr, &scratch);
+             {}, &scratch);
     EXPECT_THROW(e.run(), std::invalid_argument);
   }
   {
-    Engine e(small, empty_predictions(), greedy_mis_algorithm(), {}, nullptr,
-             &scratch);
+    Engine e(small, empty_predictions(), greedy_mis_algorithm(), {}, &scratch);
     expect_identical(fresh_small, e.run(), "small after aborted run");
   }
-}
-
-TEST(Batch, SharedThreadPoolMatchesOwnedPoolAndSerial) {
-  Rng rng(23);
-  Graph g = make_gnp(48, 0.2, rng);
-  randomize_ids(g, rng);
-  auto serial = run_algorithm(g, luby_mis_algorithm(9));
-
-  EngineOptions threaded;
-  threaded.num_threads = 2;
-  auto owned = run_algorithm(g, luby_mis_algorithm(9), threaded);
-  expect_identical(serial, owned, "owned pool");
-
-  ThreadPool pool(2);
-  for (int rep = 0; rep < 3; ++rep) {
-    auto shared = run_algorithm(g, luby_mis_algorithm(9), threaded, &pool);
-    expect_identical(serial, shared, "shared pool rep " + std::to_string(rep));
-  }
-  // Slot-count mismatch is a contract violation, not a silent fallback.
-  EXPECT_THROW(
-      {
-        EngineOptions four;
-        four.num_threads = 4;
-        run_algorithm(g, luby_mis_algorithm(9), four, &pool);
-      },
-      std::invalid_argument);
 }
 
 // Full-transcript capture: byte equality across worker counts, shuffled

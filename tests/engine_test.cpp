@@ -611,17 +611,6 @@ TEST(Engine, DeferDeliversToLateTerminatedReceiverNever) {
 
 // ---- Phase profiler (EngineOptions::profile_phases) -------------------------
 
-/// Captures every on_round_profile event (one per round when profiling).
-class ProfileCollector final : public TraceSink {
- public:
-  void on_round_profile(int round, const PhaseProfile& profile) override {
-    rounds.push_back(round);
-    total.accumulate(profile);
-  }
-  std::vector<int> rounds;
-  PhaseProfile total;
-};
-
 /// Three rounds of broadcasting so every pipeline stage does real work.
 class ChatterProgram final : public NodeProgram {
  public:
@@ -658,26 +647,6 @@ TEST(Engine, PhaseProfilerSelfConsistent) {
   EXPECT_GT(result.phase_ns.mutate_ns, 0);
   EXPECT_EQ(result.phase_ns.link_ns, 0);
   EXPECT_EQ(result.phase_ns.trace_ns, 0);
-}
-
-TEST(Engine, PhaseProfilerStreamsPerRoundDeltas) {
-  Rng rng(4242);
-  Graph g = make_gnp(128, 8.0 / 128, rng);
-  EngineOptions opt;
-  opt.profile_phases = true;
-  ProfileCollector collector;
-  opt.trace_sink = &collector;
-  auto factory = [](NodeId) { return std::make_unique<ChatterProgram>(); };
-  auto result = run_algorithm(g, factory, opt);
-  ASSERT_TRUE(result.completed);
-  // One event per round, in order, and the deltas sum to the run totals.
-  ASSERT_EQ(static_cast<int>(collector.rounds.size()), result.rounds);
-  for (int r = 1; r <= result.rounds; ++r) {
-    EXPECT_EQ(collector.rounds[static_cast<std::size_t>(r - 1)], r);
-  }
-  EXPECT_EQ(collector.total.sum(), result.phase_ns.sum());
-  EXPECT_EQ(collector.total.send_ns, result.phase_ns.send_ns);
-  EXPECT_EQ(collector.total.mutate_ns, result.phase_ns.mutate_ns);
 }
 
 TEST(Engine, PhaseProfilerLinkAndTraceSpans) {

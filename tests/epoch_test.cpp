@@ -3,10 +3,11 @@
 //      coloring}: every epoch's warm output is a valid complete solution,
 //      η is finite, and the per-epoch degradation bound holds exactly.
 //   2. Determinism — identical ChurnSpec seeds give byte-identical
-//      per-epoch transcripts across engine threads {1,2,4} and batch
-//      workers {1,2,4}; the committed epoch-sequence golden re-verifies.
-//   3. Result-cache correctness — hits are bit-identical to a forced
-//      recompute (transcript bytes as witness), distinct predictions get
+//      per-epoch transcripts across batch workers {1,2,4}; the committed
+//      epoch-sequence golden re-verifies.
+//   3. Result-cache correctness — hits are bit-identical to a fresh
+//      harness's recompute (transcript bytes as witness), a served
+//      transcript carries its own epoch's label, distinct predictions get
 //      distinct keys, and a mutated cache entry trips the poisoning guard.
 //   4. Identifier stability — node deletion + re-insertion never reuses a
 //      live identifier, stale warm-start predictions referencing deleted
@@ -25,9 +26,11 @@
 #include "cases.hpp"
 #include "graph/edits.hpp"
 #include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "predict/warm_start.hpp"
 #include "sim/epoch.hpp"
 #include "sim/result_cache.hpp"
+#include "sim/transcript.hpp"
 #include "templates/epoch_problems.hpp"
 
 namespace dgap {
@@ -122,7 +125,7 @@ EpochConfig determinism_config() {
   return config;
 }
 
-TEST(EpochDeterminism, ByteIdenticalAcrossWorkersAndThreads) {
+TEST(EpochDeterminism, ByteIdenticalAcrossWorkers) {
   std::vector<std::vector<std::uint8_t>> sequences;
   std::vector<std::uint64_t> checksums;
   for (int workers : {1, 2, 4}) {
@@ -133,18 +136,9 @@ TEST(EpochDeterminism, ByteIdenticalAcrossWorkersAndThreads) {
     sequences.push_back(epoch_sequence_of("det", report));
     checksums.push_back(epoch_report_checksum(report));
   }
-  for (int threads : {1, 2, 4}) {
-    EpochConfig config = determinism_config();
-    config.workers = 0;  // inline path honors num_threads
-    config.options.num_threads = threads;
-    EpochHarness harness(epoch_mis(), config);
-    const EpochReport report = harness.run();
-    sequences.push_back(epoch_sequence_of("det", report));
-    checksums.push_back(epoch_report_checksum(report));
-  }
   for (std::size_t i = 1; i < sequences.size(); ++i) {
-    EXPECT_EQ(sequences[i], sequences[0]) << "execution axis " << i;
-    EXPECT_EQ(checksums[i], checksums[0]) << "execution axis " << i;
+    EXPECT_EQ(sequences[i], sequences[0]) << "worker setting " << i;
+    EXPECT_EQ(checksums[i], checksums[0]) << "worker setting " << i;
   }
 }
 
@@ -205,21 +199,46 @@ TEST(EpochResultCache, SecondRunIsServedEntirelyFromCache) {
 }
 
 TEST(EpochResultCache, HitsAreBitIdenticalToForcedRecompute) {
-  EpochConfig cached = determinism_config();
-  EpochHarness harness(epoch_mis(), cached);
+  EpochHarness harness(epoch_mis(), determinism_config());
   harness.run();  // fill
   const EpochReport hit = harness.run();  // served from cache
+  EXPECT_EQ(hit.cache_misses, 0);
 
-  EpochConfig uncached = determinism_config();
-  uncached.use_result_cache = false;
-  EpochHarness fresh(epoch_mis(), uncached);
+  // A fresh harness starts with an empty cache, and no two jobs of this
+  // stream share a key, so its first pass executes every run.
+  EpochHarness fresh(epoch_mis(), determinism_config());
   const EpochReport recompute = fresh.run();
   EXPECT_EQ(recompute.cache_hits, 0);
-  EXPECT_EQ(recompute.cache_misses, 0);
+  EXPECT_EQ(recompute.cache_misses,
+            static_cast<std::int64_t>(2 * determinism_config().epochs));
 
   // Transcript bytes are the strongest witness: every round event equal.
   EXPECT_EQ(epoch_sequence_of("det", hit), epoch_sequence_of("det", recompute));
   EXPECT_EQ(epoch_report_checksum(hit), epoch_report_checksum(recompute));
+}
+
+TEST(EpochResultCache, CapturedTranscriptsKeepTheirOwnEpochLabel) {
+  // A zero-churn stream serves one instance every epoch and its warm
+  // starts reach a fixed point, so the warm runs of epochs 2 and 3 repeat
+  // epoch 1's exactly. Their transcripts must still name their own epoch:
+  // a captured run's label is part of its cache key. The uncaptured
+  // control runs carry no label and are still served from the cache.
+  EpochConfig config;
+  config.base = GraphSpec::gnp(48, 0.08, 11);
+  config.churn.seed = 301;  // every churn fraction stays 0
+  config.epochs = 4;
+  config.capture_transcripts = true;
+  config.label = "zero";
+  EpochHarness harness(epoch_mis(), config);
+  const EpochReport report = harness.run();
+  ASSERT_EQ(report.epochs.size(), 4u);
+  for (const EpochRecord& e : report.epochs) {
+    EXPECT_EQ(decode_transcript(e.warm_transcript).label,
+              "zero_e" + std::to_string(e.epoch));
+    if (e.epoch >= 2) {
+      EXPECT_TRUE(e.control_cache_hit) << "epoch " << e.epoch;
+    }
+  }
 }
 
 TEST(EpochResultCache, DistinctPredictionsNeverCollide) {
@@ -237,9 +256,10 @@ TEST(EpochResultCache, DistinctPredictionsNeverCollide) {
   std::set<std::uint64_t> keys;
   for (const Predictions& p : preds) {
     digests.insert(predictions_digest(p));
-    keys.insert(result_cache_key(instance, "mis_simple_greedy",
-                                 predictions_digest(p), options, false,
-                                 TraceDetail::kPayloads));
+    keys.insert(result_cache_key(
+        instance, "mis_simple_greedy",
+        provider_slot_digest(*literal_provider(p), ProblemKind::kMis, 0),
+        options));
   }
   EXPECT_EQ(digests.size(), preds.size());
   EXPECT_EQ(keys.size(), preds.size());

@@ -7,7 +7,7 @@
 //      for every (graph, kind, seed)". Spot-check the converse direction
 //      across the whole bundled family: differently-parameterized
 //      providers never collide, and the payload-carrying providers
-//      (warm_start, learned) fold their payloads into the digest.
+//      (warm_start, learned, literal) fold their payloads into the digest.
 //   3. provider_slot_digest — the ResultCache key ingredient separates
 //      providers, kinds, and seeds.
 #include <gtest/gtest.h>
@@ -46,7 +46,8 @@ std::vector<ProviderPtr> node_valued_providers(const Graph& g) {
   return {neutral_provider(),       constant_provider(1),
           exact_provider(),         perturbed_provider(4),
           stale_graph_provider(3, 3), warm_start_provider(g, prior),
-          learned_provider(tiny_model(), prior)};
+          learned_provider(tiny_model(), prior),
+          literal_provider(Predictions(prior))};
 }
 
 TEST(Provider, MaterializationIsByteIdentical) {
@@ -75,7 +76,9 @@ TEST(Provider, ReconstructedProvidersShareNameAndDigest) {
       {stale_graph_provider(2, 3), stale_graph_provider(2, 3)},
       {warm_start_provider(g, prior), warm_start_provider(g, prior)},
       {learned_provider(tiny_model(), prior),
-       learned_provider(tiny_model(), prior)}};
+       learned_provider(tiny_model(), prior)},
+      {literal_provider(Predictions(prior)),
+       literal_provider(Predictions(prior))}};
   for (const auto& [a, b] : pairs) {
     EXPECT_EQ(a->name(), b->name());
     EXPECT_EQ(a->digest(), b->digest()) << a->name();
@@ -107,7 +110,11 @@ TEST(Provider, BundledFamilyDigestsNeverCollide) {
       warm_start_provider(g, prior_b),  // payload differs -> digest differs
       learned_provider(tiny_model(), prior_a),
       learned_provider(tiny_model(), prior_b),
-      learned_provider(other_model, prior_a)};
+      learned_provider(other_model, prior_a),
+      literal_provider(Predictions(prior_a)),
+      literal_provider(Predictions(prior_b)),
+      literal_provider(provide_with_seed(*exact_provider(), g,
+                                         ProblemKind::kEdgeColoring, 5))};
   std::set<std::uint64_t> digests;
   for (const ProviderPtr& src : family) digests.insert(src->digest());
   EXPECT_EQ(digests.size(), family.size());

@@ -57,7 +57,7 @@ std::vector<std::uint8_t> record(const Graph& g, const ProgramFactory& factory,
   TranscriptWriter writer(TraceDetail::kPayloads);
   if (stream) writer.stream_to(path);
   options.trace_sink = &writer;
-  Engine engine(g, empty_predictions(), factory, options, nullptr, scratch);
+  Engine engine(g, empty_predictions(), factory, options, scratch);
   result = engine.run();
   if (!stream) return writer.take_bytes();
   std::vector<std::uint8_t> bytes = read_transcript_file(path);

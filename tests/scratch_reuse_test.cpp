@@ -119,8 +119,7 @@ std::vector<std::uint8_t> record(const Step& step, EngineScratch* scratch,
   EngineOptions opt;
   opt.num_threads = num_threads;
   opt.trace_sink = &writer;
-  Engine engine(step.graph, empty_predictions(), step.make(), opt, nullptr,
-                scratch);
+  Engine engine(step.graph, empty_predictions(), step.make(), opt, scratch);
   const RunResult result = engine.run();
   EXPECT_TRUE(result.completed) << step.label;
   return writer.take_bytes();
@@ -175,7 +174,7 @@ TEST(ScratchReuse, RejectedThreadCountLeavesTheScratchAlone) {
   EngineOptions opt;
   opt.num_threads = 65'536;
   EXPECT_THROW(Engine engine(steps.front().graph, empty_predictions(),
-                             greedy_mis_algorithm(), opt, nullptr, &scratch),
+                             greedy_mis_algorithm(), opt, &scratch),
                std::invalid_argument);
   EXPECT_EQ(scratch.shards.size(), 2u);
 }
