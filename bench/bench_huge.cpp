@@ -5,11 +5,11 @@
 // make_gnm) at n = 10^5 and 10^6 (10^7 behind --n10m), with a HARD peak
 // memory budget per row: after each case the process high-water mark
 // (VmHWM from /proc/self/status) must stay under budget_bytes_per_node * n
-// plus a fixed slack, or the bench exits nonzero. VmHWM is monotone over
-// the process lifetime, so rows run in ascending expected-peak order
-// (ascending n, and cheap greedy rows before message-heavy Luby within
-// each n) — the reading after a row is that row's own peak, not a
-// predecessor's. The streaming row records a full kPayloads transcript through
+// plus a fixed slack, or the bench exits nonzero. VmHWM is a peak over the
+// whole process, and an allocator may keep freed memory resident (ASan's
+// quarantine keeps all of it), so each row runs in a forked child: the
+// reading after a row is that row's own peak, not a predecessor's. The
+// streaming row records a full kPayloads transcript through
 // TranscriptWriter::stream_to and asserts the reuse buffer stayed bounded
 // by one round block.
 //
@@ -29,7 +29,12 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
+
+#include <limits.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -45,8 +50,8 @@ using namespace dgap;
 using namespace dgap::benchutil;
 
 /// Process peak resident set in bytes (VmHWM), or -1 where /proc is not
-/// available. Monotone over the process lifetime — callers order their
-/// measurements ascending so the latest reading is the interesting one.
+/// available. Monotone over the process lifetime, so each row reads it in
+/// a process of its own.
 std::int64_t vm_hwm_bytes() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (!f) return -1;
@@ -104,10 +109,6 @@ std::vector<HugeCase> build_cases(bool smoke, bool n10m) {
   // Greedy sends no messages (idle/wake signalling only), so the graph
   // dominates: 256 B. The streaming-transcript row adds the bounded reuse
   // buffer only.
-  //
-  // Within each n the low-budget greedy rows run BEFORE the Luby rows:
-  // VmHWM is monotone, so a 256 B/node row scheduled after a 512 B/node
-  // one would inherit the larger peak and fail its own budget spuriously.
   for (const NodeId n : {100'000, 1'000'000}) {
     if (smoke && n > 100'000) break;
     cases.push_back(
@@ -179,6 +180,34 @@ RowResult run_case(const HugeCase& c) {
   return row;
 }
 
+/// run_case in a forked child, which sends its RowResult back through a
+/// pipe; nullopt if the child fails or sends no result.
+std::optional<RowResult> run_case_in_child(const HugeCase& c) {
+  static_assert(std::is_trivially_copyable_v<RowResult> &&
+                sizeof(RowResult) <= PIPE_BUF);  // one atomic write
+  int fds[2];
+  if (pipe(fds) != 0) return std::nullopt;
+  std::fflush(stdout);  // or the child's exit prints the buffer again
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    const RowResult row = run_case(c);
+    const bool sent = write(fds[1], &row, sizeof(row)) == sizeof(row);
+    // std::exit, not _exit, so that LeakSanitizer still checks the row.
+    std::exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  RowResult row;
+  const bool received =
+      pid > 0 && read(fds[0], &row, sizeof(row)) == sizeof(row);
+  close(fds[0]);
+  int status = 0;
+  const bool exited_ok = pid > 0 && waitpid(pid, &status, 0) == pid &&
+                         WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  if (!received || !exited_ok) return std::nullopt;
+  return row;
+}
+
 /// The CI determinism gate at scale: the same n = 10^5 Luby job recorded
 /// serial and with 4 delivery threads must stream byte-identical
 /// transcript files. Returns false (after printing why) on mismatch.
@@ -226,7 +255,15 @@ int run_all(bool json, bool smoke, bool n10m) {
   for (const HugeCase& c : build_cases(smoke, n10m)) {
     // Taken just before the row: its graph build uses up to 4 threads.
     const double probe = parallelism_probe();
-    const RowResult r = run_case(c);
+    const std::optional<RowResult> child = run_case_in_child(c);
+    if (!child) {
+      std::printf("FAIL: %s/%s n=%d: the row's process failed or sent no "
+                  "result\n",
+                  c.family.c_str(), c.workload.c_str(), c.n);
+      ok = false;
+      continue;
+    }
+    const RowResult& r = *child;
     const double secs = r.wall_ms / 1000.0;
     const double mps = secs > 0 ? static_cast<double>(r.messages) / secs : 0;
     const std::int64_t budget_bytes =

@@ -1,11 +1,11 @@
 // dgap_claims — every experiment of EXPERIMENTS.md as one gated table.
 //
-// Each claim (E1–E12, E14, E15) re-runs its instances, seeds, providers and
-// algorithms and prints one markdown table. A row pairs a measure (η1, η2,
-// η_t, μ1, …) with a measured quantity x — rounds, or a measure itself —
-// and the bound the paper proves for it, as lo ≤ x ≤ hi. A run checked
-// against two bounds is two rows. Ablation and trend rows print "—" as the
-// bound and are gated on validity only.
+// Each claim (E1–E12, E14, E15, E17) re-runs its instances, seeds,
+// providers and algorithms and prints one markdown table. A row pairs a
+// measure (η1, η2, η_t, μ1, …) with a measured quantity x — rounds, or a
+// measure itself — and the bound the paper proves for it, as lo ≤ x ≤ hi.
+// A run checked against two bounds is two rows. Ablation and trend rows
+// print "—" as the bound and are gated on validity only.
 //
 // The binary takes no arguments. It exits 1, naming the rows, if any run's
 // output fails its problem's checker or any gated x lies outside its bound.
@@ -24,6 +24,7 @@
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
+#include "graph/spec.hpp"
 #include "matching/algorithms.hpp"
 #include "matching/checkers.hpp"
 #include "mis/algorithms.hpp"
@@ -36,6 +37,7 @@
 #include "sim/batch.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
+#include "templates/epoch_problems.hpp"
 #include "templates/mis_with_predictions.hpp"
 #include "templates/problems_with_predictions.hpp"
 #include "templates/templates.hpp"
@@ -1100,6 +1102,34 @@ void e15d(Claims& c) {
         r[3], edge_coloring_ok(g, r[3]), at_most(3));
 }
 
+void e17(Claims& c) {
+  c.begin("E17", "Section 1.1, prediction providers",
+          "One churn step per problem: a correct solution on a stale "
+          "snapshot is the prior, and the exact, neutral and warm-start "
+          "providers serve the current graph. Each Simple run stays within "
+          "its problem's degradation bound at the η1 it was served.");
+  const Graph g = GraphSpec::gnp(96, 0.05, 505).build();
+  // The stale snapshot: the same node set with 12 edges removed and 12
+  // added.
+  Rng churn_rng(606);
+  const Graph stale = perturb_edges(g, 12, 12, churn_rng);
+  for (const EpochProblem& problem :
+       {epoch_mis(), epoch_matching(), epoch_coloring()}) {
+    const std::vector<Value> prior =
+        provide_with_seed(*exact_provider(), stale, problem.kind, 707)
+            .node_values();
+    for (const ProviderPtr& src : {exact_provider(), neutral_provider(),
+                                   warm_start_provider(stale, prior)}) {
+      const Predictions pred = provide_with_seed(*src, g, problem.kind, 808);
+      const int eta = problem.eta(g, pred);
+      const RunResult r = run_with_predictions(g, pred, problem.factory());
+      c.run({"gnp_96", src->name(), problem.name, m("η1", eta)}, r,
+            r.completed && problem.check(g, r).empty(),
+            at_most(problem.degradation_bound(eta, g)));
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1110,7 +1140,7 @@ int main(int argc, char** argv) {
   Claims claims;
   for (void (*claim)(Claims&) :
        {e1_e2, e3, e4, e5, e6, e6b, e7, e8, e7b, e9, e9b, e10a, e10b, e10c,
-        e10d, e11, e11b, e12, e14, e15a, e15b, e15c, e15d}) {
+        e10d, e11, e11b, e12, e14, e15a, e15b, e15c, e15d, e17}) {
     try {
       claim(claims);
     } catch (const std::exception& e) {

@@ -5,8 +5,8 @@
 //   that leaves the process or is pinned: written to a file, committed,
 //   pinned by a test or by CI, or compared across commits. These values
 //   must never change:
-//     - the transcript round and whole-file checksums, the epoch-sequence
-//       ("DGEP") trailer and the "DGWB" weight-blob checksum;
+//     - the transcript round and whole-file checksums and the
+//       epoch-sequence ("DGEP") trailer;
 //     - result_checksum, results_checksum, epoch_report_checksum and
 //       fnv1a_bytes (the determinism witnesses benches and CI compare);
 //     - predictions_digest (WarmStart.TranslationsUnchanged pins it).

@@ -1,11 +1,8 @@
 // The four prediction-augmented problems, as a first-class enum.
 //
-// Prediction sources (predict/provider.hpp) and feature extraction
-// (predict/features.hpp) are problem-directed: the same provider object
-// serves MIS bits, matching partner identifiers, or palette colors
-// depending on the kind it is asked for. The enum lives in its own header
-// so both layers (and sim/, above them) can name a problem without
-// pulling in the provider interface.
+// Prediction sources (predict/provider.hpp) are problem-directed: the
+// same provider object serves MIS bits, matching partner identifiers, or
+// palette colors depending on the kind it is asked for.
 #pragma once
 
 #include "common/types.hpp"

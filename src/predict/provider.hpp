@@ -8,10 +8,10 @@
 //     byte-identical output for the same (provider state, graph, kind,
 //     rng seed). Providers that need no randomness ignore `rng`.
 //   * name()   — short human-readable recipe name ("perturbed:3",
-//     "warm_start", "learned:v1") for tables and bench JSON.
+//     "warm_start") for tables and bench JSON.
 //   * digest() — stable 64-bit digest of the provider's full
-//     configuration (parameters, captured graphs/outputs, model
-//     weights). Two providers with equal digests must produce equal
+//     configuration (parameters, captured graphs and outputs, literal
+//     values). Two providers with equal digests must produce equal
 //     predictions for every (graph, kind, seed), so the ResultCache can
 //     content-address a job by (instance, algorithm, provider digest,
 //     seed) instead of hashing the materialized prediction vector — see
@@ -23,8 +23,7 @@
 // Adapters below wrap every existing source: the synthetic generators
 // (predict/generators.hpp), the stale-graph scenario of Section 1.1, the
 // epoch warm-start adapters (predict/warm_start.hpp) and literal,
-// already materialized predictions. The learned
-// backend lives in predict/learned.hpp. Providers are a CONSTRUCTION-TIME
+// already materialized predictions. Providers are a CONSTRUCTION-TIME
 // layer: they run before the engine does, so wrapping a source in a
 // provider never changes engine behavior (the golden transcripts pin
 // this).

@@ -76,7 +76,12 @@ TEST(CompileEquivalence, IdenticalOutputsAndKRoundsTranscriptAcrossThreads) {
                            : c.pred == Pred::kMatching ? match_pred
                                                        : empty_predictions();
 
+    // One round bound for every run, well above what n = 40 needs: a
+    // run that never terminates fails in a second instead of spinning to
+    // the default bound. The bound is part of the transcript header, so
+    // the uncompiled and compiled runs must share it.
     EngineOptions base;
+    base.max_rounds = 1000;
     const auto uncompiled =
         record_run(g, p, c.make_factory(), base, TraceDetail::kRounds, c.name);
     ASSERT_TRUE(uncompiled.result.completed);
@@ -88,7 +93,7 @@ TEST(CompileEquivalence, IdenticalOutputsAndKRoundsTranscriptAcrossThreads) {
     std::int64_t suppressed_t1 = -1;
     for (int threads : {1, 2, 4, 8}) {
       SCOPED_TRACE(threads);
-      EngineOptions opt;
+      EngineOptions opt = base;
       opt.num_threads = threads;
       opt.compile = cache_and_defaults();
       const auto compiled = record_run(g, p, c.make_factory(), opt,

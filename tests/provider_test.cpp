@@ -7,7 +7,7 @@
 //      for every (graph, kind, seed)". Spot-check the converse direction
 //      across the whole bundled family: differently-parameterized
 //      providers never collide, and the payload-carrying providers
-//      (warm_start, learned, literal) fold their payloads into the digest.
+//      (warm_start, literal) fold their payloads into the digest.
 //   3. provider_slot_digest — the ResultCache key ingredient separates
 //      providers, kinds, and seeds.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "predict/learned.hpp"
 #include "predict/provider.hpp"
 #include "sim/batch.hpp"
 #include "sim/engine.hpp"
@@ -28,17 +27,6 @@ namespace {
 
 Graph test_graph() { return GraphSpec::gnp(40, 0.1, 17).build(); }
 
-/// A hand-written model: trust the prior iff it is locally valid
-/// (bias +1, heavy negative weight on the prior_invalid feature).
-LearnedModel tiny_model() {
-  LearnedModel model;
-  for (auto& row : model.weights) {
-    row[0] = kFeatureOne;           // bias
-    row[6] = -3 * kFeatureOne;      // prior_invalid
-  }
-  return model;
-}
-
 std::vector<ProviderPtr> node_valued_providers(const Graph& g) {
   const std::vector<Value> prior =
       provide_with_seed(*exact_provider(), g, ProblemKind::kMis, 5)
@@ -46,7 +34,6 @@ std::vector<ProviderPtr> node_valued_providers(const Graph& g) {
   return {neutral_provider(),       constant_provider(1),
           exact_provider(),         perturbed_provider(4),
           stale_graph_provider(3, 3), warm_start_provider(g, prior),
-          learned_provider(tiny_model(), prior),
           literal_provider(Predictions(prior))};
 }
 
@@ -63,6 +50,22 @@ TEST(Provider, MaterializationIsByteIdentical) {
   }
 }
 
+TEST(Provider, EdgeValuedMaterializationIsByteIdentical) {
+  const Graph g = test_graph();
+  const std::vector<ProviderPtr> providers{
+      neutral_provider(), exact_provider(), perturbed_provider(4),
+      literal_provider(provide_with_seed(*exact_provider(), g,
+                                         ProblemKind::kEdgeColoring, 5))};
+  for (const ProviderPtr& src : providers) {
+    const Predictions a =
+        provide_with_seed(*src, g, ProblemKind::kEdgeColoring, 99);
+    const Predictions b =
+        provide_with_seed(*src, g, ProblemKind::kEdgeColoring, 99);
+    ASSERT_TRUE(a.has_edge_values()) << src->name();
+    EXPECT_EQ(a.edge_values(), b.edge_values()) << src->name();
+  }
+}
+
 TEST(Provider, ReconstructedProvidersShareNameAndDigest) {
   const Graph g = test_graph();
   const std::vector<Value> prior =
@@ -75,8 +78,6 @@ TEST(Provider, ReconstructedProvidersShareNameAndDigest) {
       {grid_stripe_provider(5, 8), grid_stripe_provider(5, 8)},
       {stale_graph_provider(2, 3), stale_graph_provider(2, 3)},
       {warm_start_provider(g, prior), warm_start_provider(g, prior)},
-      {learned_provider(tiny_model(), prior),
-       learned_provider(tiny_model(), prior)},
       {literal_provider(Predictions(prior)),
        literal_provider(Predictions(prior))}};
   for (const auto& [a, b] : pairs) {
@@ -92,8 +93,6 @@ TEST(Provider, BundledFamilyDigestsNeverCollide) {
           .node_values();
   std::vector<Value> prior_b = prior_a;
   prior_b[0] = prior_b[0] == 0 ? 1 : 0;
-  LearnedModel other_model = tiny_model();
-  other_model.weights[0][1] += 1;
   const std::vector<ProviderPtr> family{
       neutral_provider(),
       constant_provider(0),
@@ -108,9 +107,6 @@ TEST(Provider, BundledFamilyDigestsNeverCollide) {
       stale_graph_provider(2, 3),
       warm_start_provider(g, prior_a),
       warm_start_provider(g, prior_b),  // payload differs -> digest differs
-      learned_provider(tiny_model(), prior_a),
-      learned_provider(tiny_model(), prior_b),
-      learned_provider(other_model, prior_a),
       literal_provider(Predictions(prior_a)),
       literal_provider(Predictions(prior_b)),
       literal_provider(provide_with_seed(*exact_provider(), g,

@@ -60,20 +60,6 @@ const std::vector<CanonicalCase>& canonical_cases() {
       out.push_back(std::move(c));
     }
 
-    // 4. The learned-backend training corpus: a plain Luby MIS run on a
-    // 64-node G(n, p). Its golden doubles as tools/dgap_fit's committed
-    // training transcript — the smoke fit decodes the prior outputs from
-    // this exact file, so it is pinned like every other golden.
-    {
-      CanonicalCase c;
-      c.name = "learned_train_gnp64";
-      c.description =
-          "Luby MIS on gnp(64, p=0.05, seed 77), dgap_fit training corpus";
-      c.spec = GraphSpec::gnp(64, 0.05, 77);
-      c.factory = [] { return luby_mis_algorithm(9); };
-      out.push_back(std::move(c));
-    }
-
     return out;
   }();
   return cases;
