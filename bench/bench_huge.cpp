@@ -101,10 +101,10 @@ std::vector<HugeCase> build_cases(bool smoke, bool n10m) {
   auto gnps_seed = [](NodeId n) -> std::uint64_t { return 9000 + n % 9973; };
   auto gnm_seed = [](NodeId n) -> std::uint64_t { return 9100 + n % 9973; };
   // Budgets (bytes/node, average degree 8). Luby's broadcasts take the
-  // pull path: one outbox entry per broadcasting node plus a 16-B outbox
-  // stamp per node, on top of the graph (44 B/node), the engine's copy of
-  // the adjacency (32 B/node), the SoA scratch (~60 B/node) and one program
-  // object per node — measured ~300 B/node at n = 10^6, capped at 512 B so
+  // pull path: a 32-B pull slot per node, which holds each node's one short
+  // broadcast, on top of the graph (44 B/node), the engine's copy of the
+  // adjacency (32 B/node), the SoA scratch (~60 B/node) and one program
+  // object per node — measured ~270 B/node at n = 10^6, capped at 512 B so
   // a return of per-copy message records (~1 KB/node) fails the row.
   // Greedy sends no messages (idle/wake signalling only), so the graph
   // dominates: 256 B. The streaming-transcript row adds the bounded reuse

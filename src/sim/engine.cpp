@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <limits>
 
 #include "common/require.hpp"
 #include "graph/properties.hpp"
@@ -14,21 +15,19 @@ namespace dgap {
 namespace {
 
 // Latency-hiding lookahead (docs/MODEL.md, "Memory latency at scale").
-// From 2^16 nodes on, the gather's 16-B stamps and 32-B outbox entries
-// (~3 MB) outgrow a 2 MB per-core L2, so the round loop's random reads
-// miss and prefetching them ahead pays. Below it they stay cache resident
-// and the prefetches are overhead: Luby on G(n, 8/n) with the lookahead
-// forced on ran 9% slower at n = 8192 and 4% slower at 32768, but 11%
-// faster at 65536 and 14% at 131072.
+// From 2^16 nodes on, the gather's 32-B pull slots (2 MB) outgrow a 2 MB
+// per-core L2 and the round loop prefetches its random reads ahead. With
+// one slot read per sender the prefetches pay only at larger n: Luby on
+// G(n, 8/n) with the lookahead forced on ran 8% slower at n = 8192, 7% at
+// 32768, 5% at 65536 and 2% at 131072, within noise at 10^6, and 4%
+// faster at 2*10^6. The rule stays at 2^16 so that the lookahead-sized
+// tests (70,000 nodes, every sanitizer) still run the prefetch path in
+// seconds.
 constexpr NodeId kLookaheadMinNodes = NodeId{1} << 16;
-// The gather is a two-stage pipeline over the receive worklist: the
-// neighbors' OutboxRef stamps of the receiver kStampLookahead places ahead,
-// then the stamped neighbors' PullEntry of the one kEntryLookahead ahead,
-// whose stamps have arrived by then. Stage gaps of 3 receivers (~24
-// neighbor reads each) cover a memory latency; 4/2, 8/3, 8/4, 12/4 and
-// 12/6 all measured slower than 6/3 on the 10^6-node Luby run.
-constexpr std::size_t kStampLookahead = 6;
-constexpr std::size_t kEntryLookahead = 3;
+// The gather prefetches the pull slots of the active neighbors of the
+// receiver kGatherLookahead places ahead on the receive worklist; 3, 4, 8,
+// 10 and 16 measured within noise of 6 on the 10^6-node Luby run.
+constexpr std::size_t kGatherLookahead = 6;
 // Touched receivers ahead whose prefix row and count the compaction of the
 // termination pass prefetches; 4 hid too little latency, 16 gained nothing.
 constexpr std::size_t kCompactLookahead = 8;
@@ -352,7 +351,10 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   DGAP_REQUIRE(factory != nullptr, "a program factory is required");
   // Checked before anything touches a caller's scratch.
   DGAP_REQUIRE(options_.num_threads >= 1, "num_threads must be >= 1");
-  DGAP_REQUIRE(options_.num_threads <= 65535, "num_threads out of range");
+  // A pull slot names its send shard in 16 bits.
+  using SlotShard = decltype(detail::PullSlot::shard);
+  DGAP_REQUIRE(options_.num_threads <= std::numeric_limits<SlotShard>::max(),
+               "num_threads out of range");
   const NodeId n = g.num_nodes();
   const std::size_t nu = static_cast<std::size_t>(n);
   programs_.clear();
@@ -386,7 +388,7 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   // previous run, and a stale stamp equal to this run's current round
   // would resurrect a dead inbox slice.
   s_.inbox_ref.assign(nu, detail::InboxRef{});
-  s_.outbox_ref.assign(nu, detail::OutboxRef{});
+  s_.pull_slot.assign(nu, detail::PullSlot{});
   // A previous run that died mid-round (an exception out of a program
   // hook) can leave nonzero counts / stale worklists behind, so restore
   // every between-rounds invariant explicitly.
@@ -518,15 +520,29 @@ void Engine::send_phase() {
       }
       const auto end = static_cast<std::uint32_t>(sh.outbox.size());
       if (end == begin) continue;
-      // Publish the node's pull broadcasts and charge each one for every
-      // active neighbor, exactly what the per-copy records would cost.
-      s_.outbox_ref[v] = {begin, end - begin, static_cast<std::uint32_t>(s),
-                          round_};
+      // Charge the node's pull broadcasts for every active neighbor, exactly
+      // what the per-copy records would cost, and publish them in its slot.
       sh.pull_senders.push_back(v);
       const std::int64_t copies = s_.an_count[v];
       for (std::uint32_t j = begin; j < end; ++j) {
         const detail::PullEntry& e = sh.outbox[j];
         sh.acct.charge(e.len, e.channel, congest_limit, e.suppressed, copies);
+      }
+      detail::PullSlot& slot = s_.pull_slot[v];
+      slot.round_stamp = round_;
+      const detail::PullEntry& e = sh.outbox[begin];
+      slot.single = end - begin == 1 && e.len <= detail::SendRecord::kInlineCap;
+      if (slot.single) {
+        slot.suppressed = e.suppressed;
+        slot.channel = e.channel;
+        slot.len = e.len;
+        for (std::uint32_t i = 0; i < e.len; ++i) {
+          slot.words[i] = e.inline_words[i];
+        }
+        sh.outbox.pop_back();
+      } else {
+        slot.shard = static_cast<std::uint16_t>(s);
+        slot.run = {begin, end - begin};
       }
     }
   });
@@ -837,13 +853,19 @@ void Engine::gather_inbox(NodeId v, std::vector<Message>& out) const {
   out.clear();
   std::size_t ri = 0;
   for (const NodeId u : active_prefix(v)) {
-    const detail::OutboxRef& o = s_.outbox_ref[u];
-    if (o.round_stamp != round_) continue;
+    const detail::PullSlot& slot = s_.pull_slot[u];
+    if (slot.round_stamp != round_) continue;
     while (ri < records.size() && records[ri].from < u) {
       out.push_back(records[ri++]);
     }
-    const detail::SendShard& src = s_.shards[o.shard];
-    for (std::uint32_t j = o.begin; j < o.begin + o.count; ++j) {
+    if (slot.single) {
+      out.push_back(Message{u, slot.channel, WordSpan(slot.words, slot.len),
+                            slot.suppressed});
+      continue;
+    }
+    const detail::SendShard& src = s_.shards[slot.shard];
+    const std::uint32_t end = slot.run.begin + slot.run.count;
+    for (std::uint32_t j = slot.run.begin; j < end; ++j) {
       const detail::PullEntry& e = src.outbox[j];
       const Value* words = e.len <= detail::SendRecord::kInlineCap
                                ? e.inline_words
@@ -864,11 +886,11 @@ void Engine::receive_phase(const std::vector<NodeId>& recv) {
   // The shard pointer is passed for the idle() flag only; send() stays
   // guarded by in_send_phase_.
   //
-  // At 2^16 nodes and more, a round with pull entries prefetches the
-  // gather ahead (see kStampLookahead). Stamps, outboxes and prefixes are
-  // frozen from the send phase to the termination pass, and the lookahead
-  // stays inside this shard's slice, so it cannot change what any hook
-  // sees.
+  // At 2^16 nodes and more, a round with pull broadcasts prefetches the
+  // gather's slots ahead (see kGatherLookahead). Slots, outboxes and
+  // prefixes are frozen from the send phase to the termination pass, and
+  // the lookahead stays inside this shard's slice, so it cannot change what
+  // any hook sees.
   const bool prefetch = lookahead_ && round_has_pulls_;
   run_sharded(recv.size(), [this, &recv, prefetch](int s, std::size_t lo,
                                                    std::size_t hi) {
@@ -876,17 +898,9 @@ void Engine::receive_phase(const std::vector<NodeId>& recv) {
     sh.any_idle = false;
     sh.gathered_node = kNoNode;  // last round's gather is stale
     for (std::size_t i = lo; i < hi; ++i) {
-      if (prefetch && i + kStampLookahead < hi) {
-        for (const NodeId u : active_prefix(recv[i + kStampLookahead])) {
-          __builtin_prefetch(&s_.outbox_ref[u]);
-        }
-      }
-      if (prefetch && i + kEntryLookahead < hi) {
-        for (const NodeId u : active_prefix(recv[i + kEntryLookahead])) {
-          const detail::OutboxRef& o = s_.outbox_ref[u];
-          if (o.round_stamp == round_) {
-            __builtin_prefetch(s_.shards[o.shard].outbox.data() + o.begin);
-          }
+      if (prefetch && i + kGatherLookahead < hi) {
+        for (const NodeId u : active_prefix(recv[i + kGatherLookahead])) {
+          __builtin_prefetch(&s_.pull_slot[u]);
         }
       }
       const NodeId v = recv[i];

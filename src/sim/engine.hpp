@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -52,7 +53,8 @@ enum class CongestPolicy {
 /// by composed algorithms (the Parallel template runs two sub-algorithms
 /// whose traffic must not be confused); it models field(s) inside the
 /// message, and its width is charged as one extra word whenever nonzero.
-/// `words` is a borrowed view into the engine's round arena — valid only
+/// `words` is a borrowed view of engine storage (the round arena, or the
+/// record, entry or pull slot holding a short payload inline) — valid only
 /// during this round's receive phase; copy words out to keep them.
 /// `suppressed` is set only under message-reduction compilation
 /// (EngineOptions::compile): the payload never crossed the wire — the
@@ -175,14 +177,60 @@ struct PullEntry {
   Value inline_words[SendRecord::kInlineCap];
 };
 
-/// A node's pull broadcasts of one round: entries [begin, begin + count) of
-/// send shard `shard`'s outbox. Only a stamp equal to the current round is
-/// live, so the array is never cleared between rounds.
-struct OutboxRef {
-  std::uint32_t begin = 0;
-  std::uint32_t count = 0;
-  std::uint32_t shard = 0;
+/// A node's pull broadcasts of one round, one slot per node. Only a stamp
+/// equal to the current round is live, so the array is never cleared
+/// between rounds. A node-round whose one broadcast fits kInlineCap words
+/// keeps it in the slot (`single`) and drops its outbox entry, so the
+/// gather reads one slot per pull sender; any other slot names the run of
+/// entries [begin, begin + count) in send shard `shard`'s outbox. The slot
+/// is one aligned half cache line: at 16 mod 32 half of them straddled a
+/// line and the 10^6-node gather read 20% slower (docs/MODEL.md, "Memory
+/// latency at scale").
+struct alignas(32) PullSlot {
+  struct Run {
+    std::uint32_t begin;
+    std::uint32_t count;
+  };
   int round_stamp = -1;
+  bool single = false;
+  bool suppressed = false;   // single form
+  std::uint16_t shard = 0;   // run form; bounds Engine's num_threads
+  std::int32_t channel = 0;  // single form
+  std::uint32_t len = 0;     // single form: payload words
+  union {
+    Value words[SendRecord::kInlineCap];  // single form
+    Run run;                              // run form
+  };
+};
+static_assert(sizeof(PullSlot) == 32);
+
+/// The pull slots' allocator: 32-byte alignment carved out of plain
+/// operator new. Over-aligned operator new goes through memalign, whose
+/// split-off leading fragment kept a freed slot array from merging back
+/// into the heap: under perfbench's no-mmap malloc settings, its traced
+/// huge_luby runs grew by about 50 MB per 10^6-node engine.
+template <typename T>
+struct Align32Allocator {
+  using value_type = T;
+  Align32Allocator() = default;
+  template <typename U>
+  Align32Allocator(const Align32Allocator<U>&) {}
+  T* allocate(std::size_t n) {
+    // operator new aligns to 16 bytes, so the aligned start is 16 or 32
+    // bytes in, with room below it for the block's own address.
+    char* raw = static_cast<char*>(::operator new(n * sizeof(T) + 32));
+    char* p = raw + (32 - reinterpret_cast<std::uintptr_t>(raw) % 32);
+    std::memcpy(p - sizeof raw, &raw, sizeof raw);
+    return reinterpret_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t) {
+    char* raw;
+    std::memcpy(&raw, reinterpret_cast<char*>(p) - sizeof raw, sizeof raw);
+    ::operator delete(raw);
+  }
+  friend bool operator==(const Align32Allocator&, const Align32Allocator&) {
+    return true;
+  }
 };
 
 /// Outgoing traffic of one contiguous slice of the awake worklist, one
@@ -190,14 +238,15 @@ struct OutboxRef {
 /// the round's canonical send sequence for every thread count.
 ///
 /// A node-round's broadcasts take the pull path — one PullEntry each in
-/// `outbox`, charged here for every active neighbor — while everything the
-/// node sends is a broadcast on non-decreasing channels. Its first send()
-/// or channel decrease flushes those entries into per-neighbor `sends`
-/// records in send order, and the rest of its round uses records. Runs
-/// whose delivery keeps per-edge state (an enforcing link layer, the resend
-/// cache) put every broadcast on records. A node-round whose channels
-/// decreased has its records stable-sorted by channel after its send hook,
-/// so `sends` is always in (sender, channel, send order).
+/// `outbox`, charged here for every active neighbor and published in the
+/// node's PullSlot — while everything the node sends is a broadcast on
+/// non-decreasing channels. Its first send() or channel decrease flushes
+/// those entries into per-neighbor `sends` records in send order, and the
+/// rest of its round uses records. Runs whose delivery keeps per-edge
+/// state (an enforcing link layer, the resend cache) put every broadcast
+/// on records. A node-round whose channels decreased has its records
+/// stable-sorted by channel after its send hook, so `sends` is always in
+/// (sender, channel, send order).
 struct SendShard {
   MessageArena arena;
   std::vector<SendRecord> sends;
@@ -280,13 +329,14 @@ class LinkLayer;  // per-edge bandwidth scheduler (sim/link_layer.hpp)
 
 /// The engine's reusable data-plane buffers: hot flags, worklists, the
 /// struct-of-arrays node state, the per-thread send shards (with their
-/// payload arenas, outboxes and gather buffers) and the flat inbox. An Engine normally owns one
-/// privately; sweeps that construct thousands of short-lived engines can
-/// instead hand the same scratch to consecutive engines — one live engine
-/// at a time, never two — so arena, worklist, and node-state capacity is
-/// reused instead of reallocated per run. The engine fully re-initializes
-/// the logical contents at construction, so reuse cannot leak state across
-/// runs (tests/batch_test.cpp and tests/scratch_reuse_test.cpp pin
+/// payload arenas, outboxes and gather buffers), the per-node pull slots
+/// and the flat inbox. An Engine normally owns one privately; sweeps that
+/// construct thousands of short-lived engines can instead hand the same
+/// scratch to consecutive engines — one live engine at a time, never two —
+/// so arena, worklist, and node-state capacity is reused instead of
+/// reallocated per run. The engine fully re-initializes the logical
+/// contents at construction, so reuse cannot leak state across runs
+/// (tests/batch_test.cpp and tests/scratch_reuse_test.cpp pin
 /// bit-identical results); the win is purely the retained heap capacity.
 ///
 /// Per-node state is struct-of-arrays (docs/MODEL.md, "Memory model"): one
@@ -313,7 +363,9 @@ struct EngineScratch {
   std::vector<detail::SendShard> shards;  // one per engine thread
   std::vector<Message> inbox_flat;        // receiver-grouped record messages
   std::vector<detail::InboxRef> inbox_ref;  // per node, stamped by round
-  std::vector<detail::OutboxRef> outbox_ref;  // per node, stamped by round
+  // per node, stamped by round
+  std::vector<detail::PullSlot, detail::Align32Allocator<detail::PullSlot>>
+      pull_slot;
   std::vector<std::uint32_t> recv_count;  // scratch; all-zero between rounds
   // --- receiver-shard ownership (delivery and termination passes) ---
   std::vector<detail::RecvShard> recv_shards;  // one per engine thread
@@ -684,12 +736,11 @@ class Engine {
   /// recv_nodes).
   const std::vector<NodeId>& collect_delivery_wakes();
   /// Run every receive hook on `recv`, sharded into contiguous slices
-  /// (one slice when serial). On rounds with pull entries at 2^16 nodes
-  /// and more, each shard pipelines the gather of the receivers ahead of
-  /// it in its own slice: it prefetches the OutboxRef stamps of the active
-  /// neighbors 6 receivers ahead, then the PullEntry of each stamped
-  /// neighbor 3 receivers ahead. Everything it reads is frozen during the
-  /// phase.
+  /// (one slice when serial). On rounds with pull broadcasts at 2^16 nodes
+  /// and more, each shard prefetches the pull slots of the active
+  /// neighbors of the receiver 6 places ahead in its own slice, one stage:
+  /// a slot is all the gather reads of a single-form sender. Everything it
+  /// reads is frozen during the phase.
   void receive_phase(const std::vector<NodeId>& recv);
   /// The termination pass, sharded like delivery: detection over recv
   /// slices, notice charging / view compaction / wake collection over
@@ -723,10 +774,12 @@ class Engine {
   /// a sink wants message detail.
   void trace_deliveries(const std::vector<NodeId>& recv);
   /// Node v's full inbox this round into `out`: its record slice merged,
-  /// by sender, with the pull entries of its active neighbors. Two
-  /// dependent random reads per pull sender (stamp, then entry); at 2^16
-  /// nodes and more receive_phase has prefetched both by the time a
-  /// receive hook calls it.
+  /// by sender, with the pull broadcasts of its active neighbors. One read
+  /// per active neighbor, its pull slot, which holds a single-form
+  /// sender's broadcast; a run-form sender's entries are a second read. At
+  /// 2^16 nodes and more receive_phase has prefetched the slots by the
+  /// time a receive hook calls it. A single-form message's words point
+  /// into the sender's slot, which its next pull round rewrites.
   void gather_inbox(NodeId v, std::vector<Message>& out) const;
   std::span<const Message> record_inbox(NodeId v) const;
   /// Node v's active neighbors: the live prefix of its an_pool row.

@@ -172,10 +172,13 @@ TEST(ReferenceModel, ExceededFailBudgetThrowsInBoth) {
 }
 
 // From 2^16 nodes on, the engine prefetches the gather ahead (docs/MODEL.md,
-// "Memory latency at scale"). One round on the graph of
+// "Memory latency at scale"). Each round on the graph of
 // EngineDeterminism.LookaheadSizedRunsAreThreadCountInvariant gathers
 // about 330,000 messages; the model and the transcript comparison, not
-// the engine, take most of the test's time.
+// the engine, take most of the test's time. Rounds after the first gather
+// past pull slots gone stale (their senders fell silent or slept) and
+// wake idle receivers; RandomTraffic's first exits end round 4, so round
+// 5 gathers around terminated neighbors.
 TEST(ReferenceModel, LookaheadSizedRunMatchesModel) {
   constexpr NodeId kNodes = 70'000;
   static_assert(kNodes >= NodeId{1} << 16, "must take the lookahead");
@@ -183,9 +186,11 @@ TEST(ReferenceModel, LookaheadSizedRunMatchesModel) {
   Graph g = make_gnp_sparse(kNodes, 4.0 / kNodes, rng);
   randomize_ids(g, rng);
   EngineOptions opt;
-  opt.max_rounds = 1;
+  opt.max_rounds = 5;
   const ref::Run want =
       ref::run_model(g, model_factory<RandomTraffic>(9), opt);
+  const auto& ended = want.result.termination_round;
+  ASSERT_GT(std::count(ended.begin(), ended.end(), 4), 0);
   const RecordedRun one = record_run(g, {}, engine_factory<RandomTraffic>(9),
                                      opt, TraceDetail::kPayloads);
   expect_identical(want.result, one.result);

@@ -34,8 +34,8 @@ struct Step {
 
 /// Nodes with an odd identifier broadcast (id, round) for four rounds; every
 /// node folds what it hears into its output. Run right after a step where
-/// every node broadcast, a stale outbox stamp of the previous engine would
-/// make an even-identifier node look like a sender: an extra message.
+/// every node broadcast, a stale pull-slot stamp of the previous engine
+/// would make an even-identifier node look like a sender: an extra message.
 class ParityBroadcastProgram final : public NodeProgram {
  public:
   void on_send(NodeContext& ctx) override {
@@ -132,6 +132,11 @@ TEST(ScratchReuse, DecreasingSizesMatchFreshScratchByteForByte) {
     const std::vector<std::uint8_t> fresh = record(step, nullptr);
     const std::vector<std::uint8_t> reused = record(step, &scratch);
     EXPECT_EQ(fresh, reused) << step.label;
+    // No pull slot straddles a cache line (docs/MODEL.md, "Memory latency
+    // at scale").
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(scratch.pull_slot.data()) % 32,
+              0u)
+        << step.label;
   }
 }
 
