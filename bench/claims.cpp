@@ -1,14 +1,18 @@
 // dgap_claims — every experiment of EXPERIMENTS.md as one gated table.
 //
-// Each claim (E1–E12, E14, E15, E17) re-runs its instances, seeds,
-// providers and algorithms and prints one markdown table. A row pairs a
-// measure (η1, η2, η_t, μ1, …) with a measured quantity x — rounds, or a
-// measure itself — and the bound the paper proves for it, as lo ≤ x ≤ hi.
-// A run checked against two bounds is two rows. Ablation and trend rows
-// print "—" as the bound and are gated on validity only.
+// Each claim (E1–E17) re-runs its instances, seeds, providers and
+// algorithms and prints one markdown table. A row pairs a measure (η1, η2,
+// η_t, μ1, …) with a measured quantity x — rounds, or a measure itself —
+// and the bound the paper proves for it, as lo ≤ x ≤ hi. A run checked
+// against two bounds is two rows. Ablation and trend rows print "—" as the
+// bound and are gated on validity only. E13 holds the CONGEST accounting:
+// message widths, the enforced-bandwidth sweep and the message-reduction
+// compile pass; E16 the warm-started epoch streams and their result cache.
 //
 // The binary takes no arguments. It exits 1, naming the rows, if any run's
-// output fails its problem's checker or any gated x lies outside its bound.
+// output fails its problem's checker (or a row's own validity rule: equal
+// outputs and totals across a compile or a budget, equal checksums across
+// worker counts) or any gated x lies outside its bound.
 #include "bench_util.hpp"
 
 #include <climits>
@@ -29,12 +33,14 @@
 #include "matching/checkers.hpp"
 #include "mis/algorithms.hpp"
 #include "mis/checkers.hpp"
+#include "mis/congest_global.hpp"
 #include "mis/gather.hpp"
 #include "predict/error_measures.hpp"
 #include "predict/generators.hpp"
 #include "predict/provider.hpp"
 #include "random/luby.hpp"
 #include "sim/batch.hpp"
+#include "sim/compile.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
 #include "templates/epoch_problems.hpp"
@@ -877,6 +883,234 @@ void e12(Claims& c) {
   sweep("gnp_120", make_gnp(120, 0.04, rng));
 }
 
+// The CONGEST universal reference's exact schedule, written out rather than
+// taken from congest_global_total_rounds so that a schedule bug cannot move
+// its own bound.
+long congest_global_rounds(NodeId n) { return long{n} * n + 3L * n + 3; }
+
+void e13a(Claims& c) {
+  c.begin("E13a", "Section 2, LOCAL vs CONGEST",
+          "The widest message each algorithm sends, in words (one word = one "
+          "identifier or color). Greedy MIS, Linial, GPS, the Simple and "
+          "Parallel templates and the CONGEST universal reference stay within "
+          "2 words, O(log n) bits; the gather reference is a LOCAL algorithm. "
+          "The CONGEST reference takes exactly n² + 3n + 3 rounds.");
+  Rng rng(4);
+  const Graph g = make_random_connected(100, 50, rng);
+  const auto pred = flip_bits(g, mis_correct_prediction(g, rng), 10, rng);
+  const RootedTree t = shuffled(make_rooted_random_tree(100, rng), rng);
+  Rng rng24(5);
+  const Graph g24 = make_random_connected(24, 12, rng24);
+  // One run, four rows: rounds, max width, messages and words.
+  auto rows = [&](const std::string& inst, const std::string& param,
+                  const char* algorithm, const RunResult& r, bool ok,
+                  Bound width, const std::string& measure = "—",
+                  Bound rounds = kReport) {
+    c.run({inst, param, algorithm, measure}, r, ok, rounds);
+    c.add({inst, param, algorithm, "—", "max width"}, r.max_message_words,
+          width, ok);
+    c.add({inst, param, algorithm, "—", "messages"}, r.total_messages,
+          kReport, ok);
+    c.add({inst, param, algorithm, "—", "words"}, r.total_words, kReport, ok);
+  };
+  const auto greedy = run_algorithm(g, greedy_mis_algorithm());
+  rows("rand_100", "—", "greedy_mis", greedy, mis_ok(g, greedy), at_most(2));
+  const auto linial = run_algorithm(g, linial_coloring_algorithm());
+  rows("rand_100", "—", "linial_coloring", linial, coloring_ok(g, linial),
+       at_most(2));
+  const auto simple = run_with_predictions(g, pred, mis_simple_greedy());
+  rows("rand_100", flips(10), "mis_simple_greedy", simple, mis_ok(g, simple),
+       at_most(2));
+  const auto parallel = run_with_predictions(g, pred, mis_parallel_linial());
+  rows("rand_100", flips(10), "mis_parallel_linial", parallel,
+       mis_ok(g, parallel), at_most(2));
+  const auto gather = run_algorithm(g, mis_gather_algorithm());
+  rows("rand_100", "—", "mis_gather", gather, mis_ok(g, gather), kReport);
+  const auto global = run_algorithm(g24, congest_global_mis_algorithm());
+  rows("rand_24", "—", "congest_global_mis", global, mis_ok(g24, global),
+       at_most(2), m("n", g24.num_nodes()),
+       exactly(congest_global_rounds(g24.num_nodes())));
+  const auto interleaved =
+      run_with_predictions(g, pred, mis_interleaved_gather());
+  rows("rand_100", flips(10), "mis_interleaved_gather", interleaved,
+       mis_ok(g, interleaved), kReport);
+  const auto gps = run_algorithm(t.graph, gps_coloring_algorithm(t));
+  rows("tree_100", "—", "gps_tree_coloring", gps,
+       gps.completed && is_valid_coloring(t.graph, gps.outputs, 3),
+       at_most(2));
+}
+
+/// A three-node relay line: the head streams kMessages 4-word messages,
+/// one per round, the middle forwards each the round after it arrives, and
+/// the tail terminates once it has them all. Under a B-word budget each
+/// hop moves at most B words per round, so the completion round grows like
+/// 2 · ⌈4 · kMessages / B⌉ as B shrinks.
+class StreamRelayProgram final : public NodeProgram {
+ public:
+  static constexpr int kMessages = 16;
+
+  void on_send(NodeContext& ctx) override {
+    if (ctx.index() == 0 && ctx.round() <= kMessages) {
+      const Value r = ctx.round();
+      ctx.send(1, {r, r * 10, r * 100, r * 1000});
+    } else if (ctx.index() == 1) {
+      for (const auto& payload : to_forward_) ctx.send(2, payload);
+      forwarded_ += static_cast<int>(to_forward_.size());
+      to_forward_.clear();
+    }
+  }
+
+  void on_receive(NodeContext& ctx) override {
+    for (const Message& msg : ctx.inbox()) {
+      ++received_;
+      if (ctx.index() == 1) {
+        to_forward_.emplace_back(msg.words.begin(), msg.words.end());
+      }
+    }
+    const bool done = (ctx.index() == 0 && ctx.round() >= kMessages) ||
+                      (ctx.index() == 1 && forwarded_ >= kMessages) ||
+                      (ctx.index() == 2 && received_ >= kMessages);
+    if (done) {
+      ctx.set_output(received_);
+      ctx.terminate();
+    }
+  }
+
+ private:
+  std::vector<std::vector<Value>> to_forward_;
+  int received_ = 0;
+  int forwarded_ = 0;
+};
+
+void e13b(Claims& c) {
+  c.begin("E13b", "Section 2, enforced CONGEST bandwidth",
+          "A budget of B words per directed edge per round, with excess words "
+          "deferred in FIFO order: more bandwidth never costs rounds. Each "
+          "budget's rounds are at least the next larger budget's, and the "
+          "largest budget runs in the unenforced (nominal) rounds.");
+  // The budget rows of one workload, ascending. An enforced run is valid
+  // iff it completes with the unenforced run's outputs.
+  auto sweep = [&](const std::string& inst, const char* algorithm,
+                   const Graph& g, const ProgramFactory& factory,
+                   const RunResult& nominal,
+                   std::initializer_list<int> budgets) {
+    std::vector<std::pair<int, RunResult>> runs;
+    for (int budget : budgets) {
+      EngineOptions opt;
+      opt.congest_policy = CongestPolicy::kDefer;
+      opt.congest_word_limit = budget;
+      runs.emplace_back(budget, run_algorithm(g, factory, opt));
+    }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const auto& [budget, r] = runs[i];
+      const std::string param = "B=" + fmt(budget);
+      const bool ok = r.completed && r.outputs == nominal.outputs;
+      if (i + 1 < runs.size()) {
+        const auto& [next_budget, next] = runs[i + 1];
+        c.run({inst, param, algorithm,
+               "rounds(B=" + fmt(next_budget) + ") = " + fmt(next.rounds)},
+              r, ok, Bound{next.rounds, std::nullopt});
+      } else {
+        c.run({inst, param, algorithm, m("nominal", nominal.rounds)}, r, ok,
+              exactly(nominal.rounds));
+      }
+      c.add({inst, param, algorithm, "—", "deferred words"}, r.deferred_words,
+            kReport, ok);
+      c.add({inst, param, algorithm, "—", "backlog peak"},
+            r.link_backlog_peak_words, kReport, ok);
+      c.add({inst, param, algorithm, "—", "backlog rounds"},
+            r.rounds_with_backlog, kReport, ok);
+    }
+  };
+  Rng rng(6);
+  const Graph g16 = shuffled(make_random_connected(16, 10, rng), rng);
+  const auto global = run_algorithm(g16, congest_global_mis_algorithm());
+  c.run({"rand_16", "unenforced", "congest_global_mis",
+         m("n", g16.num_nodes())},
+        global, mis_ok(g16, global),
+        exactly(congest_global_rounds(g16.num_nodes())));
+  sweep("rand_16", "congest_global_mis", g16, congest_global_mis_algorithm(),
+        global, {1, 2, 4, 8});
+  const Graph line = make_line(3);
+  const ProgramFactory relay = [](NodeId) {
+    return std::make_unique<StreamRelayProgram>();
+  };
+  const auto streamed = run_algorithm(line, relay);
+  c.run({"line_3", "unenforced", "stream_relay", "—"}, streamed,
+        streamed.completed &&
+            streamed.outputs.back() == StreamRelayProgram::kMessages,
+        kReport);
+  sweep("line_3", "stream_relay", line, relay, streamed,
+        {1, 2, 4, 8, 16, 32, 64});
+}
+
+void e13c(Claims& c) {
+  c.begin("E13c", "message reduction, PAPERS.md \"a Free Lunch\"",
+          "The compile pass (sim/compile.hpp) suppresses exact re-sends "
+          "(cache) and declared defaults (defaults), and the receiver "
+          "synthesizes them. A row is valid iff rounds, outputs and the "
+          "nominal totals equal the uncompiled run's and sent + suppressed "
+          "equals nominal. Words sent ≤ nominal words, and flood-min's "
+          "repeated broadcasts lose over 30%.");
+  Rng rng(21);
+  const Graph rand64 = make_random_connected(64, 48, rng);
+  const Graph grid = shuffled(make_grid(8, 8), rng);
+  const Graph rand100 = make_random_connected(100, 50, rng);
+  Rng rng24(5);
+  const Graph rand24 = make_random_connected(24, 12, rng24);
+  const Predictions mis_pred =
+      flip_bits(rand100, mis_correct_prediction(rand100, rng), 10, rng);
+  // Everyone predicted unmatched: the initialization's declared default
+  // dominates, the worst prediction and the best case for defaults.
+  const Predictions unmatched(std::vector<Value>(
+      static_cast<std::size_t>(rand100.num_nodes()), kNoNode));
+  const CompileOptions cache{.cache_resends = true};
+  const CompileOptions cache_defaults{.cache_resends = true,
+                                      .decode_defaults = true};
+
+  auto row = [&](const std::string& inst, const Graph& g, const char* algorithm,
+                 ProgramFactory factory, const Predictions& pred,
+                 const CompileOptions& compile, int max_percent) {
+    const auto run = [&](const CompileOptions& co) {
+      EngineOptions opt;
+      opt.compile = co;
+      return run_with_predictions(g, pred, factory, opt);
+    };
+    const RunResult base = run(CompileOptions{});
+    const RunResult r = run(compile);
+    const bool ok =
+        base.completed && r.rounds == base.rounds &&
+        r.outputs == base.outputs && r.edge_outputs == base.edge_outputs &&
+        r.total_words == base.total_words &&
+        r.total_messages == base.total_messages &&
+        r.words_sent + r.words_suppressed == base.total_words &&
+        r.messages_sent + r.messages_suppressed == base.total_messages &&
+        base.words_suppressed == 0 && base.messages_suppressed == 0;
+    const std::string param =
+        compile.decode_defaults ? "cache+defaults" : "cache";
+    c.run({inst, param, algorithm, "—"}, r, ok, kReport);
+    c.add({inst, param, algorithm, m("nominal", base.total_words),
+           "words sent"},
+          r.words_sent, at_most(base.total_words * max_percent / 100), ok);
+  };
+  row("rand_64", rand64, "flood_min", flood_min_algorithm(),
+      empty_predictions(), cache, 70);
+  row("grid_8x8", grid, "flood_min", flood_min_algorithm(),
+      empty_predictions(), cache, 70);
+  row("rand_100", rand100, "luby_mis", luby_mis_algorithm(7),
+      empty_predictions(), cache, 100);
+  row("rand_100", rand100, "greedy_mis", greedy_mis_algorithm(),
+      empty_predictions(), cache, 100);
+  row("rand_100", rand100, "greedy_matching", greedy_matching_algorithm(),
+      empty_predictions(), cache, 100);
+  row("rand_24", rand24, "congest_global_mis", congest_global_mis_algorithm(),
+      empty_predictions(), cache, 100);
+  row("rand_100", rand100, "mis_simple_greedy", mis_simple_greedy(), mis_pred,
+      cache_defaults, 100);
+  row("rand_100", rand100, "matching_simple_greedy", matching_simple_greedy(),
+      unmatched, cache_defaults, 100);
+}
+
 void e14(Claims& c) {
   c.begin("E14", "Section 10 open problem",
           "Consecutive template whose U budget is λ times the Linial "
@@ -1102,6 +1336,77 @@ void e15d(Claims& c) {
         r[3], edge_coloring_ok(g, r[3]), at_most(3));
 }
 
+void e16(Claims& c) {
+  c.begin("E16", "Section 1.1, serving epochs",
+          "One G(64, 0.06) instance churns through 8 epochs, each solved "
+          "warm-started from the previous epoch's output and from scratch "
+          "(the control). Totals over the epochs: at 1% churn each warm "
+          "rounds total is below the control's, and the warm predictions' η "
+          "total (epochs 1–7) does not fall as churn rises. A row is valid "
+          "iff the stream's checksum is the same at 1 and 2 workers; a "
+          "repeated stream is served from the result cache.");
+  constexpr double kRates[] = {0.01, 0.05, 0.12, 0.25};
+  const auto stream = [](double rate, int workers) {
+    EpochConfig config;
+    config.base = GraphSpec::gnp(64, 0.06, 21);
+    config.churn.seed = 4242;
+    config.churn.edge_remove_frac = rate;
+    config.churn.edge_add_frac = rate;
+    config.churn.node_remove_frac = rate / 2;
+    config.churn.node_add_frac = rate / 2;
+    config.epochs = 8;
+    config.workers = workers;
+    return config;
+  };
+  for (const EpochProblem& problem :
+       {epoch_mis(), epoch_matching(), epoch_coloring()}) {
+    std::optional<long> prev_eta;
+    std::string prev_rate;
+    for (double rate : kRates) {
+      const EpochReport report = EpochHarness(problem, stream(rate, 2)).run();
+      const bool ok = epoch_report_checksum(report) ==
+                      epoch_report_checksum(
+                          EpochHarness(problem, stream(rate, 1)).run());
+      long warm_rounds = 0, control_rounds = 0, eta = 0;
+      long warm_messages = 0, control_messages = 0;
+      for (const EpochRecord& e : report.epochs) {
+        warm_rounds += e.warm.rounds;
+        control_rounds += e.control.rounds;
+        warm_messages += e.warm.total_messages;
+        control_messages += e.control.total_messages;
+        // Epoch 0 has no previous output: its η is the scratch one's.
+        if (e.epoch > 0) eta += e.eta;
+      }
+      const std::string param = "churn=" + fmt(rate);
+      c.add({"gnp_64", param, problem.name, m("control", control_rounds),
+             "warm rounds"},
+            warm_rounds,
+            rate == kRates[0] ? at_most(control_rounds - 1) : kReport, ok);
+      c.add({"gnp_64", param, problem.name, m("control", control_messages),
+             "warm messages"},
+            warm_messages, kReport, ok);
+      c.add({"gnp_64", param, problem.name,
+             prev_eta ? m(("η at " + prev_rate).c_str(), *prev_eta) : "—",
+             "warm η"},
+            eta, prev_eta ? Bound{*prev_eta, std::nullopt} : kReport, ok);
+      prev_eta = eta;
+      prev_rate = fmt(rate);
+    }
+  }
+  // The same stream twice on one harness: the repeat runs nothing.
+  const EpochProblem mis = epoch_mis();
+  EpochHarness harness(mis, stream(0.05, 2));
+  const EpochReport cold = harness.run();
+  const EpochReport repeat = harness.run();
+  const bool same =
+      epoch_report_checksum(repeat) == epoch_report_checksum(cold);
+  const std::string jobs = m("jobs", 2 * static_cast<long>(cold.epochs.size()));
+  c.add({"gnp_64", "churn=0.05, repeat", mis.name, jobs, "cache hits"},
+        repeat.cache_hits, kReport, same);
+  c.add({"gnp_64", "churn=0.05, repeat", mis.name, jobs, "cache misses"},
+        repeat.cache_misses, exactly(0), same);
+}
+
 void e17(Claims& c) {
   c.begin("E17", "Section 1.1, prediction providers",
           "One churn step per problem: a correct solution on a stale "
@@ -1140,7 +1445,8 @@ int main(int argc, char** argv) {
   Claims claims;
   for (void (*claim)(Claims&) :
        {e1_e2, e3, e4, e5, e6, e6b, e7, e8, e7b, e9, e9b, e10a, e10b, e10c,
-        e10d, e11, e11b, e12, e14, e15a, e15b, e15c, e15d, e17}) {
+        e10d, e11, e11b, e12, e13a, e13b, e13c, e14, e15a, e15b, e15c, e15d,
+       e16, e17}) {
     try {
       claim(claims);
     } catch (const std::exception& e) {

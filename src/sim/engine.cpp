@@ -14,24 +14,6 @@ namespace dgap {
 
 namespace {
 
-// Latency-hiding lookahead (docs/MODEL.md, "Memory latency at scale").
-// From 2^16 nodes on, the gather's 32-B pull slots (2 MB) outgrow a 2 MB
-// per-core L2 and the round loop prefetches its random reads ahead. With
-// one slot read per sender the prefetches pay only at larger n: Luby on
-// G(n, 8/n) with the lookahead forced on ran 8% slower at n = 8192, 7% at
-// 32768, 5% at 65536 and 2% at 131072, within noise at 10^6, and 4%
-// faster at 2*10^6. The rule stays at 2^16 so that the lookahead-sized
-// tests (70,000 nodes, every sanitizer) still run the prefetch path in
-// seconds.
-constexpr NodeId kLookaheadMinNodes = NodeId{1} << 16;
-// The gather prefetches the pull slots of the active neighbors of the
-// receiver kGatherLookahead places ahead on the receive worklist; 3, 4, 8,
-// 10 and 16 measured within noise of 6 on the 10^6-node Luby run.
-constexpr std::size_t kGatherLookahead = 6;
-// Touched receivers ahead whose prefix row and count the compaction of the
-// termination pass prefetches; 4 hid too little latency, 16 gained nothing.
-constexpr std::size_t kCompactLookahead = 8;
-
 /// Does (channel, payload) match the default the current node declared on
 /// its shard this round?
 bool matches_default(const detail::SendShard& sh, int channel,
@@ -445,7 +427,6 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   // The pull path skips per-edge delivery: the link layer's queues and
   // budgets and the resend cache's per-edge memory need one record per copy.
   pull_enabled_ = link_ == nullptr && !compile_cache_;
-  lookahead_ = n >= kLookaheadMinNodes;
   // Trace spine: no sink => no virtual calls. detail() is a stable property
   // of the sink; cache the answer so the delivery path never queries it per
   // message.
@@ -885,24 +866,12 @@ void Engine::receive_phase(const std::vector<NodeId>& recv) {
   // outputs only change in process_terminations, after this phase joins).
   // The shard pointer is passed for the idle() flag only; send() stays
   // guarded by in_send_phase_.
-  //
-  // At 2^16 nodes and more, a round with pull broadcasts prefetches the
-  // gather's slots ahead (see kGatherLookahead). Slots, outboxes and
-  // prefixes are frozen from the send phase to the termination pass, and
-  // the lookahead stays inside this shard's slice, so it cannot change what
-  // any hook sees.
-  const bool prefetch = lookahead_ && round_has_pulls_;
-  run_sharded(recv.size(), [this, &recv, prefetch](int s, std::size_t lo,
-                                                   std::size_t hi) {
+  run_sharded(recv.size(), [this, &recv](int s, std::size_t lo,
+                                         std::size_t hi) {
     auto& sh = s_.shards[static_cast<std::size_t>(s)];
     sh.any_idle = false;
     sh.gathered_node = kNoNode;  // last round's gather is stale
     for (std::size_t i = lo; i < hi; ++i) {
-      if (prefetch && i + kGatherLookahead < hi) {
-        for (const NodeId u : active_prefix(recv[i + kGatherLookahead])) {
-          __builtin_prefetch(&s_.pull_slot[u]);
-        }
-      }
       const NodeId v = recv[i];
       NodeContext ctx(this, v, &sh);
       programs_[v]->on_receive(ctx);
@@ -965,16 +934,9 @@ void Engine::notify_terminations(NodeId lo, NodeId hi, std::size_t terminated,
       }
     }
   }
-  for (std::size_t k = 0; k < touched.size(); ++k) {
-    if (lookahead_ && k + kCompactLookahead < touched.size()) {
-      // Touched receivers come in first-touch order, so each row and count
-      // is a random read; `touched` holds only nodes in [lo, hi).
-      const NodeId ahead = touched[k + kCompactLookahead];
-      __builtin_prefetch(s_.an_pool.data() + graph_.row_begin(ahead));
-      __builtin_prefetch(&s_.an_count[ahead]);
-    }
-    s_.recv_count[touched[k]] = 0;
-    compact(touched[k]);
+  for (const NodeId u : touched) {
+    s_.recv_count[u] = 0;
+    compact(u);
   }
   std::sort(wake.begin(), wake.end());
 }

@@ -93,10 +93,10 @@ inline int message_width(std::size_t payload_words, int channel) {
 /// `messages`/`words` are the *nominal* totals — what the uncompiled
 /// algorithm pays, suppressed traffic included — so compiling a run never
 /// changes them (the invariant sent + suppressed == nominal that
-/// bench_messages asserts). The `*_suppressed` counters split out traffic
-/// a message-reduction transform kept off the wire (sim/compile.hpp);
-/// width and violation audits skip suppressed messages, because silence
-/// occupies no link.
+/// compile_test and dgap_claims' E13c assert). The `*_suppressed` counters
+/// split out traffic a message-reduction transform kept off the wire
+/// (sim/compile.hpp); width and violation audits skip suppressed messages,
+/// because silence occupies no link.
 struct CongestAccount {
   std::int64_t messages = 0;  // nominal: sent + suppressed
   std::int64_t words = 0;
@@ -636,7 +636,7 @@ struct RunResult {
   /// Nominal message complexity: every message the program logically sent,
   /// suppressed traffic included. Invariant under compilation — compiled
   /// and uncompiled runs of the same job report identical totals
-  /// (total == sent + suppressed; bench_messages asserts it per row).
+  /// (total == sent + suppressed; dgap_claims' E13c asserts it per row).
   std::int64_t total_messages = 0;
   std::int64_t total_words = 0;
   // --- message-reduction accounting (sim/compile.hpp) ---
@@ -736,11 +736,8 @@ class Engine {
   /// recv_nodes).
   const std::vector<NodeId>& collect_delivery_wakes();
   /// Run every receive hook on `recv`, sharded into contiguous slices
-  /// (one slice when serial). On rounds with pull broadcasts at 2^16 nodes
-  /// and more, each shard prefetches the pull slots of the active
-  /// neighbors of the receiver 6 places ahead in its own slice, one stage:
-  /// a slot is all the gather reads of a single-form sender. Everything it
-  /// reads is frozen during the phase.
+  /// (one slice when serial). Everything a hook reads of its neighbors is
+  /// frozen during the phase.
   void receive_phase(const std::vector<NodeId>& recv);
   /// The termination pass, sharded like delivery: detection over recv
   /// slices, notice charging / view compaction / wake collection over
@@ -756,9 +753,8 @@ class Engine {
   /// wakes into `wake`, ascending. detail::pull_terminations picks the
   /// direction. Pull walks the range's active nodes in ascending order and
   /// drops each prefix's inactive entries, one notice each. Push walks the
-  /// terminated nodes' rows, with `touched` as scratch, and at 2^16 nodes
-  /// and more its compaction prefetches the prefix row and count of the
-  /// receiver 8 ahead, all of them in [lo, hi).
+  /// terminated nodes' rows, with `touched` as scratch, and compacts the
+  /// prefixes it touched in first-touch order, all of them in [lo, hi).
   void notify_terminations(NodeId lo, NodeId hi, std::size_t terminated,
                            detail::CongestAccount& acct,
                            std::vector<NodeId>& touched,
@@ -776,10 +772,9 @@ class Engine {
   /// Node v's full inbox this round into `out`: its record slice merged,
   /// by sender, with the pull broadcasts of its active neighbors. One read
   /// per active neighbor, its pull slot, which holds a single-form
-  /// sender's broadcast; a run-form sender's entries are a second read. At
-  /// 2^16 nodes and more receive_phase has prefetched the slots by the
-  /// time a receive hook calls it. A single-form message's words point
-  /// into the sender's slot, which its next pull round rewrites.
+  /// sender's broadcast; a run-form sender's entries are a second read. A
+  /// single-form message's words point into the sender's slot, which its
+  /// next pull round rewrites.
   void gather_inbox(NodeId v, std::vector<Message>& out) const;
   std::span<const Message> record_inbox(NodeId v) const;
   /// Node v's active neighbors: the live prefix of its an_pool row.
@@ -816,9 +811,6 @@ class Engine {
   // whether some node-round of the current round did.
   bool pull_enabled_ = false;
   bool round_has_pulls_ = false;
-  // The graph is large enough (kLookaheadMinNodes) that the gather and the
-  // termination pass prefetch their random reads ahead.
-  bool lookahead_ = false;
   std::vector<Message> trace_inbox_;  // trace_deliveries' gather buffer
   // Lazy edge-output pool handshake: readers that see `false` short-circuit
   // to kUndefined; the release store publishes the initialized pool.

@@ -9,7 +9,8 @@
 //     across thread counts (the resend cache is keyed to receiver-shard
 //     ownership, so every thread count replays the same hit sequence, in
 //     inbox order).
-//  3. Reduction: flood_min re-sends collapse (> 30% of words off the wire).
+//  3. Reduction: flood_min re-sends collapse (> 30% of words off the wire)
+//     on a random graph and on a grid with random identifiers.
 //  4. Composition hazards: a suppressed re-send meeting a terminating
 //     neighbor (the PR 3 stale-tentative hazard, now with caching), and
 //     mid-run cut sweeps of the compiled template assemblies
@@ -29,7 +30,9 @@
 #include "matching/checkers.hpp"
 #include "mis/algorithms.hpp"
 #include "mis/checkers.hpp"
+#include "mis/congest_global.hpp"
 #include "predict/generators.hpp"
+#include "random/luby.hpp"
 #include "sim/compile.hpp"
 #include "sim/transcript.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -48,9 +51,11 @@ struct Equiv {
   const char* name;
   ProgramFactory (*make_factory)();
   Pred pred;
+  bool small = false;  // runs on the 24-node graph instead of the 40-node one
 };
 
 ProgramFactory make_flood() { return flood_min_algorithm(); }
+ProgramFactory make_luby() { return luby_mis_algorithm(7); }
 
 const Equiv kEquivCases[] = {
     {"flood_min", &make_flood, Pred::kNone},
@@ -58,6 +63,9 @@ const Equiv kEquivCases[] = {
     {"greedy_matching", &greedy_matching_algorithm, Pred::kNone},
     {"mis_simple_greedy", &mis_simple_greedy, Pred::kMis},
     {"matching_simple_greedy", &matching_simple_greedy, Pred::kMatching},
+    {"luby_mis", &make_luby, Pred::kNone},
+    // n² + 3n + 3 rounds: 651 at n = 24, within the round bound below.
+    {"congest_global_mis", &congest_global_mis_algorithm, Pred::kNone, true},
 };
 
 // ---------------------------------------------------------------------------
@@ -69,34 +77,38 @@ TEST(CompileEquivalence, IdenticalOutputsAndKRoundsTranscriptAcrossThreads) {
   Graph g = make_random_connected(40, 30, rng);
   const Predictions mis_pred = flip_bits(g, mis_correct_prediction(g, rng), 6, rng);
   const Predictions match_pred = matching_correct_prediction(g, rng);
+  Rng small_rng(5);
+  const Graph small = make_random_connected(24, 12, small_rng);
 
   for (const Equiv& c : kEquivCases) {
     SCOPED_TRACE(c.name);
+    const Graph& graph = c.small ? small : g;
     const Predictions& p = c.pred == Pred::kMis       ? mis_pred
                            : c.pred == Pred::kMatching ? match_pred
                                                        : empty_predictions();
 
-    // One round bound for every run, well above what n = 40 needs: a
+    // One round bound for every run, well above what these graphs need: a
     // run that never terminates fails in a second instead of spinning to
     // the default bound. The bound is part of the transcript header, so
     // the uncompiled and compiled runs must share it.
     EngineOptions base;
     base.max_rounds = 1000;
-    const auto uncompiled =
-        record_run(g, p, c.make_factory(), base, TraceDetail::kRounds, c.name);
+    const auto uncompiled = record_run(graph, p, c.make_factory(), base,
+                                       TraceDetail::kRounds, c.name);
     ASSERT_TRUE(uncompiled.result.completed);
     EXPECT_EQ(uncompiled.result.messages_suppressed, 0);
     EXPECT_EQ(uncompiled.result.words_suppressed, 0);
     EXPECT_EQ(uncompiled.result.messages_sent,
               uncompiled.result.total_messages);
 
-    std::int64_t suppressed_t1 = -1;
+    std::int64_t messages_t1 = -1;
+    std::int64_t words_t1 = -1;
     for (int threads : {1, 2, 4, 8}) {
       SCOPED_TRACE(threads);
       EngineOptions opt = base;
       opt.num_threads = threads;
       opt.compile = cache_and_defaults();
-      const auto compiled = record_run(g, p, c.make_factory(), opt,
+      const auto compiled = record_run(graph, p, c.make_factory(), opt,
                                        TraceDetail::kRounds, c.name);
       // Behavior is invariant: suppressed messages are synthesized at the
       // receiver, so the entire observable run matches byte for byte.
@@ -118,10 +130,12 @@ TEST(CompileEquivalence, IdenticalOutputsAndKRoundsTranscriptAcrossThreads) {
                 compiled.result.total_words);
       // The cache is keyed to receiver-shard ownership and walked in
       // global send order: the split cannot depend on the thread count.
-      if (suppressed_t1 < 0) {
-        suppressed_t1 = compiled.result.messages_suppressed;
+      if (messages_t1 < 0) {
+        messages_t1 = compiled.result.messages_suppressed;
+        words_t1 = compiled.result.words_suppressed;
       } else {
-        EXPECT_EQ(compiled.result.messages_suppressed, suppressed_t1);
+        EXPECT_EQ(compiled.result.messages_suppressed, messages_t1);
+        EXPECT_EQ(compiled.result.words_suppressed, words_t1);
       }
     }
   }
@@ -171,20 +185,25 @@ TEST(CompileEquivalence, PayloadTranscriptsDifferOnlyInSuppressedFlag) {
 
 TEST(CompileReduction, FloodMinCacheSavesOverThirtyPercent) {
   Rng rng(13);
-  Graph g = make_random_connected(48, 36, rng);
+  Graph random = make_random_connected(48, 36, rng);
+  Graph grid = make_grid(8, 8);
+  randomize_ids(grid, rng);
   EngineOptions opt;
   opt.compile.cache_resends = true;
-  const auto base = run_algorithm(g, flood_min_algorithm());
-  const auto compiled = run_algorithm(g, flood_min_algorithm(), opt);
-  EXPECT_EQ(compiled.outputs, base.outputs);
-  EXPECT_EQ(compiled.rounds, base.rounds);
-  EXPECT_EQ(compiled.total_words, base.total_words);
-  // Once the minimum stabilizes (a handful of rounds on a connected
-  // graph), every further broadcast is a cache hit; at n rounds total the
-  // wire carries a small fraction of the nominal words.
-  EXPECT_LT(compiled.words_sent * 10, base.total_words * 7)
-      << "expected > 30% reduction, sent " << compiled.words_sent << " of "
-      << base.total_words;
+  for (const Graph* g : {&random, &grid}) {
+    SCOPED_TRACE(g == &grid ? "grid_8x8" : "random_48");
+    const auto base = run_algorithm(*g, flood_min_algorithm());
+    const auto compiled = run_algorithm(*g, flood_min_algorithm(), opt);
+    EXPECT_EQ(compiled.outputs, base.outputs);
+    EXPECT_EQ(compiled.rounds, base.rounds);
+    EXPECT_EQ(compiled.total_words, base.total_words);
+    // Once the minimum stabilizes (a handful of rounds on a connected
+    // graph), every further broadcast is a cache hit; at n rounds total
+    // the wire carries a small fraction of the nominal words.
+    EXPECT_LT(compiled.words_sent * 10, base.total_words * 7)
+        << "expected > 30% reduction, sent " << compiled.words_sent << " of "
+        << base.total_words;
+  }
 }
 
 TEST(CompileReduction, CacheSuppressesExactRepeatsOnly) {

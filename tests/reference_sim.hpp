@@ -2,7 +2,7 @@
 // transcribed from that document and not from the engine, so tests check
 // the engine against something other than itself. Every active node is
 // stepped every round, with one vector inbox per node; there are no arenas,
-// pull path, shards, worklists, lookahead or compile pass. Programs are
+// pull path, shards, worklists or compile pass. Programs are
 // templates on their context type (tests/random_traffic.hpp), because only
 // the engine can build a NodeContext; ref::Context has the same methods.
 #pragma once

@@ -171,17 +171,15 @@ TEST(ReferenceModel, ExceededFailBudgetThrowsInBoth) {
   }
 }
 
-// From 2^16 nodes on, the engine prefetches the gather ahead (docs/MODEL.md,
-// "Memory latency at scale"). Each round on the graph of
-// EngineDeterminism.LookaheadSizedRunsAreThreadCountInvariant gathers
-// about 330,000 messages; the model and the transcript comparison, not
-// the engine, take most of the test's time. Rounds after the first gather
-// past pull slots gone stale (their senders fell silent or slept) and
-// wake idle receivers; RandomTraffic's first exits end round 4, so round
-// 5 gathers around terminated neighbors.
-TEST(ReferenceModel, LookaheadSizedRunMatchesModel) {
+// The 70,000-node graph of
+// EngineDeterminism.LargeRunsAreThreadCountInvariant: each round gathers
+// about 330,000 messages; the model and the transcript comparison, not the
+// engine, take most of the test's time. Rounds after the first gather past
+// pull slots gone stale (their senders fell silent or slept) and wake idle
+// receivers; RandomTraffic's first exits end round 4, so round 5 gathers
+// around terminated neighbors.
+TEST(ReferenceModel, LargeRunMatchesModel) {
   constexpr NodeId kNodes = 70'000;
-  static_assert(kNodes >= NodeId{1} << 16, "must take the lookahead");
   Rng rng(70);
   Graph g = make_gnp_sparse(kNodes, 4.0 / kNodes, rng);
   randomize_ids(g, rng);
@@ -304,10 +302,9 @@ Act push_then_pull(Value id, int round) {
   return round == 6 ? kExit : kStay;
 }
 
-/// At lookahead size: 70 exits in round 2 (push, 140 receivers, so the
-/// compaction prefetches), all but 1% in round 3 (pull), the rest in
-/// round 4.
-Act lookahead_push_then_pull(Value id, int round) {
+/// On a 70,000-node path: 70 exits in round 2 (push, 140 receivers), all
+/// but 1% in round 3 (pull), the rest in round 4.
+Act large_push_then_pull(Value id, int round) {
   if (round == 2) return id % 1000 == 500 ? kExit : kStay;
   if (round == 3) return id % 100 != 0 ? kExit : kStay;
   return round == 4 ? kExit : kStay;
@@ -330,8 +327,8 @@ TEST(ReferenceModel, TerminationPassMatchesModelInBothDirections) {
   cases.push_back(
       {"push then pull", make_line(1000), {push_then_pull, 1}, {2, 3, 4},
        {6, 7}, 7});
-  cases.push_back({"lookahead push then pull", make_line(70'000),
-                   {lookahead_push_then_pull, 0}, {2}, {3}, 0});
+  cases.push_back({"large push then pull", make_line(70'000),
+                   {large_push_then_pull, 0}, {2}, {3}, 0});
   EngineScratch shared;  // one scratch across both directions and cases
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
