@@ -160,7 +160,6 @@ std::string trace_name(const std::optional<TraceDetail>& trace) {
   if (!trace) return "none";
   switch (*trace) {
     case TraceDetail::kRounds: return "rounds";
-    case TraceDetail::kMessages: return "messages";
     case TraceDetail::kPayloads: return "payloads";
   }
   return "?";

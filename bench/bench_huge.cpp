@@ -1,5 +1,5 @@
-// Million-node engine benchmark — the scale family the SoA data plane,
-// coalesced small-message path and streaming transcripts exist for.
+// Million-node engine benchmark — the scale family the SoA data plane and
+// the coalesced small-message path exist for.
 //
 // Rows run MIS workloads on O(m) sparse random graphs (make_gnp_sparse /
 // make_gnm) at n = 10^5 and 10^6 (10^7 behind --n10m), with a HARD peak
@@ -8,10 +8,7 @@
 // plus a fixed slack, or the bench exits nonzero. VmHWM is a peak over the
 // whole process, and an allocator may keep freed memory resident (ASan's
 // quarantine keeps all of it), so each row runs in a forked child: the
-// reading after a row is that row's own peak, not a predecessor's. The
-// streaming row records a full kPayloads transcript through
-// TranscriptWriter::stream_to and asserts the reuse buffer stayed bounded
-// by one round block.
+// reading after a row is that row's own peak, not a predecessor's.
 //
 // Modes:
 //   (default)  n = 10^5 and 10^6 rows, BENCH_huge.json with --json
@@ -74,7 +71,6 @@ struct HugeCase {
   std::uint64_t seed = 0;
   std::function<Graph(Rng&)> generate;
   std::function<ProgramFactory()> make;
-  bool stream_transcript = false;  // record kPayloads through stream_to
 };
 
 /// Fixed slack on top of the per-node budget: binary, runtime, and the
@@ -107,27 +103,19 @@ std::vector<HugeCase> build_cases(bool smoke, bool n10m) {
   // object per node — measured ~270 B/node at n = 10^6, capped at 512 B so
   // a return of per-copy message records (~1 KB/node) fails the row.
   // Greedy sends no messages (idle/wake signalling only), so the graph
-  // dominates: 256 B. The streaming-transcript row adds the bounded reuse
-  // buffer only.
+  // dominates: 256 B.
   for (const NodeId n : {100'000, 1'000'000}) {
     if (smoke && n > 100'000) break;
-    cases.push_back(
-        {"gnps", "greedy", n, 256, gnps_seed(n), gnps(n), greedy, false});
-    cases.push_back(
-        {"gnm", "greedy", n, 256, gnm_seed(n), gnm(n), greedy, false});
-    cases.push_back(
-        {"gnps", "luby", n, 512, gnps_seed(n), gnps(n), luby, false});
-    if (n == 100'000) {
-      cases.push_back(
-          {"gnps", "luby", n, 512, gnps_seed(n), gnps(n), luby, true});
-    }
+    cases.push_back({"gnps", "greedy", n, 256, gnps_seed(n), gnps(n), greedy});
+    cases.push_back({"gnm", "greedy", n, 256, gnm_seed(n), gnm(n), greedy});
+    cases.push_back({"gnps", "luby", n, 512, gnps_seed(n), gnps(n), luby});
   }
   if (n10m && !smoke) {
     constexpr NodeId k10m = 10'000'000;
     cases.push_back({"gnps", "greedy", k10m, 256, gnps_seed(k10m),
-                     gnps(k10m), greedy, false});
+                     gnps(k10m), greedy});
     cases.push_back({"gnps", "luby", k10m, 512, gnps_seed(k10m), gnps(k10m),
-                     luby, false});
+                     luby});
   }
   return cases;
 }
@@ -139,8 +127,6 @@ struct RowResult {
   int rounds = 0;
   std::int64_t messages = 0;
   std::int64_t hwm_bytes = -1;
-  std::int64_t transcript_bytes = 0;
-  std::int64_t buffer_high_water = 0;
   bool completed = false;
 };
 
@@ -155,27 +141,13 @@ RowResult run_case(const HugeCase& c) {
   row.build_ms = std::chrono::duration<double, std::milli>(b2 - b0).count();
   row.ids_ms = std::chrono::duration<double, std::milli>(b2 - b1).count();
 
-  EngineOptions opt;
-  std::optional<TranscriptWriter> writer;
-  const std::string stream_path = "/tmp/dgap_bench_huge_stream.dgaptr";
-  if (c.stream_transcript) {
-    writer.emplace(TraceDetail::kPayloads, "huge_stream");
-    writer->stream_to(stream_path);
-    opt.trace_sink = &*writer;
-  }
   const auto t0 = std::chrono::steady_clock::now();
-  const RunResult result = run_algorithm(g, c.make(), opt);
+  const RunResult result = run_algorithm(g, c.make());
   const auto t1 = std::chrono::steady_clock::now();
   row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   row.rounds = result.rounds;
   row.messages = result.total_messages;
   row.completed = result.completed;
-  if (writer) {
-    row.transcript_bytes = static_cast<std::int64_t>(writer->streamed_bytes());
-    row.buffer_high_water =
-        static_cast<std::int64_t>(writer->buffer_high_water());
-    std::remove(stream_path.c_str());
-  }
   row.hwm_bytes = vm_hwm_bytes();
   return row;
 }
@@ -209,46 +181,41 @@ std::optional<RowResult> run_case_in_child(const HugeCase& c) {
 }
 
 /// The CI determinism gate at scale: the same n = 10^5 Luby job recorded
-/// serial and with 4 delivery threads must stream byte-identical
-/// transcript files. Returns false (after printing why) on mismatch.
+/// serial and with 4 delivery threads must write byte-identical kPayloads
+/// transcripts. Returns false (after printing why) on mismatch.
 bool check_threaded_transcript_equality() {
   Rng rng(9000 + 100'000 % 9973);
   Graph g = make_gnp_sparse(100'000, 8.0 / 100'000, rng);
   randomize_ids(g, rng);
-  const std::string serial_path = "/tmp/dgap_huge_serial.dgaptr";
-  const std::string threaded_path = "/tmp/dgap_huge_threaded.dgaptr";
   EngineOptions serial_opt;
-  const StreamedRun serial =
-      record_run_to_file(serial_path, g, {}, luby_mis_algorithm(42),
-                         serial_opt, TraceDetail::kPayloads, "huge_eq");
+  const std::vector<std::uint8_t> a =
+      record_run(g, {}, luby_mis_algorithm(42), serial_opt,
+                 TraceDetail::kPayloads, "huge_eq")
+          .transcript;
   EngineOptions threaded_opt;
   threaded_opt.num_threads = 4;
-  const StreamedRun threaded =
-      record_run_to_file(threaded_path, g, {}, luby_mis_algorithm(42),
-                         threaded_opt, TraceDetail::kPayloads, "huge_eq");
-  const std::vector<std::uint8_t> a = read_transcript_file(serial_path);
-  const std::vector<std::uint8_t> b = read_transcript_file(threaded_path);
-  std::remove(serial_path.c_str());
-  std::remove(threaded_path.c_str());
+  const std::vector<std::uint8_t> b =
+      record_run(g, {}, luby_mis_algorithm(42), threaded_opt,
+                 TraceDetail::kPayloads, "huge_eq")
+          .transcript;
   if (a != b) {
     std::printf("FAIL: serial and 4-thread transcripts differ at n=100000 "
                 "(%zu vs %zu bytes)\n", a.size(), b.size());
     return false;
   }
   std::printf("transcript equality: serial == 4 threads at n=100000 "
-              "(%zu bytes, writer buffer high water %zu / %" PRIu64 ")\n",
-              a.size(), serial.buffer_high_water, serial.transcript_bytes);
+              "(%zu bytes)\n", a.size());
   return true;
 }
 
 int run_all(bool json, bool smoke, bool n10m) {
   banner("HUGE",
-         "Million-node engine scale: sparse generators, SoA data plane, "
-         "streaming transcripts. Every row carries a hard VmHWM budget "
-         "(bytes/node); the bench fails if a row exceeds it.");
+         "Million-node engine scale: sparse generators and the SoA data "
+         "plane. Every row carries a hard VmHWM budget (bytes/node); the "
+         "bench fails if a row exceeds it.");
   Table table({"family", "workload", "n", "probe", "build_ms", "ids_ms",
                "wall_ms", "rounds", "k_msgs", "mmsgs_per_s", "hwm_mb",
-               "budget_mb", "stream_kb"});
+               "budget_mb"});
   table.print_header();
   JsonRecorder out(json, "BENCH_huge.json");
   bool ok = true;
@@ -273,8 +240,7 @@ int run_all(bool json, bool smoke, bool n10m) {
                      fmt(r.wall_ms), fmt(r.rounds), fmt(r.messages / 1000),
                      fmt(mps / 1e6),
                      fmt(r.hwm_bytes / (1 << 20)),
-                     fmt(budget_bytes / (1 << 20)),
-                     fmt(r.transcript_bytes / 1024)});
+                     fmt(budget_bytes / (1 << 20))});
     if (r.hwm_bytes < 0) {
       std::printf("  (no /proc/self/status; memory budget not enforced)\n");
     } else if (r.hwm_bytes > budget_bytes) {
@@ -285,13 +251,6 @@ int run_all(bool json, bool smoke, bool n10m) {
                   budget_bytes / double(1 << 20),
                   static_cast<long long>(c.budget_bytes_per_node),
                   static_cast<long long>(kBudgetSlackBytes >> 20));
-      ok = false;
-    }
-    if (c.stream_transcript && r.buffer_high_water * 4 > r.transcript_bytes) {
-      std::printf("FAIL: streaming writer buffer high water %lld not well "
-                  "below file size %lld\n",
-                  static_cast<long long>(r.buffer_high_water),
-                  static_cast<long long>(r.transcript_bytes));
       ok = false;
     }
     if (!r.completed) {
@@ -312,8 +271,6 @@ int run_all(bool json, bool smoke, bool n10m) {
     out.field("messages_per_sec", mps);
     out.field("hwm_bytes", r.hwm_bytes);
     out.field("budget_bytes", budget_bytes);
-    out.field("transcript_bytes", r.transcript_bytes);
-    out.field("buffer_high_water", r.buffer_high_water);
   }
   if (smoke && !check_threaded_transcript_equality()) ok = false;
   if (!out.finish()) ok = false;

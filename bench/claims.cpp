@@ -12,7 +12,8 @@
 // The binary takes no arguments. It exits 1, naming the rows, if any run's
 // output fails its problem's checker (or a row's own validity rule: equal
 // outputs and totals across a compile or a budget, equal checksums across
-// worker counts) or any gated x lies outside its bound.
+// worker counts, a warm start's η1 below the neutral one's) or any gated x
+// lies outside its bound.
 #include "bench_util.hpp"
 
 #include <climits>
@@ -1423,13 +1424,17 @@ void e17(Claims& c) {
     const std::vector<Value> prior =
         provide_with_seed(*exact_provider(), stale, problem.kind, 707)
             .node_values();
+    int neutral_eta = 0;  // the neutral row runs before warm_start's
     for (const ProviderPtr& src : {exact_provider(), neutral_provider(),
                                    warm_start_provider(stale, prior)}) {
       const Predictions pred = provide_with_seed(*src, g, problem.kind, 808);
       const int eta = problem.eta(g, pred);
       const RunResult r = run_with_predictions(g, pred, problem.factory());
+      if (src->name() == "neutral") neutral_eta = eta;
+      // A warm start is valid only if it helps: η1 below the neutral row's.
+      const bool helps = src->name() != "warm_start" || eta < neutral_eta;
       c.run({"gnp_96", src->name(), problem.name, m("η1", eta)}, r,
-            r.completed && problem.check(g, r).empty(),
+            r.completed && problem.check(g, r).empty() && helps,
             at_most(problem.degradation_bound(eta, g)));
     }
   }

@@ -63,12 +63,6 @@ NeighborOutputs NodeContext::neighbor_outputs() const {
           engine_->s_.node_output.data()};
 }
 
-Value NodeContext::neighbor_output_for(NodeId u, NodeId key) const {
-  DGAP_REQUIRE(engine_->graph_.has_edge(index_, u), "not a neighbor");
-  if (engine_->s_.node_active[u]) return kUndefined;
-  return engine_->edge_output_lookup(u, key);
-}
-
 Value NodeContext::prediction() const {
   return engine_->predictions_->node(index_);
 }
@@ -242,15 +236,8 @@ Value NodeContext::output_for(NodeId key) const {
   return engine_->edge_output_lookup(index_, key);
 }
 
-std::int64_t NodeContext::link_backlog(NodeId u) const {
-  DGAP_REQUIRE(engine_->graph_.has_edge(index_, u), "not a neighbor");
-  if (!engine_->link_) return 0;
-  return engine_->link_->backlog_words(index_, u);
-}
-
 int NodeContext::link_budget() const {
-  if (engine_->options_.congest_policy != CongestPolicy::kDefer) return 0;
-  return engine_->options_.congest_word_limit;
+  return engine_->link_ ? engine_->options_.congest_word_limit : 0;
 }
 
 void NodeContext::terminate() {
@@ -408,9 +395,8 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
-  if (options_.congest_policy != CongestPolicy::kCount) {
-    link_ = std::make_unique<detail::LinkLayer>(g, options_.congest_policy,
-                                                options_.congest_word_limit);
+  if (options_.congest_policy == CongestPolicy::kDefer) {
+    link_ = std::make_unique<detail::LinkLayer>(g, options_.congest_word_limit);
   }
   // Message-reduction compilation (sim/compile.hpp). The knobs are cached
   // as flat flags for the per-send / per-record checks; the per-directed-
@@ -432,7 +418,7 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   // message.
   sink_ = options_.trace_sink;
   trace_messages_ =
-      sink_ != nullptr && sink_->detail() >= TraceDetail::kMessages;
+      sink_ != nullptr && sink_->detail() == TraceDetail::kPayloads;
 }
 
 Engine::~Engine() = default;
@@ -692,15 +678,16 @@ void Engine::deliver_enforced() {
         if (s_.node_active[r.to]) link.deliver_suppressed(r);
         continue;
       }
-      link.ingest(r, s_.node_active.data());
+      link.ingest(r);
     }
   }
   link.finish_round(s_.node_active.data());
 
   // Counting-sort scatter of the cleared messages. The link layer emits
-  // them with ascending senders and FIFO per link, so each receiver's slice
-  // comes out in (sender, channel, send order) like the kCount path — for
-  // carried-over traffic, ordered by the round the words finished crossing.
+  // the suppressed ones first, then the transmitted ones with ascending
+  // senders and FIFO per link, so each receiver's slice comes out in
+  // (sender, channel, send order) within each group — for carried-over
+  // traffic, ordered by the round the words finished crossing.
   // Shard 0's touched list, which pass B cleared, collects the receivers.
   const auto& deliveries = link.deliveries();
   auto& touched = s_.recv_shards[0].touched;

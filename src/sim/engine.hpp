@@ -45,8 +45,6 @@ enum class CongestPolicy {
   /// Enforce by store-and-forward: a link transmits at most B words per
   /// round; excess queues FIFO per link and arrives in a later round.
   kDefer,
-  /// Enforce by contract: an over-budget send throws (DGAP_REQUIRE).
-  kFail,
 };
 
 /// A message delivered within a round. `channel` is a multiplexing tag used
@@ -467,8 +465,6 @@ class NodeContext {
   /// Key-0 outputs of the neighbors, aligned with neighbors(): kUndefined
   /// at a neighbor that is still active (see NeighborOutputs).
   NeighborOutputs neighbor_outputs() const;
-  /// Edge-keyed output of a terminated neighbor (for edge problems).
-  Value neighbor_output_for(NodeId u, NodeId key) const;
 
   /// This node's prediction x_i (node-valued problems).
   Value prediction() const;
@@ -520,12 +516,8 @@ class NodeContext {
   /// This node's own edge-keyed output (kUndefined if unset).
   Value output_for(NodeId key) const;
 
-  /// Words still in flight (sent but not yet delivered) on this node's
-  /// link to neighbor u, so programs can observe congestion. Nonzero only
-  /// under CongestPolicy::kDefer.
-  std::int64_t link_backlog(NodeId u) const;
   /// The per-link word budget this run defers excess traffic against, or 0
-  /// when delivery is same-round (count / fail policies).
+  /// when delivery is same-round (the count policy).
   /// Budget-aware schedules stretch their stages by this (it is global and
   /// round-invariant, so schedules stay pure functions of the instance).
   int link_budget() const;
@@ -601,12 +593,12 @@ struct EngineOptions {
   int max_rounds = 1'000'000;
   /// If > 0, messages wider than this many words are counted as CONGEST
   /// violations (the run still proceeds; benches report the counter).
-  /// Under an enforcing congest_policy this is the hard per-round word
-  /// budget of every directed edge and must be positive.
+  /// Under kDefer this is the hard per-round word budget of every directed
+  /// edge and must be positive.
   int congest_word_limit = 0;
   /// What over-budget traffic does. The default (kCount) is the audit-only
   /// path, bit-identical to the engine before link-layer enforcement
-  /// existed; any other value requires congest_word_limit > 0.
+  /// existed; kDefer requires congest_word_limit > 0.
   CongestPolicy congest_policy = CongestPolicy::kCount;
   /// Observer of the run's event stream (round begins, deliveries,
   /// terminations) — see sim/trace.hpp. Borrowed; must outlive run().
@@ -725,10 +717,10 @@ class Engine {
   /// Receiver-sharded delivery: resolve + route over sender shards, then
   /// resend cache / charge / inbox count and the inbox scatter over
   /// receiver shards, with per-shard accounts merged in fixed shard order.
-  /// Under an enforcing policy the link layer replaces the inbox count and
-  /// scatter (deliver_enforced).
+  /// Under kDefer the link layer replaces the inbox count and scatter
+  /// (deliver_enforced).
   void deliver_round_messages();
-  /// Enforcing-policy tail of delivery: feed the round's sends to the link
+  /// kDefer's tail of delivery: feed the round's sends to the link
   /// layer in canonical order and scatter what it clears into the inboxes.
   void deliver_enforced();
   /// Wake sleeping nodes that received traffic this round; returns the
@@ -824,7 +816,7 @@ class Engine {
   std::unique_ptr<EngineScratch> owned_scratch_;  // null when injected
   EngineScratch& s_;
   std::unique_ptr<ThreadPool> pool_;  // workers when num_threads > 1
-  // Bandwidth scheduler; only constructed for enforcing policies, so the
+  // Bandwidth scheduler; only constructed under kDefer, so the
   // default (kCount) data plane is untouched by the link layer.
   std::unique_ptr<detail::LinkLayer> link_;
   std::size_t peak_arena_words_ = 0;
@@ -849,18 +841,6 @@ RunResult run_algorithm(const Graph& g, ProgramFactory factory,
 RunResult run_with_predictions(const Graph& g, const Predictions& predictions,
                                ProgramFactory factory,
                                EngineOptions options = {});
-
-/// Apply `fn` to every message in `inbox` with the given channel, in inbox
-/// order. Allocation-free — the filter runs inline, so per-round hot loops
-/// (and composed-program receive hooks, alongside the lazy ChannelInbox in
-/// sim/phase.hpp) never materialize a vector of pointers.
-template <typename Fn>
-void for_each_on_channel(std::span<const Message> inbox, int channel,
-                         const Fn& fn) {
-  for (const Message& m : inbox) {
-    if (m.channel == channel) fn(m);
-  }
-}
 
 /// Completion round of each connected component of g (max termination
 /// round over its nodes; -1 if some node never terminated). Ordered like

@@ -8,38 +8,6 @@
 
 namespace dgap {
 
-double amortized_warm_rounds(const EpochReport& report) {
-  if (report.epochs.empty()) return 0;
-  double total = 0;
-  for (const EpochRecord& e : report.epochs) total += e.warm.rounds;
-  return total / static_cast<double>(report.epochs.size());
-}
-
-double amortized_control_rounds(const EpochReport& report) {
-  if (report.epochs.empty()) return 0;
-  double total = 0;
-  for (const EpochRecord& e : report.epochs) total += e.control.rounds;
-  return total / static_cast<double>(report.epochs.size());
-}
-
-double amortized_warm_messages(const EpochReport& report) {
-  if (report.epochs.empty()) return 0;
-  double total = 0;
-  for (const EpochRecord& e : report.epochs) {
-    total += static_cast<double>(e.warm.total_messages);
-  }
-  return total / static_cast<double>(report.epochs.size());
-}
-
-double amortized_control_messages(const EpochReport& report) {
-  if (report.epochs.empty()) return 0;
-  double total = 0;
-  for (const EpochRecord& e : report.epochs) {
-    total += static_cast<double>(e.control.total_messages);
-  }
-  return total / static_cast<double>(report.epochs.size());
-}
-
 std::uint64_t epoch_report_checksum(const EpochReport& report) {
   Fnv1a f;
   for (const EpochRecord& e : report.epochs) {

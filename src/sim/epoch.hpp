@@ -104,12 +104,6 @@ struct EpochReport {
   std::int64_t cache_misses = 0;
 };
 
-/// Mean warm-run rounds per epoch — the serving-cost headline number.
-double amortized_warm_rounds(const EpochReport& report);
-double amortized_control_rounds(const EpochReport& report);
-double amortized_warm_messages(const EpochReport& report);
-double amortized_control_messages(const EpochReport& report);
-
 /// Checksum over every deterministic per-epoch quantity (both runs'
 /// result checksums, η, instance shape) — the cheap equality witness the
 /// bench and CI diff across serial/batch/cached executions.

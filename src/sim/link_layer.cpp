@@ -1,28 +1,18 @@
 #include "sim/link_layer.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "common/require.hpp"
 
 namespace dgap::detail {
 
-LinkLayer::LinkLayer(const Graph& g, CongestPolicy policy, int budget_words)
-    : graph_(g),
-      policy_(policy),
-      budget_(static_cast<std::uint32_t>(budget_words)) {
-  DGAP_REQUIRE(policy != CongestPolicy::kCount,
-               "the count policy needs no link layer");
+LinkLayer::LinkLayer(const Graph& g, int budget_words)
+    : graph_(g), budget_(static_cast<std::uint32_t>(budget_words)) {
   DGAP_REQUIRE(budget_words > 0,
-               "enforcing congest policies need a positive word budget "
+               "the defer policy needs a positive word budget "
                "(EngineOptions::congest_word_limit)");
-  const std::size_t total_links = g.adjacency().size();
-  if (policy_ == CongestPolicy::kDefer) {
-    links_.resize(total_links);
-    queued_flag_.assign(total_links, 0);
-  } else {
-    used_.assign(total_links, 0);
-  }
+  links_.resize(g.adjacency().size());
+  queued_flag_.assign(g.adjacency().size(), 0);
 }
 
 std::size_t LinkLayer::link_index(NodeId from, NodeId to) const {
@@ -35,8 +25,6 @@ void LinkLayer::begin_round(int round) {
   round_ = round;
   deliveries_.clear();
   delivered_store_.clear();
-  for (const std::size_t link : used_touched_) used_[link] = 0;
-  used_touched_.clear();
   // Carry-over in flight at the start of a round marks it as a stretch
   // round — the effective-vs-nominal gap reported by rounds_with_backlog.
   if (total_backlog_ > 0) ++rounds_with_backlog_;
@@ -58,53 +46,30 @@ void LinkLayer::deliver_suppressed(const SendRecord& r) {
       {r.to, r.from, r.channel, r.len, r.words, /*suppressed=*/true});
 }
 
-void LinkLayer::ingest(const SendRecord& r, const std::uint8_t* node_active) {
+void LinkLayer::ingest(const SendRecord& r) {
+  // Queue on the link; transmission happens in finish_round so that
+  // carried-over traffic always precedes this round's sends (FIFO).
   const std::size_t link = link_index(r.from, r.to);
   const auto width =
       static_cast<std::uint32_t>(message_width(r.len, r.channel));
-  switch (policy_) {
-    case CongestPolicy::kDefer: {
-      // Queue on the link; transmission happens in finish_round so that
-      // carried-over traffic always precedes this round's sends (FIFO).
-      auto& link_state = links_[link];
-      Pending p;
-      p.to = r.to;
-      p.from = r.from;
-      p.channel = r.channel;
-      p.words_remaining = width;
-      p.sent_round = round_;
-      p.payload.assign(r.words, r.words + r.len);
-      link_state.q.push_back(std::move(p));
-      link_state.backlog += width;
-      total_backlog_ += width;
-      if (!queued_flag_[link]) {
-        queued_flag_[link] = 1;
-        candidates_.push_back(link);
-      }
-      break;
-    }
-    case CongestPolicy::kFail: {
-      used_touched_.push_back(link);
-      DGAP_REQUIRE(
-          used_[link] + width <= budget_,
-          "CONGEST budget exceeded: node id " +
-              std::to_string(graph_.id(r.from)) + " sent " +
-              std::to_string(width) + " word(s) to neighbor id " +
-              std::to_string(graph_.id(r.to)) + " in round " +
-              std::to_string(round_) + " with " +
-              std::to_string(used_[link]) + " already on the link (budget " +
-              std::to_string(budget_) + " words per link per round)");
-      used_[link] += width;
-      if (node_active[r.to]) deliver(r.to, r.from, r.channel, r.words, r.len);
-      break;
-    }
-    case CongestPolicy::kCount:
-      DGAP_ASSERT(false, "unreachable: kCount has no link layer");
+  auto& link_state = links_[link];
+  Pending p;
+  p.to = r.to;
+  p.from = r.from;
+  p.channel = r.channel;
+  p.words_remaining = width;
+  p.sent_round = round_;
+  p.payload.assign(r.words, r.words + r.len);
+  link_state.q.push_back(std::move(p));
+  link_state.backlog += width;
+  total_backlog_ += width;
+  if (!queued_flag_[link]) {
+    queued_flag_[link] = 1;
+    candidates_.push_back(link);
   }
 }
 
 void LinkLayer::finish_round(const std::uint8_t* node_active) {
-  if (policy_ != CongestPolicy::kDefer) return;
   // Service links in ascending (sender, neighbor) order so the delivery
   // list is receiver-scatter-ready: per receiver, senders ascend and each
   // link's messages stay FIFO.
@@ -152,11 +117,6 @@ void LinkLayer::finish_round(const std::uint8_t* node_active) {
     }
   }
   candidates_.swap(still_queued);
-}
-
-std::int64_t LinkLayer::backlog_words(NodeId from, NodeId to) const {
-  if (policy_ != CongestPolicy::kDefer) return 0;
-  return links_[link_index(from, to)].backlog;
 }
 
 void LinkLayer::export_metrics(RunResult& m) const {

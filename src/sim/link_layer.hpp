@@ -5,17 +5,13 @@
 // The default engine path only *counts*: every message is charged to the
 // metrics and a width over `EngineOptions::congest_word_limit` increments
 // the violation counter, but delivery is unaffected
-// (CongestPolicy::kCount). The LinkLayer implements the enforcing
-// policies, where the limit becomes a hard per-round word budget B on
-// every directed edge:
-//
-//   * kDefer    — a link transmits at most B words per round; excess
-//                 traffic queues FIFO per link (store-and-forward) and a
-//                 message arrives in the round its last word is
-//                 transmitted, so a w-word message occupies the link for
-//                 ceil(w / B) rounds;
-//   * kFail     — an over-budget send is a model violation: DGAP_REQUIRE
-//                 fails, identifying the offending link and round.
+// (CongestPolicy::kCount). The LinkLayer implements kDefer, where the limit
+// becomes a hard per-round word budget B on every directed edge: a link
+// transmits at most B words per round, excess traffic queues FIFO per link
+// (store-and-forward), and a message arrives in the round its last word is
+// transmitted, so a w-word message occupies the link for ceil(w / B)
+// rounds. A program fits its budget when its kDefer run reports
+// deferred_messages == 0.
 //
 // Determinism by construction: fresh sends are ingested in the engine's
 // canonical (sender, channel, send order) — the send shards' buffers, read
@@ -52,19 +48,18 @@ struct DeliveredMessage {
 };
 
 /// Deterministic per-directed-edge bandwidth scheduler. One instance per
-/// engine run; only constructed when an enforcing policy is selected, so
-/// the default (kCount) data plane carries no link-layer overhead at all.
+/// engine run; only constructed under kDefer, so the default (kCount) data
+/// plane carries no link-layer overhead at all.
 class LinkLayer {
  public:
-  LinkLayer(const Graph& g, CongestPolicy policy, int budget_words);
+  LinkLayer(const Graph& g, int budget_words);
 
-  /// Start a round: reset per-round budgets and release last round's
-  /// delivered payload storage.
+  /// Start a round: clear last round's deliveries and release their
+  /// payload storage.
   void begin_round(int round);
 
-  /// Feed one fresh send (canonical order). kFail resolves it
-  /// immediately; kDefer queues it on its link.
-  void ingest(const SendRecord& r, const std::uint8_t* node_active);
+  /// Feed one fresh send (canonical order): queue it on its link.
+  void ingest(const SendRecord& r);
 
   /// Deliver a compile-suppressed message in its send round without
   /// touching any link budget: its words never cross the wire, so it can
@@ -73,9 +68,8 @@ class LinkLayer {
   /// filtered terminated receivers.
   void deliver_suppressed(const SendRecord& r);
 
-  /// Transmit queued traffic within each link's budget (kDefer only; a
-  /// no-op for the other policies). Must run after every ingest() of the
-  /// round and before deliveries() is read.
+  /// Transmit queued traffic within each link's budget. Must run after
+  /// every ingest() of the round and before deliveries() is read.
   void finish_round(const std::uint8_t* node_active);
 
   /// This round's cleared messages, grouped receiver-scatter-ready:
@@ -85,13 +79,9 @@ class LinkLayer {
     return deliveries_;
   }
 
-  /// Words still queued (sent but not yet delivered) on the directed link
-  /// from -> to, as of the most recent delivery step. Zero outside kDefer.
-  std::int64_t backlog_words(NodeId from, NodeId to) const;
-
-  /// Total words carried across rounds on all links. Nonzero only under
-  /// kDefer; the engine's quiescence check uses it to distinguish "every
-  /// node is idle but traffic is still in flight" from a permanent stall.
+  /// Total words carried across rounds on all links. The engine's
+  /// quiescence check uses it to distinguish "every node is idle but
+  /// traffic is still in flight" from a permanent stall.
   std::int64_t pending_backlog() const { return total_backlog_; }
 
   /// Export the enforcement metrics into a finished run's result.
@@ -110,7 +100,7 @@ class LinkLayer {
     std::vector<Value> payload;
   };
 
-  /// FIFO state of one directed edge (kDefer only).
+  /// FIFO state of one directed edge.
   struct Link {
     std::vector<Pending> q;  // [head_, end) is the live queue
     std::size_t head = 0;
@@ -124,11 +114,9 @@ class LinkLayer {
                const Value* words, std::uint32_t len);
 
   const Graph& graph_;
-  const CongestPolicy policy_;
   const std::uint32_t budget_;
   int round_ = 0;
 
-  // kDefer state.
   std::vector<Link> links_;
   std::vector<std::size_t> candidates_;     // links to service this round
   std::vector<std::uint8_t> queued_flag_;   // link already in candidates_?
@@ -136,10 +124,6 @@ class LinkLayer {
   // Payloads of messages delivered this round, kept alive through the
   // receive phase (their heap buffers are stable under vector growth).
   std::vector<std::vector<Value>> delivered_store_;
-
-  // kFail state: per-link words consumed this round.
-  std::vector<std::uint32_t> used_;
-  std::vector<std::size_t> used_touched_;
 
   std::vector<DeliveredMessage> deliveries_;
 

@@ -8,8 +8,7 @@
 // consumers built on it are
 //
 //   * TranscriptWriter (sim/transcript.hpp) — the versioned binary
-//     record/replay format behind golden-transcript regression, the
-//     ReplayEngine debugger and `tools/dgap_trace`.
+//     format behind golden-transcript regression and `tools/dgap_trace`.
 //
 // Cost contract: when no sink is installed the engine performs no virtual
 // calls and no per-message work — the hot path tests one cached integer.
@@ -41,7 +40,7 @@ struct RunResult;
 struct PhaseProfile {
   std::int64_t send_ns = 0;     // program on_send hooks (sharded)
   std::int64_t scatter_ns = 0;  // resolve + route + inbox scatter (fast path)
-  std::int64_t link_ns = 0;     // enforcing link-layer delivery (kDefer etc.)
+  std::int64_t link_ns = 0;     // kDefer's link-layer delivery
   std::int64_t trace_ns = 0;    // per-message trace emission
   std::int64_t receive_ns = 0;  // program on_receive hooks (sharded)
   std::int64_t mutate_ns = 0;   // termination sweep, compaction, wake rebuild
@@ -59,14 +58,13 @@ struct PhaseProfile {
   }
 };
 
-/// How much of the run a sink wants to observe.
+/// How much of the run a sink wants to observe. The codes are the
+/// transcript header's; code 1 is unassigned.
 enum class TraceDetail {
   /// Round begins (with active counts) and terminations (with outputs).
   kRounds = 0,
   /// Plus one event per delivered message: (round, from, to, channel,
-  /// word count, suppressed) — the communication pattern without payloads.
-  kMessages = 1,
-  /// Plus the payload words of every delivered message.
+  /// payload words, suppressed).
   kPayloads = 2,
 };
 
@@ -102,14 +100,14 @@ class TraceSink {
 
   /// Highest detail this sink consumes. The engine caches it once per run;
   /// per-message events are only produced when the sink asked for
-  /// kMessages or kPayloads.
+  /// kPayloads.
   virtual TraceDetail detail() const { return TraceDetail::kRounds; }
 
   /// Start of run(): the instance size and the options in effect.
   virtual void on_run_begin(NodeId n, const EngineOptions& options);
   /// Start of round `round` (1-based); `active` nodes will participate.
   virtual void on_round_begin(int round, NodeId active);
-  /// One delivered message (gated on detail() >= kMessages).
+  /// One delivered message (gated on detail() == kPayloads).
   virtual void on_message(const TraceMessage& m);
   /// Node `node` terminated at the end of `round` with the given outputs
   /// (`edge_outputs` sorted by key; both borrow engine state — copy to

@@ -27,12 +27,6 @@ enum Tag : std::uint8_t {
   kTagRunEnd = 5,
 };
 
-/// Bytes the streaming writer buffers before a mid-round flush. Both
-/// checksums are carried incrementally across flushes, so the bound holds
-/// even when a single round (Luby's all-broadcast round 1) dominates the
-/// file; the buffer peaks at this threshold plus one event's encoding.
-constexpr std::size_t kStreamFlushBytes = 1 << 20;
-
 std::uint64_t zigzag_encode(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -139,29 +133,13 @@ TranscriptWriter::TranscriptWriter(TraceDetail detail, std::string label,
                                    std::optional<GraphSpec> spec)
     : detail_(detail), label_(std::move(label)), spec_(std::move(spec)) {}
 
-TranscriptWriter::~TranscriptWriter() {
-  // Abnormal exit mid-stream (exception before on_run_end): release the
-  // handle; the file on disk is incomplete and will fail decoding.
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void TranscriptWriter::stream_to(const std::string& path) {
-  DGAP_REQUIRE(!begun_, "stream_to must be called before the run begins");
-  DGAP_REQUIRE(file_ == nullptr, "stream_to called twice");
-  file_ = std::fopen(path.c_str(), "wb");
-  DGAP_REQUIRE(file_ != nullptr,
-               "cannot open transcript file for writing: " + path);
-  path_ = path;
-}
-
 void TranscriptWriter::fold_hashes() {
   const std::span<const std::uint8_t> pending =
       std::span<const std::uint8_t>(out_).subspan(hashed_);
   if (in_round_) {
     // Bytes ahead of the open block (header, the last round's end tag) go
     // to the file hash only; the block's bytes feed both hashes at once.
-    const std::size_t prefix =
-        round_start_ > hashed_ ? round_start_ - hashed_ : 0;
+    const std::size_t prefix = round_start_ - hashed_;
     file_hash_ = fnv1a_bytes(pending.first(prefix), file_hash_);
     fnv1a_both(pending.subspan(prefix), file_hash_, round_hash_);
   } else {
@@ -170,34 +148,13 @@ void TranscriptWriter::fold_hashes() {
   hashed_ = out_.size();
 }
 
-void TranscriptWriter::flush_buffer() {
-  if (file_ == nullptr) return;
-  if (out_.size() > high_water_) high_water_ = out_.size();
-  if (!out_.empty()) {
-    fold_hashes();
-    const std::size_t written =
-        std::fwrite(out_.data(), 1, out_.size(), file_);
-    DGAP_REQUIRE(written == out_.size(),
-                 "short write to transcript file: " + path_);
-    flushed_bytes_ += out_.size();
-    out_.clear();  // keeps capacity: the buffer is reused every round
-  }
-  round_start_ = 0;
-  hashed_ = 0;
-}
-
-void TranscriptWriter::maybe_partial_flush() {
-  if (file_ == nullptr || out_.size() < kStreamFlushBytes) return;
-  // flush_buffer folds the open block's bytes into both running hashes
-  // before they leave the buffer, so close_round's kTagRoundEnd value is
-  // identical to hashing the whole block at once.
-  flush_buffer();
-}
-
 void TranscriptWriter::on_run_begin(NodeId n, const EngineOptions& options) {
   DGAP_REQUIRE(!begun_, "a TranscriptWriter records exactly one run");
-  DGAP_REQUIRE(options.congest_policy <= CongestPolicy::kFail,
-               "congest policy code above kFail");
+  DGAP_REQUIRE(detail_ == TraceDetail::kRounds ||
+                   detail_ == TraceDetail::kPayloads,
+               "trace detail code other than 0 or 2");
+  DGAP_REQUIRE(options.congest_policy <= CongestPolicy::kDefer,
+               "congest policy code above kDefer");
   begun_ = true;
   out_.reserve(256);
   for (const std::uint8_t b : kMagic) out_.push_back(b);
@@ -220,18 +177,14 @@ void TranscriptWriter::on_run_begin(NodeId n, const EngineOptions& options) {
   put_zigzag(out_, options.max_rounds);
   put_zigzag(out_, options.congest_word_limit);
   put_varint(out_, static_cast<std::uint64_t>(options.congest_policy));
-  flush_buffer();
 }
 
 void TranscriptWriter::close_round() {
   if (!in_round_) return;
-  // round_hash_ already carries any prefix of the block that mid-round
-  // flushes wrote to disk; folding the rest completes the block checksum.
   fold_hashes();
   out_.push_back(kTagRoundEnd);
   put_fixed64(out_, round_hash_);
   in_round_ = false;
-  flush_buffer();
 }
 
 void TranscriptWriter::on_round_begin(int round, NodeId active) {
@@ -248,7 +201,7 @@ void TranscriptWriter::on_round_begin(int round, NodeId active) {
 }
 
 void TranscriptWriter::on_message(const TraceMessage& m) {
-  DGAP_REQUIRE(in_round_ && detail_ >= TraceDetail::kMessages,
+  DGAP_REQUIRE(in_round_ && detail_ == TraceDetail::kPayloads,
                "message event outside an open round");
   DGAP_REQUIRE(m.to >= last_to_, "a round's receivers must not descend");
   last_to_ = m.to;
@@ -259,10 +212,7 @@ void TranscriptWriter::on_message(const TraceMessage& m) {
   // Per-message flags byte: bit 1 suppressed; bit 0 is unassigned.
   out_.push_back(m.suppressed ? 2 : 0);
   put_varint(out_, m.words.size());
-  if (detail_ == TraceDetail::kPayloads) {
-    for (const Value w : m.words) put_zigzag(out_, w);
-  }
-  maybe_partial_flush();
+  for (const Value w : m.words) put_zigzag(out_, w);
 }
 
 void TranscriptWriter::on_termination(
@@ -277,7 +227,6 @@ void TranscriptWriter::on_termination(
     put_varint(out_, static_cast<std::uint64_t>(key));
     put_zigzag(out_, v);
   }
-  maybe_partial_flush();
 }
 
 void TranscriptWriter::on_run_end(const RunResult& result) {
@@ -290,31 +239,21 @@ void TranscriptWriter::on_run_end(const RunResult& result) {
   put_varint(out_, static_cast<std::uint64_t>(result.total_words));
   // Whole-file checksum last: every byte before it is covered, so any
   // single-byte corruption (including in the trailer) fails decoding. The
-  // running hash has already taken every flushed or folded byte, and
-  // FNV-1a's byte-sequential structure makes that identical to hashing
-  // the whole file at once.
+  // running hash has already taken every folded byte, and FNV-1a's
+  // byte-sequential structure makes that identical to hashing the whole
+  // file at once.
   fold_hashes();
   put_fixed64(out_, file_hash_);
   finished_ = true;
-  if (file_ != nullptr) {
-    flush_buffer();
-    const int rc = std::fclose(file_);
-    file_ = nullptr;
-    DGAP_REQUIRE(rc == 0, "error closing transcript file: " + path_);
-  }
 }
 
 const std::vector<std::uint8_t>& TranscriptWriter::bytes() const {
   DGAP_REQUIRE(finished_, "transcript incomplete: the run has not ended");
-  DGAP_REQUIRE(path_.empty(),
-               "streaming transcript lives on disk; read the file back");
   return out_;
 }
 
 std::vector<std::uint8_t> TranscriptWriter::take_bytes() {
   DGAP_REQUIRE(finished_, "transcript incomplete: the run has not ended");
-  DGAP_REQUIRE(path_.empty(),
-               "streaming transcript lives on disk; read the file back");
   finished_ = false;
   return std::move(out_);
 }
@@ -333,7 +272,7 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
   DGAP_REQUIRE(version == kTranscriptVersion,
                "unsupported transcript version");
   const std::uint64_t detail = r.varint();
-  DGAP_REQUIRE(detail <= 2, "invalid transcript detail level");
+  DGAP_REQUIRE(detail == 0 || detail == 2, "invalid transcript detail level");
   t.detail = static_cast<TraceDetail>(detail);
   t.label = r.str();
   const std::uint8_t has_spec = r.byte();
@@ -364,7 +303,7 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
                "invalid transcript congest_word_limit");
   t.congest_word_limit = static_cast<int>(word_limit);
   const std::uint64_t policy = r.varint();
-  DGAP_REQUIRE(policy <= static_cast<std::uint64_t>(CongestPolicy::kFail),
+  DGAP_REQUIRE(policy <= static_cast<std::uint64_t>(CongestPolicy::kDefer),
                "invalid transcript congest policy");
   t.congest_policy = static_cast<CongestPolicy>(policy);
 
@@ -392,7 +331,7 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
       }
       case kTagMessage: {
         DGAP_REQUIRE(in_round, "transcript message outside a round");
-        DGAP_REQUIRE(t.detail >= TraceDetail::kMessages,
+        DGAP_REQUIRE(t.detail == TraceDetail::kPayloads,
                      "message event in a rounds-only transcript");
         TranscriptMessage m;
         m.from = static_cast<NodeId>(r.small("message sender"));
@@ -410,13 +349,10 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
         DGAP_REQUIRE(flags == 0 || flags == 2,
                      "invalid transcript message flags");
         m.suppressed = flags == 2;
-        m.len = static_cast<std::uint32_t>(r.small("message length"));
-        if (t.detail == TraceDetail::kPayloads) {
-          m.words.reserve(m.len);
-          for (std::uint32_t i = 0; i < m.len; ++i) {
-            m.words.push_back(r.zigzag());
-          }
-        }
+        // No reserve ahead of the words (nor the edge outputs below): a
+        // corrupt count must fail as a truncation, not as an allocation.
+        const std::int64_t len = r.small("message length");
+        for (std::int64_t i = 0; i < len; ++i) m.words.push_back(r.zigzag());
         messages.push_back(std::move(m));
         break;
       }
@@ -428,7 +364,6 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
                      "transcript terminated node out of range");
         term.output = r.zigzag();
         const std::int64_t edges = r.small("edge output count");
-        term.edge_outputs.reserve(static_cast<std::size_t>(edges));
         for (std::int64_t i = 0; i < edges; ++i) {
           const NodeId key = static_cast<NodeId>(r.small("edge output key"));
           DGAP_REQUIRE(key < t.n, "transcript edge output key out of range");
@@ -484,14 +419,8 @@ std::vector<std::uint8_t> encode_transcript(const Transcript& t) {
   for (const TranscriptRound& round : t.rounds) {
     w.on_round_begin(round.round, round.active);
     for (const TranscriptMessage& m : round.messages) {
-      WordSpan words(nullptr, m.len);
-      if (t.detail == TraceDetail::kPayloads) {
-        DGAP_REQUIRE(m.words.size() == m.len,
-                     "payload-detail message length disagrees with words");
-        words = WordSpan(m.words.data(), m.words.size());
-      }
-      w.on_message(
-          {round.round, m.from, m.to, m.channel, words, m.suppressed});
+      w.on_message({round.round, m.from, m.to, m.channel,
+                    WordSpan(m.words.data(), m.words.size()), m.suppressed});
     }
     for (const TranscriptTermination& term : round.terminations) {
       w.on_termination(round.round, term.node, term.output,
@@ -547,107 +476,6 @@ RecordedRun record_run(const Graph& g, const Predictions& predictions,
   return out;
 }
 
-StreamedRun record_run_to_file(const std::string& path, const Graph& g,
-                               const Predictions& predictions,
-                               ProgramFactory factory, EngineOptions options,
-                               TraceDetail detail, std::string label,
-                               std::optional<GraphSpec> spec) {
-  DGAP_REQUIRE(options.trace_sink == nullptr,
-               "record_run_to_file installs its own trace sink");
-  TranscriptWriter writer(detail, std::move(label), std::move(spec));
-  writer.stream_to(path);
-  options.trace_sink = &writer;
-  Engine engine(g, predictions, std::move(factory), options);
-  StreamedRun out;
-  out.result = engine.run();
-  out.transcript_bytes = writer.streamed_bytes();
-  out.buffer_high_water = writer.buffer_high_water();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// ReplayEngine
-// ---------------------------------------------------------------------------
-
-ReplayEngine::ReplayEngine(const Transcript& t) : t_(&t) { reset(); }
-
-void ReplayEngine::reset() {
-  idx_ = 0;
-  round_ = 0;
-  active_count_ = t_->n;
-  active_.assign(static_cast<std::size_t>(t_->n), 1);
-  outputs_.assign(static_cast<std::size_t>(t_->n), kUndefined);
-  term_round_.assign(static_cast<std::size_t>(t_->n), -1);
-}
-
-bool ReplayEngine::step() {
-  if (idx_ >= t_->rounds.size()) return false;
-  if (idx_ > 0) {
-    // The previous round's terminations take effect now: the active set in
-    // view is always the start-of-round one, as in the live engine.
-    for (const TranscriptTermination& term : t_->rounds[idx_ - 1].terminations) {
-      DGAP_ASSERT(active_[term.node] != 0,
-                  "transcript terminates node " + std::to_string(term.node) +
-                      " twice");
-      active_[term.node] = 0;
-      --active_count_;
-    }
-  }
-  const TranscriptRound& r = t_->rounds[idx_];
-  DGAP_ASSERT(r.active == active_count_,
-              "transcript active count inconsistent at round " +
-                  std::to_string(r.round));
-  for (const TranscriptTermination& term : r.terminations) {
-    outputs_[term.node] = term.output;
-    term_round_[term.node] = r.round;
-  }
-  round_ = r.round;
-  ++idx_;
-  return true;
-}
-
-bool ReplayEngine::node_active(NodeId v) const {
-  DGAP_REQUIRE(v >= 0 && v < t_->n, "node out of range");
-  return active_[static_cast<std::size_t>(v)] != 0;
-}
-
-std::vector<NodeId> ReplayEngine::active_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(static_cast<std::size_t>(active_count_));
-  for (NodeId v = 0; v < t_->n; ++v) {
-    if (active_[static_cast<std::size_t>(v)]) out.push_back(v);
-  }
-  return out;
-}
-
-std::span<const TranscriptMessage> ReplayEngine::messages() const {
-  if (idx_ == 0) return {};
-  return t_->rounds[idx_ - 1].messages;
-}
-
-std::span<const TranscriptMessage> ReplayEngine::inbox(NodeId v) const {
-  DGAP_REQUIRE(v >= 0 && v < t_->n, "node out of range");
-  const std::span<const TranscriptMessage> all = messages();
-  const auto found =
-      std::ranges::equal_range(all, v, {}, &TranscriptMessage::to);
-  return {found.begin(), found.end()};
-}
-
-std::span<const TranscriptTermination> ReplayEngine::terminations() const {
-  if (idx_ == 0) return {};
-  return t_->rounds[idx_ - 1].terminations;
-}
-
-Value ReplayEngine::output(NodeId v) const {
-  DGAP_REQUIRE(v >= 0 && v < t_->n, "node out of range");
-  return outputs_[static_cast<std::size_t>(v)];
-}
-
-int ReplayEngine::termination_round(NodeId v) const {
-  DGAP_REQUIRE(v >= 0 && v < t_->n, "node out of range");
-  return term_round_[static_cast<std::size_t>(v)];
-}
-
 // ---------------------------------------------------------------------------
 // diff
 // ---------------------------------------------------------------------------
@@ -693,9 +521,9 @@ std::optional<TranscriptDivergence> round_diff(const TranscriptRound& x,
         what += "endpoints";
       } else if (p.channel != q.channel) {
         what += "channel";
-      } else if (p.len != q.len) {
-        what += "width (" + std::to_string(p.len) + " vs " +
-                std::to_string(q.len) + ")";
+      } else if (p.words.size() != q.words.size()) {
+        what += "width (" + std::to_string(p.words.size()) + " vs " +
+                std::to_string(q.words.size()) + ")";
       } else if (p.suppressed != q.suppressed) {
         what += "suppressed flag";
       } else {

@@ -1,13 +1,14 @@
-// Binary round transcripts: record a run's full event stream, then replay
+// Binary round transcripts: record a run's full event stream, then decode
 // or diff it.
 //
 // The engine is deterministic, so the event stream a TraceSink observes
-// (sim/trace.hpp) is a complete replay artifact: everything a RunResult
+// (sim/trace.hpp) is a complete record of the run: everything a RunResult
 // contains — and the whole per-round communication pattern besides — can
 // be reconstructed from it. A transcript is that stream in a versioned,
 // self-describing binary form:
 //
-//   header   magic "DGTR", format version, detail level, a free-text
+//   header   magic "DGTR", format version, detail level (0 = rounds
+//            only, 2 = payloads; 1 is unassigned), a free-text
 //            label, an optional GraphSpec (so the instance can be rebuilt
 //            from the file alone), n, and the semantically meaningful
 //            engine options (max_rounds, congest_word_limit,
@@ -18,9 +19,9 @@
 //            (the determinism witness the batch and engine tests pin).
 //            Wall-clock is likewise excluded.
 //   rounds   one block per round: round number, active count, delivered
-//            messages (at the recorded detail level; receivers ascending,
-//            each inbox in its order), terminations with outputs, and an
-//            FNV-1a checksum of the block's bytes.
+//            messages with their payloads (kPayloads only; receivers
+//            ascending, each inbox in its order), terminations with
+//            outputs, and an FNV-1a checksum of the block's bytes.
 //   trailer  completed flag, round count, message/word totals (the
 //            engine's sender-side accounting, which also charges sends
 //            dropped because the receiver had already terminated — so the
@@ -33,9 +34,9 @@
 //
 //   * TranscriptWriter — a TraceSink producing the bytes;
 //   * decode_transcript / encode_transcript — structured form and exact
-//     round-trip (fuzzed in tests/transcript_test.cpp);
-//   * ReplayEngine — single-step rounds out of a transcript without
-//     re-executing programs, exposing active sets / inboxes / outputs;
+//     round-trip (fuzzed in tests/transcript_test.cpp); a decoded
+//     TranscriptRound holds the round's active count, every delivery in
+//     inbox order and the terminations with their outputs;
 //   * diff_transcripts — first divergent (round, field) of two runs.
 //
 // A golden is verified by re-recording its run and comparing bytes;
@@ -45,7 +46,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <utility>
@@ -61,13 +61,11 @@ namespace dgap {
 /// bit 0 is unassigned. decode_transcript reads this version only.
 inline constexpr std::uint32_t kTranscriptVersion = 2;
 
-/// One delivered message. `words` is populated only at TraceDetail::
-/// kPayloads; at kMessages only the width survives.
+/// One delivered message (recorded at TraceDetail::kPayloads only).
 struct TranscriptMessage {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
   int channel = 0;
-  std::uint32_t len = 0;
   /// Synthesized by the message-reduction pass (sim/compile.hpp). Encoded
   /// as bit 1 of the per-message flags byte; the other bits are zero.
   bool suppressed = false;
@@ -125,35 +123,14 @@ struct Transcript {
 /// TraceSink that serializes the run into the binary format. Install via
 /// EngineOptions::trace_sink; after run() returns, bytes() holds the
 /// complete file image. A writer records exactly one run. It throws via
-/// DGAP_REQUIRE on events the decoder would reject, so it never writes a
-/// file that cannot be read back: a round whose receivers descend, or a
-/// policy code above kFail.
-///
-/// Large runs: stream_to(path) switches the writer to write-through mode —
-/// the buffer is flushed to disk after the header, after every closed
-/// round, and mid-round once it exceeds ~1 MiB, so recording kPayloads at
-/// n = 10^6 needs a small constant buffer, not the whole file (Luby's
-/// all-broadcast round 1 alone can dominate a file; the mid-round flush
-/// bounds even that). The flushed file is byte-identical to the in-memory
-/// bytes() image by construction: the append sequence is unchanged and
-/// both checksums (per-round FNV over the block, whole-file FNV) are
-/// carried incrementally across flushes, covering exactly the same bytes.
-/// The buffer is reused between flushes (clear() keeps capacity);
-/// buffer_high_water() reports the bound actually hit.
+/// DGAP_REQUIRE on input the decoder would reject, so it never writes a
+/// file that cannot be read back: a detail code other than 0 or 2, a
+/// policy code above kDefer, or a round whose receivers descend.
 class TranscriptWriter final : public TraceSink {
  public:
   explicit TranscriptWriter(TraceDetail detail = TraceDetail::kPayloads,
                             std::string label = {},
                             std::optional<GraphSpec> spec = std::nullopt);
-  ~TranscriptWriter() override;
-  TranscriptWriter(const TranscriptWriter&) = delete;
-  TranscriptWriter& operator=(const TranscriptWriter&) = delete;
-
-  /// Switch to write-through mode before the run begins. Opens `path` for
-  /// writing (DGAP_REQUIRE on failure); on_run_end finalizes and closes
-  /// the file. bytes()/take_bytes() are unavailable in this mode — read
-  /// the file back instead.
-  void stream_to(const std::string& path);
 
   TraceDetail detail() const override { return detail_; }
   void on_run_begin(NodeId n, const EngineOptions& options) override;
@@ -165,20 +142,11 @@ class TranscriptWriter final : public TraceSink {
   void on_run_end(const RunResult& result) override;
 
   /// The serialized transcript; complete once on_run_end has fired.
-  /// In-memory mode only (streaming writers leave the bytes on disk).
   const std::vector<std::uint8_t>& bytes() const;
   std::vector<std::uint8_t> take_bytes();
 
-  /// Write-through stats: bytes flushed to disk so far, and the largest
-  /// buffer size seen at a flush point — the memory bound the streaming
-  /// mode guarantees (one round block, not the file). Zero in-memory.
-  std::uint64_t streamed_bytes() const { return flushed_bytes_; }
-  std::size_t buffer_high_water() const { return high_water_; }
-
  private:
   void close_round();
-  void flush_buffer();
-  void maybe_partial_flush();
   void fold_hashes();
 
   TraceDetail detail_;
@@ -192,19 +160,12 @@ class TranscriptWriter final : public TraceSink {
   bool finished_ = false;
 
   // Running FNV-1a checksums, kept up to date as the buffer fills so every
-  // byte is hashed once, in both modes: file_hash_ covers every byte
-  // before out_[hashed_] (flushed bytes included), and round_hash_ the
-  // open round block's bytes among them. fold_hashes() advances both in
-  // one loop over out_[hashed_, end).
+  // byte is hashed once: file_hash_ covers every byte before out_[hashed_],
+  // and round_hash_ the open round block's bytes among them. fold_hashes()
+  // advances both in one loop over out_[hashed_, end).
   std::uint64_t file_hash_ = kFnvBasis;
   std::uint64_t round_hash_ = kFnvBasis;
   std::size_t hashed_ = 0;
-
-  // Write-through mode (stream_to).
-  std::string path_;  // empty = in-memory mode
-  std::FILE* file_ = nullptr;
-  std::uint64_t flushed_bytes_ = 0;
-  std::size_t high_water_ = 0;
 };
 
 /// Parse a serialized transcript. Every structural defect — bad magic,
@@ -217,7 +178,8 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes);
 /// Serialize a structured transcript — the exact inverse of
 /// decode_transcript, and byte-identical to what a TranscriptWriter
 /// produces for the run it records. Like the writer it drives, it throws
-/// on a round whose receivers descend or a policy code above kFail.
+/// on a detail code other than 0 or 2, a policy code above kDefer or a
+/// round whose receivers descend.
 std::vector<std::uint8_t> encode_transcript(const Transcript& t);
 
 /// File I/O. Both throw (DGAP_REQUIRE) on I/O errors.
@@ -238,72 +200,6 @@ RecordedRun record_run(const Graph& g, const Predictions& predictions,
                        TraceDetail detail = TraceDetail::kPayloads,
                        std::string label = {},
                        std::optional<GraphSpec> spec = std::nullopt);
-
-/// A run recorded straight to disk: the result plus the streaming stats.
-struct StreamedRun {
-  RunResult result;
-  std::uint64_t transcript_bytes = 0;  // file size on disk
-  std::size_t buffer_high_water = 0;   // writer memory bound actually hit
-};
-
-/// Convenience: run with a write-through TranscriptWriter streaming to
-/// `path`. The file is byte-identical to the buffer record_run would
-/// produce for the same job, but peak writer memory is one round block.
-StreamedRun record_run_to_file(const std::string& path, const Graph& g,
-                               const Predictions& predictions,
-                               ProgramFactory factory, EngineOptions options,
-                               TraceDetail detail = TraceDetail::kPayloads,
-                               std::string label = {},
-                               std::optional<GraphSpec> spec = std::nullopt);
-
-/// Round-stepping debugger over a recorded run: walks the transcript
-/// without re-executing any program. After each step() the view is one
-/// round r: the active set at the start of r, every node's round-r inbox,
-/// and the terminations of r. Outputs and termination rounds accumulate
-/// as rounds are applied.
-class ReplayEngine {
- public:
-  /// `t` is borrowed and must outlive the replay.
-  explicit ReplayEngine(const Transcript& t);
-
-  NodeId n() const { return t_->n; }
-  int total_rounds() const { return static_cast<int>(t_->rounds.size()); }
-  /// The round currently in view; 0 before the first step().
-  int round() const { return round_; }
-  bool done() const { return idx_ >= t_->rounds.size(); }
-
-  /// Advance to the next round; false when the transcript is exhausted.
-  bool step();
-  /// Back to the pre-run state (round 0).
-  void reset();
-
-  /// Active nodes at the start of the current round.
-  NodeId active_count() const { return active_count_; }
-  bool node_active(NodeId v) const;
-  std::vector<NodeId> active_nodes() const;
-
-  /// The current round's deliveries, in canonical order.
-  std::span<const TranscriptMessage> messages() const;
-  /// The current round's inbox of node v: a contiguous run of
-  /// messages(), since a decoded round lists receivers ascending.
-  std::span<const TranscriptMessage> inbox(NodeId v) const;
-  /// Nodes that terminated at the end of the current round.
-  std::span<const TranscriptTermination> terminations() const;
-
-  /// Output of v if it has terminated in a round already stepped past
-  /// (kUndefined otherwise); its termination round, -1 while active.
-  Value output(NodeId v) const;
-  int termination_round(NodeId v) const;
-
- private:
-  const Transcript* t_;
-  std::size_t idx_ = 0;  // rounds applied via step()
-  int round_ = 0;
-  NodeId active_count_ = 0;
-  std::vector<std::uint8_t> active_;
-  std::vector<Value> outputs_;
-  std::vector<int> term_round_;
-};
 
 /// First divergence between two transcripts: the round it occurs in
 /// (0 for header/summary-level differences) and a human-readable field

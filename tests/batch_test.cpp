@@ -392,7 +392,7 @@ TEST(Batch, OptionsDigestCoversExactlyTheResultOptions) {
   std::vector<EngineOptions> semantic(5, base);
   semantic[0].max_rounds = base.max_rounds - 1;
   semantic[1].congest_word_limit = 4;
-  semantic[2].congest_policy = CongestPolicy::kFail;
+  semantic[2].congest_policy = CongestPolicy::kDefer;
   semantic[3].compile.cache_resends = true;
   semantic[4].compile.decode_defaults = true;
   std::set<std::uint64_t> digests = {base_digest};

@@ -19,7 +19,6 @@
 //     per-neighbor send records deliver, inbox by inbox.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -260,10 +259,10 @@ TEST(EngineDeterminism, DeferTranscriptIsThreadCountInvariant) {
 
 // The resend cache is keyed to receiver-shard ownership and its hits are
 // charged to per-shard accounts, so sweep the compile knobs together with
-// streamed transcripts: the on-disk bytes of a compiled run must be
-// identical for every thread count, and nonzero suppression must merge to
-// the same counters.
-TEST(EngineDeterminism, CompiledStreamedTranscriptIsThreadCountInvariant) {
+// payload transcripts: the bytes of a compiled run must be identical for
+// every thread count, and nonzero suppression must merge to the same
+// counters.
+TEST(EngineDeterminism, CompiledPayloadTranscriptIsThreadCountInvariant) {
   // flood_min re-broadcasts its stabilized minimum every round, so the
   // resend cache must suppress most of the traffic.
   Rng rng(31);
@@ -272,26 +271,19 @@ TEST(EngineDeterminism, CompiledStreamedTranscriptIsThreadCountInvariant) {
   EngineOptions opt = threaded_options(1);
   opt.compile.cache_resends = true;
   opt.compile.decode_defaults = true;
-  const std::string serial_path = "/tmp/dgap_det_serial.dgaptr";
-  const StreamedRun serial =
-      record_run_to_file(serial_path, g, {}, flood_min_algorithm(), opt,
-                         TraceDetail::kPayloads, "det_compiled");
+  const RecordedRun serial =
+      record_run(g, {}, flood_min_algorithm(), opt, TraceDetail::kPayloads,
+                 "det_compiled");
   ASSERT_TRUE(serial.result.completed);
   EXPECT_GT(serial.result.messages_suppressed, 0);
-  const std::vector<std::uint8_t> serial_bytes =
-      read_transcript_file(serial_path);
-  std::remove(serial_path.c_str());
-  ASSERT_FALSE(serial_bytes.empty());
   for (int threads : {2, 4, 8}) {
     EngineOptions topt = opt;
     topt.num_threads = threads;
-    const std::string path = "/tmp/dgap_det_threaded.dgaptr";
-    const StreamedRun parallel =
-        record_run_to_file(path, g, {}, flood_min_algorithm(), topt,
-                           TraceDetail::kPayloads, "det_compiled");
-    const std::vector<std::uint8_t> bytes = read_transcript_file(path);
-    std::remove(path.c_str());
-    EXPECT_EQ(serial_bytes, bytes) << "num_threads = " << threads;
+    const RecordedRun parallel =
+        record_run(g, {}, flood_min_algorithm(), topt,
+                   TraceDetail::kPayloads, "det_compiled");
+    EXPECT_EQ(serial.transcript, parallel.transcript)
+        << "num_threads = " << threads;
     expect_identical(serial.result, parallel.result);
   }
 }
@@ -319,48 +311,49 @@ TEST(EngineDeterminism, CompiledRoundsTranscriptIsThreadCountInvariant) {
   }
 }
 
-// Broadcasts take the pull path under kCount; kFail with a budget no
+// Broadcasts take the pull path under kCount; kDefer with a budget no
 // link's round traffic reaches keeps every broadcast on per-neighbor
-// records through the link layer. The two must agree on the RunResult and
-// on every decoded round, receiver order included: both follow the
-// (sender, channel, send order) sequence the send phase sorts, also on
-// rounds where a node sends on decreasing channels. (Whole transcripts
-// differ in their headers.)
+// records through the link layer and defers nothing. The two must agree
+// on the RunResult and on every decoded round, receiver order included:
+// both follow the (sender, channel, send order) sequence the send phase
+// sorts, also on rounds where a node sends on decreasing channels. (Whole
+// transcripts differ in their headers.) Compiled runs stay out: kDefer
+// delivers suppressed messages ahead of link traffic (docs/MODEL.md), so
+// reference_sim_test checks pull broadcasts under decode_defaults against
+// the model instead.
 TEST(EngineDeterminism, PullBroadcastsMatchRecordDeliveryPerReceiver) {
   Rng graph_rng(41);
   Graph g = make_random_connected(96, 160, graph_rng);
   randomize_ids(g, graph_rng);
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const ProgramFactory factory = engine_factory<RandomTraffic>(seed);
-    for (const bool defaults : {false, true}) {
-      EngineOptions records = threaded_options(1);
-      records.max_rounds = 60;
-      records.compile.decode_defaults = defaults;
-      records.congest_policy = CongestPolicy::kFail;
-      records.congest_word_limit = 1000;
-      const RecordedRun reference =
-          record_run(g, {}, factory, records, TraceDetail::kPayloads);
-      EXPECT_GT(reference.result.rounds, 4);
-      EXPECT_GT(reference.result.total_messages, 0);
-      EXPECT_EQ(reference.result.messages_suppressed > 0, defaults);
-      const auto want = decode_transcript(reference.transcript).rounds;
-      std::vector<std::uint8_t> serial_pull;
-      for (int threads : {1, 2, 4}) {
-        EngineOptions pull = records;
-        pull.congest_policy = CongestPolicy::kCount;
-        pull.num_threads = threads;
-        const RecordedRun run =
-            record_run(g, {}, factory, pull, TraceDetail::kPayloads);
-        const std::string where = "seed " + std::to_string(seed) +
-                                  " defaults " + std::to_string(defaults) +
-                                  " threads " + std::to_string(threads);
-        expect_identical(reference.result, run.result);
-        EXPECT_TRUE(want == decode_transcript(run.transcript).rounds) << where;
-        if (threads == 1) {
-          serial_pull = run.transcript;
-        } else {
-          EXPECT_EQ(serial_pull, run.transcript) << where;
-        }
+    EngineOptions records = threaded_options(1);
+    records.max_rounds = 60;
+    records.congest_policy = CongestPolicy::kDefer;
+    records.congest_word_limit = 1000;
+    const RecordedRun reference =
+        record_run(g, {}, factory, records, TraceDetail::kPayloads);
+    EXPECT_EQ(reference.result.deferred_words, 0);
+    EXPECT_EQ(reference.result.link_backlog_peak_words, 0);
+    EXPECT_EQ(reference.result.rounds_with_backlog, 0);
+    EXPECT_GT(reference.result.rounds, 4);
+    EXPECT_GT(reference.result.total_messages, 0);
+    const auto want = decode_transcript(reference.transcript).rounds;
+    std::vector<std::uint8_t> serial_pull;
+    for (int threads : {1, 2, 4}) {
+      EngineOptions pull = records;
+      pull.congest_policy = CongestPolicy::kCount;
+      pull.num_threads = threads;
+      const RecordedRun run =
+          record_run(g, {}, factory, pull, TraceDetail::kPayloads);
+      const std::string where = "seed " + std::to_string(seed) +
+                                " threads " + std::to_string(threads);
+      expect_identical(reference.result, run.result);
+      EXPECT_TRUE(want == decode_transcript(run.transcript).rounds) << where;
+      if (threads == 1) {
+        serial_pull = run.transcript;
+      } else {
+        EXPECT_EQ(serial_pull, run.transcript) << where;
       }
     }
   }

@@ -92,8 +92,7 @@ void Context::send_and_deliver() {
     at().program->on_send(*this);
   }
   const CongestPolicy policy = opt_.congest_policy;
-  std::map<Link, int> used;  // kFail: words on each link this round
-  for (Node& x : nodes_) {   // senders ascending, each in channel order
+  for (Node& x : nodes_) {  // senders ascending, each in channel order
     std::stable_sort(
         x.sent.begin(), x.sent.end(),
         [](const Msg& a, const Msg& b) { return a.channel < b.channel; });
@@ -111,11 +110,6 @@ void Context::send_and_deliver() {
         in_flight_ += m.left;
         links_[{m.from, m.to}].push_back(std::move(m));
         continue;
-      }
-      if (policy == CongestPolicy::kFail && !m.suppressed) {
-        int& on_link = used[{m.from, m.to}];
-        on_link += m.left;
-        DGAP_REQUIRE(on_link <= opt_.congest_word_limit, "budget exceeded");
       }
       arrive(std::move(m));
     }

@@ -45,9 +45,8 @@ struct Run {
 };
 
 /// Runs under the options that change a run (max_rounds, congest limit and
-/// policy, and compile). Throws
-/// std::invalid_argument when a send exceeds a kFail budget, and
-/// std::logic_error when a sleeper acts before an event wakes it.
+/// policy, and compile). Throws std::logic_error when a sleeper acts before
+/// an event wakes it.
 Run run_model(const Graph& g, const Factory& factory,
               const EngineOptions& options);
 

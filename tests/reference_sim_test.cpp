@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,7 +33,7 @@ const Congest kCongest[] = {
     {"defer B=1", CongestPolicy::kDefer, 1},
     {"defer B=2", CongestPolicy::kDefer, 2},
     {"defer B=4", CongestPolicy::kDefer, 4},
-    {"fail", CongestPolicy::kFail, 1000},  // a budget no link reaches
+    {"defer B=1000", CongestPolicy::kDefer, 1000},  // no link reaches it
 };
 
 struct Compile {
@@ -48,21 +47,16 @@ const Compile kCompile[] = {
     {"cache+defaults", {.cache_resends = true, .decode_defaults = true}},
 };
 
-/// One engine run with a kPayloads transcript, kept in memory or streamed
-/// to a file, on `scratch` or on the engine's own.
+/// One engine run with a kPayloads transcript, on `scratch` or on the
+/// engine's own.
 std::vector<std::uint8_t> record(const Graph& g, const ProgramFactory& factory,
-                                 EngineOptions options, bool stream,
-                                 EngineScratch* scratch, RunResult& result) {
-  const std::string path = ::testing::TempDir() + "dgap_reference_sim.dgaptr";
+                                 EngineOptions options, EngineScratch* scratch,
+                                 RunResult& result) {
   TranscriptWriter writer(TraceDetail::kPayloads);
-  if (stream) writer.stream_to(path);
   options.trace_sink = &writer;
   Engine engine(g, empty_predictions(), factory, options, scratch);
   result = engine.run();
-  if (!stream) return writer.take_bytes();
-  std::vector<std::uint8_t> bytes = read_transcript_file(path);
-  std::remove(path.c_str());
-  return bytes;
+  return writer.take_bytes();
 }
 
 struct Family {
@@ -92,15 +86,13 @@ TEST(ReferenceModel, EngineMatchesModelUnderEveryOption) {
   ASSERT_GT(leaves, 0);
   EngineScratch shared;  // reused by consecutive engines across the matrix
   // Each group runs threads 1, 2 and 4, then threads 1 again with scratch
-  // reuse and the transcript mode both flipped; the first run's pair of
-  // modes cycles over the groups. Every run of a group writes the same
-  // bytes.
+  // reuse flipped; the first run's mode alternates over the groups. Every
+  // run of a group writes the same bytes.
   struct Variant {
     int threads;
-    bool flip_reuse, flip_stream;
+    bool flip_reuse;
   };
-  constexpr Variant kVariants[] = {
-      {1, false, false}, {2, false, true}, {4, true, false}, {1, true, true}};
+  constexpr Variant kVariants[] = {{1, false}, {2, false}, {4, true}, {1, true}};
   int group = 0;
   std::int64_t suppressed = 0, deferred = 0, quiescent = 0;
   for (const auto& [family, g] : fams) {
@@ -127,16 +119,14 @@ TEST(ReferenceModel, EngineMatchesModelUnderEveryOption) {
           std::vector<std::uint8_t> first;
           for (const Variant& v : kVariants) {
             const bool reuse = (group % 2 == 0) != v.flip_reuse;
-            const bool stream = (group / 2 % 2 == 0) != v.flip_stream;
             EngineOptions topt = opt;
             topt.num_threads = v.threads;
             RunResult got;
             const std::vector<std::uint8_t> bytes =
-                record(g, engine_factory<RandomTraffic>(seed), topt, stream,
+                record(g, engine_factory<RandomTraffic>(seed), topt,
                        reuse ? &shared : nullptr, got);
             SCOPED_TRACE(where + " threads " + std::to_string(v.threads) +
-                         (reuse ? " reused scratch" : "") +
-                         (stream ? " streamed" : ""));
+                         (reuse ? " reused scratch" : ""));
             expect_identical(want.result, got);
             EXPECT_EQ(inbox_mismatch(want.inboxes, bytes), "");
             if (first.empty()) {
@@ -156,18 +146,35 @@ TEST(ReferenceModel, EngineMatchesModelUnderEveryOption) {
   EXPECT_GT(quiescent, 0);
 }
 
-TEST(ReferenceModel, ExceededFailBudgetThrowsInBoth) {
-  Rng rng(3);
-  const Graph g = make_random_connected(24, 8, rng);
+// Pull broadcasts under decode_defaults, on the instance of
+// EngineDeterminism.PullBroadcastsMatchRecordDeliveryPerReceiver, which
+// compares uncompiled runs only: kDefer delivers suppressed messages
+// first, so no records run orders a compiled inbox as the pull path does.
+// A node-round's one short broadcast rides in its sender's pull slot,
+// suppressed flag included; the matrix's small families rarely send a
+// suppressed one.
+TEST(ReferenceModel, PullBroadcastsUnderDefaultsMatchModel) {
+  Rng rng(41);
+  Graph g = make_random_connected(96, 160, rng);
+  randomize_ids(g, rng);
   EngineOptions opt;
-  opt.congest_policy = CongestPolicy::kFail;
-  opt.congest_word_limit = 2;  // payloads reach 5 words
-  EXPECT_THROW(ref::run_model(g, model_factory<RandomTraffic>(1), opt),
-               std::invalid_argument);
-  for (const int threads : {1, 2}) {
-    opt.num_threads = threads;
-    EXPECT_THROW(run_algorithm(g, engine_factory<RandomTraffic>(1), opt),
-                 std::invalid_argument);
+  opt.max_rounds = 60;
+  opt.compile.decode_defaults = true;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const ref::Run want =
+        ref::run_model(g, model_factory<RandomTraffic>(seed), opt);
+    EXPECT_GT(want.result.messages_suppressed, 0);
+    for (const int threads : {1, 2, 4}) {
+      EngineOptions topt = opt;
+      topt.num_threads = threads;
+      const RecordedRun got =
+          record_run(g, {}, engine_factory<RandomTraffic>(seed), topt,
+                     TraceDetail::kPayloads);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads));
+      expect_identical(want.result, got.result);
+      EXPECT_EQ(inbox_mismatch(want.inboxes, got.transcript), "");
+    }
   }
 }
 
@@ -365,7 +372,7 @@ TEST(ReferenceModel, TerminationPassMatchesModelInBothDirections) {
       RunResult got;
       const std::vector<std::uint8_t> bytes =
           record(g, engine_factory<ScriptedExits>(c.script), topt,
-                 /*stream=*/false, threads == 2 ? nullptr : &shared, got);
+                 threads == 2 ? nullptr : &shared, got);
       SCOPED_TRACE("threads " + std::to_string(threads));
       expect_identical(want.result, got);
       EXPECT_EQ(inbox_mismatch(want.inboxes, bytes), "");

@@ -1,19 +1,19 @@
 // The transcript subsystem (sim/transcript.hpp):
 //
 //  1. Codec round-trip: encode(decode(x)) == x and decode(encode(t)) == t,
-//     fuzzed over random event streams at every detail level, including
+//     fuzzed over random event streams at both detail levels, including
 //     extreme payload values (kUndefined = INT64_MIN).
 //  2. Recording: a TranscriptWriter's bytes decode to exactly the run the
-//     engine executed, and re-encoding reproduces the bytes.
+//     engine executed — active counts, terminations and their outputs —
+//     and re-encoding reproduces the bytes.
 //  3. Robustness: truncated or corrupted files fail with DGAP_REQUIRE
 //     (std::invalid_argument) — never UB (this test runs under
-//     asan/ubsan in CI) — and so do a version-1 header, a flags byte
-//     other than 0 or 2, a round whose receivers descend and a policy
-//     code above kFail.
-//  4. Replay: ReplayEngine reconstructs active sets, outputs, and
-//     termination rounds bit-identically to the live RunResult.
-//  5. Diff: first divergent (round, field) between two recorded runs.
-//  6. Golden regression: re-recording each canonical case reproduces its
+//     asan/ubsan in CI) — and so do a version-1 header, detail code 1, a
+//     flags byte other than 0 or 2, a round whose receivers descend, a
+//     policy code above kDefer and a count of 2^31 − 1 words or edge
+//     outputs.
+//  4. Diff: first divergent (round, field) between two recorded runs.
+//  5. Golden regression: re-recording each canonical case reproduces its
 //     committed transcript under tests/golden/ byte for byte
 //     (DGAP_GOLDEN_DIR; the same files gate CI via `dgap_trace verify`),
 //     and a golden with one payload word flipped fails, naming its round.
@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -51,7 +50,7 @@ Value random_value(Rng& rng) {
 
 Transcript random_transcript(Rng& rng) {
   Transcript t;
-  t.detail = static_cast<TraceDetail>(rng.next_below(3));
+  t.detail = rng.flip(0.5) ? TraceDetail::kPayloads : TraceDetail::kRounds;
   t.label = "fuzz_" + std::to_string(rng.next_below(1000));
   if (rng.flip(0.5)) {
     GraphSpec spec;
@@ -67,13 +66,13 @@ Transcript random_transcript(Rng& rng) {
   t.n = static_cast<NodeId>(rng.uniform(1, 40));
   t.max_rounds = static_cast<int>(rng.uniform(0, 1'000'000));
   t.congest_word_limit = static_cast<int>(rng.uniform(0, 8));
-  t.congest_policy = static_cast<CongestPolicy>(rng.next_below(3));
+  t.congest_policy = static_cast<CongestPolicy>(rng.next_below(2));
   const int rounds = static_cast<int>(rng.next_below(8));
   for (int r = 1; r <= rounds; ++r) {
     TranscriptRound round;
     round.round = r;
     round.active = static_cast<NodeId>(rng.uniform(0, t.n));
-    if (t.detail >= TraceDetail::kMessages) {
+    if (t.detail == TraceDetail::kPayloads) {
       const int messages = static_cast<int>(rng.next_below(10));
       for (int i = 0; i < messages; ++i) {
         TranscriptMessage m;
@@ -82,13 +81,9 @@ Transcript random_transcript(Rng& rng) {
         m.to = static_cast<NodeId>(rng.next_below(
             static_cast<std::uint64_t>(t.n)));
         m.channel = static_cast<int>(rng.uniform(-3, 3));
-        m.len = static_cast<std::uint32_t>(rng.next_below(6));
+        m.words.resize(rng.next_below(6));
         m.suppressed = rng.flip(0.1);
-        if (t.detail == TraceDetail::kPayloads) {
-          for (std::uint32_t w = 0; w < m.len; ++w) {
-            m.words.push_back(random_value(rng));
-          }
-        }
+        for (Value& w : m.words) w = random_value(rng);
         round.messages.push_back(std::move(m));
       }
       // A round lists its receivers in ascending order.
@@ -177,10 +172,9 @@ void expect_rejected(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-/// One round holding one kMessages-level message, 9 -> 4.
+/// One round holding one one-word message, 9 -> 4.
 Transcript one_message_transcript() {
   Transcript t;
-  t.detail = TraceDetail::kMessages;
   t.n = 16;
   TranscriptRound round;
   round.round = 1;
@@ -188,7 +182,7 @@ Transcript one_message_transcript() {
   TranscriptMessage m;
   m.from = 9;
   m.to = 4;
-  m.len = 1;
+  m.words = {7};
   round.messages.push_back(m);
   t.rounds.push_back(round);
   t.summary.rounds = 1;
@@ -202,11 +196,23 @@ std::size_t first_difference(const std::vector<std::uint8_t>& a,
                                   a.begin());
 }
 
-TEST(TranscriptCodec, RejectsVersionOne) {
-  std::vector<std::uint8_t> bytes = encode_transcript(one_message_transcript());
-  ASSERT_EQ(bytes[4], kTranscriptVersion);  // the varint after "DGTR"
+// The decoder checks the version, the detail level, receiver order and the
+// policy code before any checksum, so one patched byte of a valid encoding
+// reaches each check. The encoder refuses to write the last three.
+
+TEST(TranscriptCodec, RejectsVersionOneAndDetailCodeOne) {
+  Transcript t = one_message_transcript();
+  const std::vector<std::uint8_t> valid = encode_transcript(t);
+  ASSERT_EQ(valid[4], kTranscriptVersion);  // the varint after "DGTR"
+  std::vector<std::uint8_t> bytes = valid;
   bytes[4] = 1;
   expect_rejected(bytes, "unsupported transcript version");
+  ASSERT_EQ(valid[5], 2);  // the detail level, kPayloads
+  bytes = valid;
+  bytes[5] = 1;
+  expect_rejected(bytes, "invalid transcript detail level");
+  t.detail = static_cast<TraceDetail>(1);
+  EXPECT_THROW(encode_transcript(t), std::invalid_argument);
 }
 
 TEST(TranscriptCodec, RejectsFlagsBytesOtherThanZeroOrTwo) {
@@ -225,10 +231,6 @@ TEST(TranscriptCodec, RejectsFlagsBytesOtherThanZeroOrTwo) {
   }
 }
 
-// The decoder checks receiver order and the policy code before any
-// checksum, so one patched byte of a valid encoding reaches each check.
-// The encoder refuses to write either defect.
-
 TEST(TranscriptCodec, RejectsDescendingReceivers) {
   Transcript t = one_message_transcript();
   TranscriptMessage m = t.rounds[0].messages[0];
@@ -245,18 +247,40 @@ TEST(TranscriptCodec, RejectsDescendingReceivers) {
   EXPECT_THROW(encode_transcript(t), std::invalid_argument);
 }
 
-TEST(TranscriptCodec, RejectsPolicyCodesAboveFail) {
+TEST(TranscriptCodec, RejectsPolicyCodesAboveDefer) {
   Transcript t = one_message_transcript();
-  t.congest_policy = CongestPolicy::kFail;
-  const std::vector<std::uint8_t> valid = encode_transcript(t);
   t.congest_policy = CongestPolicy::kDefer;
+  const std::vector<std::uint8_t> valid = encode_transcript(t);
+  t.congest_policy = CongestPolicy::kCount;
   const std::size_t at = first_difference(valid, encode_transcript(t));
-  ASSERT_EQ(valid[at], 2);  // kFail's code
+  ASSERT_EQ(valid[at], 1);  // kDefer's code
   std::vector<std::uint8_t> bytes = valid;
-  bytes[at] = 3;
+  bytes[at] = 2;
   expect_rejected(bytes, "invalid transcript congest policy");
-  t.congest_policy = static_cast<CongestPolicy>(3);
+  t.congest_policy = static_cast<CongestPolicy>(2);
   EXPECT_THROW(encode_transcript(t), std::invalid_argument);
+}
+
+// A length is read before what it counts: a corrupt one claiming 2^31 − 1
+// words or edge outputs fails as a bad transcript, not as a bad_alloc.
+TEST(TranscriptCodec, HugeCountsFailCleanly) {
+  Transcript t = one_message_transcript();
+  t.rounds[0].terminations.push_back({4, 1, {{9, 2}}});
+  const std::vector<std::uint8_t> valid = encode_transcript(t);
+  Transcript longer = t;
+  longer.rounds[0].messages[0].words.push_back(7);
+  Transcript more = t;
+  more.rounds[0].terminations[0].edge_outputs.push_back({10, 3});
+  for (const Transcript& grown : {longer, more}) {
+    const std::size_t at = first_difference(valid, encode_transcript(grown));
+    ASSERT_EQ(valid[at], 1);  // the one-element count
+    std::vector<std::uint8_t> bytes(valid.begin(), valid.begin() + at);
+    for (const std::uint8_t b : {0xff, 0xff, 0xff, 0xff, 0x07}) {
+      bytes.push_back(b);
+    }
+    bytes.insert(bytes.end(), valid.begin() + at + 1, valid.end());
+    EXPECT_THROW(decode_transcript(bytes), std::invalid_argument);
+  }
 }
 
 TEST(TranscriptCodec, GarbageInputFailsCleanly) {
@@ -318,11 +342,11 @@ TEST(TranscriptRecord, DecodeMatchesRunAndReencodes) {
   EXPECT_EQ(t.summary.total_words, run.result.total_words);
   ASSERT_EQ(static_cast<int>(t.rounds.size()), run.result.rounds);
 
-  // The per-round view matches the RunResult's termination rounds. The
-  // trailer totals are the engine's sender-side accounting; the round
-  // blocks hold *deliveries*, which exclude sends charged to nodes that
-  // had already terminated (see deliver_round_messages), so the walked
-  // counts are a lower bound.
+  // The per-round view matches the RunResult's termination rounds and
+  // outputs. The trailer totals are the engine's sender-side accounting;
+  // the round blocks hold *deliveries*, which exclude sends charged to
+  // nodes that had already terminated (see deliver_round_messages), so the
+  // walked counts are a lower bound.
   std::int64_t messages = 0, words = 0;
   for (std::size_t i = 0; i < t.rounds.size(); ++i) {
     const int round = static_cast<int>(i) + 1;
@@ -330,12 +354,12 @@ TEST(TranscriptRecord, DecodeMatchesRunAndReencodes) {
     std::vector<NodeId> terms;
     for (const TranscriptTermination& term : t.rounds[i].terminations) {
       terms.push_back(term.node);
+      EXPECT_EQ(term.output, run.result.outputs[term.node]);
     }
     EXPECT_EQ(terms, terminated_in(run.result, round));
     for (const TranscriptMessage& m : t.rounds[i].messages) {
-      EXPECT_EQ(m.words.size(), m.len);
       messages += 1;
-      words += m.len;
+      words += static_cast<std::int64_t>(m.words.size());
     }
   }
   EXPECT_LE(messages, run.result.total_messages);
@@ -350,196 +374,17 @@ TEST(TranscriptRecord, DetailLevelsNest) {
   const Graph g = fixture_graph();
   const RecordedRun payloads = record_run(g, {}, luby_mis_algorithm(11), {},
                                           TraceDetail::kPayloads, "l");
-  const RecordedRun messages = record_run(g, {}, luby_mis_algorithm(11), {},
-                                          TraceDetail::kMessages, "l");
   const RecordedRun rounds = record_run(g, {}, luby_mis_algorithm(11), {},
                                         TraceDetail::kRounds, "l");
   const Transcript tp = decode_transcript(payloads.transcript);
-  const Transcript tm = decode_transcript(messages.transcript);
   const Transcript tr = decode_transcript(rounds.transcript);
-  ASSERT_EQ(tp.rounds.size(), tm.rounds.size());
   ASSERT_EQ(tp.rounds.size(), tr.rounds.size());
-  EXPECT_LT(rounds.transcript.size(), messages.transcript.size());
-  EXPECT_LT(messages.transcript.size(), payloads.transcript.size());
+  EXPECT_LT(rounds.transcript.size(), payloads.transcript.size());
   for (std::size_t i = 0; i < tp.rounds.size(); ++i) {
     EXPECT_EQ(tp.rounds[i].active, tr.rounds[i].active);
     EXPECT_TRUE(tr.rounds[i].messages.empty());
-    ASSERT_EQ(tp.rounds[i].messages.size(), tm.rounds[i].messages.size());
-    for (std::size_t j = 0; j < tp.rounds[i].messages.size(); ++j) {
-      const TranscriptMessage& p = tp.rounds[i].messages[j];
-      const TranscriptMessage& m = tm.rounds[i].messages[j];
-      EXPECT_EQ(p.from, m.from);
-      EXPECT_EQ(p.to, m.to);
-      EXPECT_EQ(p.len, m.len);
-      EXPECT_TRUE(m.words.empty());
-    }
     EXPECT_EQ(tp.rounds[i].terminations, tr.rounds[i].terminations);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming (write-through) recording
-// ---------------------------------------------------------------------------
-
-TEST(TranscriptStream, FileIsByteIdenticalToInMemoryRecording) {
-  const Graph g = fixture_graph();
-  const std::string path = ::testing::TempDir() + "dgap_stream_test.dgaptr";
-  for (const TraceDetail detail :
-       {TraceDetail::kRounds, TraceDetail::kMessages, TraceDetail::kPayloads}) {
-    const RecordedRun buffered =
-        record_run(g, {}, luby_mis_algorithm(11), {}, detail, "stream");
-    const StreamedRun streamed = record_run_to_file(
-        path, g, {}, luby_mis_algorithm(11), {}, detail, "stream");
-    EXPECT_EQ(streamed.result.rounds, buffered.result.rounds);
-    EXPECT_EQ(streamed.result.outputs, buffered.result.outputs);
-    EXPECT_EQ(streamed.transcript_bytes, buffered.transcript.size());
-    EXPECT_EQ(read_transcript_file(path), buffered.transcript)
-        << "detail " << static_cast<int>(detail);
-    // The decoder accepts the flushed file (checksums carried across
-    // flushes land on the same values).
-    EXPECT_NO_THROW(decode_transcript(read_transcript_file(path)));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TranscriptStream, BufferStaysBoundedByOneRoundBlock) {
-  // Drive the sink directly with 64 equal-size rounds: the high-water mark
-  // must be one round block (~1/64 of the file), the witness that the
-  // writer flushes per round instead of dumping once at the end.
-  const std::string path = ::testing::TempDir() + "dgap_stream_bound.dgaptr";
-  constexpr NodeId kN = 128;
-  constexpr int kRounds = 64;
-  TranscriptWriter writer(TraceDetail::kPayloads, "bound");
-  writer.stream_to(path);
-  EngineOptions options;
-  writer.on_run_begin(kN, options);
-  for (int r = 1; r <= kRounds; ++r) {
-    writer.on_round_begin(r, kN);
-    for (NodeId v = 0; v + 1 < kN; ++v) {
-      const Value words[4] = {1, 2, 3, v};
-      writer.on_message(
-          {r, v, static_cast<NodeId>(v + 1), 0, WordSpan(words, 4)});
-    }
-  }
-  RunResult result;
-  result.completed = false;
-  result.rounds = kRounds;
-  writer.on_run_end(result);
-  EXPECT_GT(writer.buffer_high_water(), 0u);
-  EXPECT_LE(writer.buffer_high_water(),
-            writer.streamed_bytes() / (kRounds / 2));
-  EXPECT_EQ(read_transcript_file(path).size(), writer.streamed_bytes());
-  EXPECT_NO_THROW(decode_transcript(read_transcript_file(path)));
-  std::remove(path.c_str());
-}
-
-TEST(TranscriptStream, MidRoundFlushesMatchTheInMemoryRecording) {
-  // Round 1 is about 3 MB of kPayloads messages, listed receiver by
-  // receiver, so the streaming writer flushes twice inside it: the round
-  // and file checksums must carry across those partial flushes and land
-  // on the in-memory values.
-  const std::string path = ::testing::TempDir() + "dgap_stream_midround.dgaptr";
-  constexpr NodeId kN = 4096;
-  constexpr int kPerNode = 20;
-  TranscriptWriter memory(TraceDetail::kPayloads, "midround");
-  TranscriptWriter stream(TraceDetail::kPayloads, "midround");
-  stream.stream_to(path);
-  RunResult result;
-  result.completed = true;
-  result.rounds = 2;
-  for (TranscriptWriter* writer : {&memory, &stream}) {
-    writer->on_run_begin(kN, EngineOptions{});
-    writer->on_round_begin(1, kN);
-    for (NodeId to = 0; to < kN; ++to) {
-      for (int k = 0; k < kPerNode; ++k) {
-        const NodeId v = (to + kN - k - 1) % kN;
-        const Value words[8] = {std::numeric_limits<Value>::min(), v, k,
-                                Value{1} << 60, -v, 7, v * k, -1};
-        writer->on_message({1, v, to, k, WordSpan(words, 8)});
-      }
-    }
-    writer->on_termination(1, 0, 1, {});
-    writer->on_round_begin(2, kN - 1);
-    for (NodeId v = 1; v < kN; ++v) writer->on_termination(2, v, 0, {});
-    writer->on_run_end(result);
-  }
-  const std::vector<std::uint8_t> file = read_transcript_file(path);
-  EXPECT_GT(file.size(), std::size_t{2} << 20);
-  EXPECT_LT(stream.buffer_high_water(), file.size() / 2);
-  EXPECT_EQ(file, memory.bytes());
-  EXPECT_NO_THROW(decode_transcript(file));
-  std::remove(path.c_str());
-}
-
-TEST(TranscriptStream, MisuseFailsCleanly) {
-  const Graph g = fixture_graph();
-  const std::string path = ::testing::TempDir() + "dgap_stream_misuse.dgaptr";
-  TranscriptWriter writer(TraceDetail::kRounds, "misuse");
-  writer.stream_to(path);
-  EXPECT_THROW(writer.stream_to(path), std::invalid_argument);
-  EngineOptions options;
-  options.trace_sink = &writer;
-  Engine engine(g, {}, luby_mis_algorithm(11), options);
-  (void)engine.run();
-  // The bytes live on disk, not in the writer.
-  EXPECT_THROW(writer.bytes(), std::invalid_argument);
-  EXPECT_THROW(writer.take_bytes(), std::invalid_argument);
-  // And stream_to after the run began is rejected too.
-  TranscriptWriter late(TraceDetail::kRounds, "late");
-  EngineOptions late_options;
-  late_options.trace_sink = &late;
-  Engine late_engine(g, {}, luby_mis_algorithm(11), late_options);
-  (void)late_engine.run();
-  EXPECT_THROW(late.stream_to(path), std::invalid_argument);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Replay
-// ---------------------------------------------------------------------------
-
-TEST(TranscriptReplay, ReconstructsRunStateRoundByRound) {
-  const Graph g = fixture_graph();
-  const RecordedRun run =
-      record_run(g, {}, luby_mis_algorithm(11), {}, TraceDetail::kPayloads);
-  const Transcript t = decode_transcript(run.transcript);
-
-  ReplayEngine replay(t);
-  EXPECT_EQ(replay.n(), g.num_nodes());
-  EXPECT_EQ(replay.round(), 0);
-  EXPECT_EQ(replay.active_count(), g.num_nodes());
-
-  int steps = 0;
-  while (replay.step()) {
-    ++steps;
-    EXPECT_EQ(replay.round(), steps);
-    // Start-of-round active count matches the run's termination rounds.
-    EXPECT_EQ(replay.active_count(), active_at(run.result, steps));
-    EXPECT_EQ(static_cast<NodeId>(replay.active_nodes().size()),
-              replay.active_count());
-    // Inboxes partition the round's messages.
-    std::size_t inbox_total = 0;
-    for (NodeId v = 0; v < replay.n(); ++v) {
-      for (const TranscriptMessage& m : replay.inbox(v)) EXPECT_EQ(m.to, v);
-      inbox_total += replay.inbox(v).size();
-    }
-    EXPECT_EQ(inbox_total, replay.messages().size());
-  }
-  EXPECT_EQ(steps, run.result.rounds);
-  EXPECT_TRUE(replay.done());
-
-  // After the full walk the accumulated outputs and termination rounds are
-  // the RunResult's, bit-identically.
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(replay.output(v), run.result.outputs[static_cast<std::size_t>(v)]);
-    EXPECT_EQ(replay.termination_round(v),
-              run.result.termination_round[static_cast<std::size_t>(v)]);
-  }
-
-  replay.reset();
-  EXPECT_EQ(replay.round(), 0);
-  EXPECT_EQ(replay.active_count(), g.num_nodes());
-  EXPECT_TRUE(replay.step());
 }
 
 // ---------------------------------------------------------------------------
@@ -597,7 +442,8 @@ TEST(TranscriptGolden, FlippedPayloadWordFailsVerifyNamingItsRound) {
   // Flip the first payload word of the middle round.
   TranscriptRound& round = golden.rounds[golden.rounds.size() / 2];
   const auto m = std::ranges::find_if(
-      round.messages, [](const TranscriptMessage& x) { return x.len > 0; });
+      round.messages,
+      [](const TranscriptMessage& x) { return !x.words.empty(); });
   ASSERT_NE(m, round.messages.end());
   m->words[0] ^= 1;
   try {

@@ -48,7 +48,6 @@ int usage() {
 const char* detail_name(TraceDetail d) {
   switch (d) {
     case TraceDetail::kRounds: return "rounds";
-    case TraceDetail::kMessages: return "messages";
     case TraceDetail::kPayloads: return "payloads";
   }
   return "?";
@@ -223,33 +222,32 @@ int cmd_stats(const std::vector<std::string>& files) {
                 t.summary.rounds,
                 static_cast<long long>(t.summary.total_messages),
                 static_cast<long long>(t.summary.total_words));
-    // Walk the run with the replayer: per-round profile. The suppressed
+    // Per-round profile, straight from the decoded rounds. The suppressed
     // split (message-reduction pass, sim/compile.hpp) answers wire-cost
-    // questions straight from the transcript — no rerun needed; columns
-    // appear only when the file actually records suppressed deliveries.
-    ReplayEngine replay(t);
+    // questions without a rerun; columns appear only when the file
+    // actually records suppressed deliveries.
     std::int64_t sup_messages = 0, sup_words = 0;
-    while (replay.step()) {
+    for (const TranscriptRound& round : t.rounds) {
       std::int64_t words = 0, round_sup = 0, round_sup_words = 0;
-      for (const TranscriptMessage& m : replay.messages()) {
-        words += m.len;
+      for (const TranscriptMessage& m : round.messages) {
+        const auto len = static_cast<std::int64_t>(m.words.size());
+        words += len;
         if (m.suppressed) {
           ++round_sup;
-          round_sup_words += m.len;
+          round_sup_words += len;
         }
       }
       sup_messages += round_sup;
       sup_words += round_sup_words;
       std::printf("  round %-4d   active %-5lld messages %-5zu words %-6lld "
                   "terminated %zu",
-                  replay.round(),
-                  static_cast<long long>(replay.active_count()),
-                  replay.messages().size(), static_cast<long long>(words),
-                  replay.terminations().size());
+                  round.round, static_cast<long long>(round.active),
+                  round.messages.size(), static_cast<long long>(words),
+                  round.terminations.size());
       if (round_sup > 0) {
         std::printf("  sent %lld/%lld suppressed %lld/%lld",
                     static_cast<long long>(
-                        static_cast<std::int64_t>(replay.messages().size()) -
+                        static_cast<std::int64_t>(round.messages.size()) -
                         round_sup),
                     static_cast<long long>(words - round_sup_words),
                     static_cast<long long>(round_sup),
