@@ -185,17 +185,21 @@ EditBatch ChurnSpec::generate(const Graph& g, int epoch) const {
     }
   }
 
-  // Wire each inserted node to distinct random survivors. Inserted
-  // identifiers are known in advance: id_bound + 1 + k.
+  // Wire each inserted node to distinct random survivors by a partial
+  // Fisher–Yates over one pool that is never reset: whatever order the
+  // pool is in, its first `wires` slots after the swaps are a uniform
+  // random ordered sample. Inserted identifiers are known in advance:
+  // id_bound + 1 + k.
+  const std::size_t wires = std::min<std::size_t>(
+      survivors.size(),
+      static_cast<std::size_t>(std::max(0, new_node_degree)));
   for (std::int64_t k = 0; k < batch.add_nodes; ++k) {
     const Value new_id = g.id_bound() + 1 + k;
-    std::vector<NodeId> targets = survivors;
-    rng.shuffle(targets);
-    const std::size_t wires = std::min<std::size_t>(
-        targets.size(), static_cast<std::size_t>(
-                            std::max(0, new_node_degree)));
     for (std::size_t i = 0; i < wires; ++i) {
-      batch.add_edges.emplace_back(new_id, g.id(targets[i]));
+      const std::size_t j =
+          i + static_cast<std::size_t>(rng.next_below(survivors.size() - i));
+      std::swap(survivors[i], survivors[j]);
+      batch.add_edges.emplace_back(new_id, g.id(survivors[i]));
     }
   }
   return batch;

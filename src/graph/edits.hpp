@@ -50,9 +50,19 @@ struct EditBatch {
 /// edge throws DGAP_REQUIRE — an edit batch is a contract, not a hint.
 Graph apply_edits(const Graph& g, const EditBatch& batch);
 
-/// Deterministic random churn: rates are fractions of the CURRENT graph's
-/// edge/node counts, so the process is self-scaling. generate() derives
-/// every choice from (seed, epoch) alone — equal specs give equal batches.
+/// Deterministic random churn, self-scaling: the node fractions count the
+/// current graph's nodes, and the edge fractions count the edges among
+/// the nodes that survive this batch's removals. generate() derives every
+/// choice from (seed, epoch) alone — equal specs give equal batches. Its
+/// draws, in order: one shuffle of the nodes, whose prefix is removed
+/// (clamped so at least min_nodes survive); one shuffle of the edges
+/// among survivors, whose prefix is removed; edge additions as sampled
+/// survivor pairs that are not adjacent, just removed or already chosen
+/// (bounded retries); and for each inserted node, a partial Fisher–Yates
+/// over one survivor pool that is never reset, whose first draws wire it
+/// to min(max(0, new_node_degree), survivors) distinct survivors, a
+/// uniform random ordered sample. An epoch costs O(n + m) plus
+/// O(new_node_degree) per inserted node.
 struct ChurnSpec {
   std::uint64_t seed = 1;
   double edge_remove_frac = 0.0;

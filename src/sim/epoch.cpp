@@ -164,7 +164,8 @@ class Reader {
   }
 
   std::vector<std::uint8_t> blob(std::uint64_t len) {
-    DGAP_REQUIRE(pos_ + len <= bytes_.size(), "epoch sequence truncated");
+    // Not pos_ + len <= size: that sum wraps for a len near 2^64.
+    DGAP_REQUIRE(len <= bytes_.size() - pos_, "epoch sequence truncated");
     std::vector<std::uint8_t> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                   bytes_.begin() +
                                       static_cast<std::ptrdiff_t>(pos_ + len));
@@ -221,8 +222,9 @@ EpochSequence decode_epoch_sequence(std::span<const std::uint8_t> bytes) {
   const std::uint32_t label_len = r.u32();
   const auto label_bytes = r.blob(label_len);
   seq.label.assign(label_bytes.begin(), label_bytes.end());
+  // No reserve ahead of the entries: a corrupt count must fail as a
+  // truncation, not as an allocation.
   const std::uint32_t count = r.u32();
-  seq.epochs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t len = r.u64();
     seq.epochs.push_back(r.blob(len));

@@ -12,10 +12,12 @@
 //   4. Identifier stability — node deletion + re-insertion never reuses a
 //      live identifier, stale warm-start predictions referencing deleted
 //      nodes are dropped, not passed through, the translators' outputs
-//      are pinned by digest, and every edit-batch contract violation
+//      are pinned by digest, every node ChurnSpec inserts is wired to
+//      distinct survivors, and every edit-batch contract violation
 //      throws.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "cases.hpp"
+#include "common/digest.hpp"
 #include "graph/edits.hpp"
 #include "predict/generators.hpp"
 #include "predict/provider.hpp"
@@ -177,6 +180,25 @@ TEST(EpochSequenceContainer, RoundTripAndCorruptionGuards) {
   foreign[0] = 'X';
   EXPECT_FALSE(is_epoch_sequence(foreign));
   EXPECT_THROW(decode_epoch_sequence(foreign), std::invalid_argument);
+
+  // Crafted lengths behind a valid checksum are structural errors too: a
+  // blob length of 2^64 - 1 must not wrap the bounds check, and a count of
+  // 2^32 - 1 must not be reserved before its entries are read.
+  const auto resealed = [&](std::size_t at, std::size_t width) {
+    std::vector<std::uint8_t> body(bytes.begin(), bytes.end() - 8);
+    std::fill_n(body.begin() + static_cast<std::ptrdiff_t>(at), width, 0xff);
+    const std::uint64_t sum = fnv1a_bytes(body);
+    for (int i = 0; i < 8; ++i) {
+      body.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
+    }
+    return body;
+  };
+  // The count follows the magic, the version, the label length and label.
+  const std::size_t count_at = 12 + seq.label.size();
+  EXPECT_THROW(decode_epoch_sequence(resealed(count_at + 4, 8)),
+               std::invalid_argument);
+  EXPECT_THROW(decode_epoch_sequence(resealed(count_at, 4)),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -381,7 +403,11 @@ TEST(IdentifierStability, OutOfEncodingOutputsBecomeNeutralPredictions) {
 // they pin all three kinds bit-identical (the epochs golden covers MIS
 // only). Every fifth previous output is out of encoding, and every
 // seventh matching output names the next graph's first inserted node, so
-// the drop and pass-through paths are pinned too.
+// the drop and pass-through paths are pinned too. The six digests of
+// epochs 2 and 3 were re-recorded when ChurnSpec began wiring inserted
+// nodes by a partial Fisher–Yates: their previous outputs are solved on
+// churned graphs whose inserted nodes are now wired to other survivors.
+// Epoch 1's previous graph is the base graph, so its three stay.
 TEST(WarmStart, TranslationsUnchanged) {
   Graph prev = GraphSpec::gnp_sparse(2000, 8.0 / 2000, 31,
                                      GraphSpec::IdPolicy::kRandomized)
@@ -419,8 +445,8 @@ TEST(WarmStart, TranslationsUnchanged) {
   // Per epoch: mis, matching, coloring.
   const std::vector<std::uint64_t> expected = {
       0x8b6642ceb6c5889bULL, 0x4e9e20a4cbc47998ULL, 0xfd7c50a228012f7fULL,
-      0x4b2dd69500bbca3bULL, 0x4a384dec9cea863dULL, 0x9a10b275de5674f8ULL,
-      0x535b4f3b31740b3bULL, 0x22b94c3b2ec2e923ULL, 0x9e1cc35ad8ab69baULL,
+      0x04ad3fcdd402ac9bULL, 0x00c5237d8f512f81ULL, 0x5594b12a0ce769fcULL,
+      0x018a3a28ae21807bULL, 0xaa9820aed8b52ef2ULL, 0x6a6d16689cfa1eb9ULL,
   };
   EXPECT_EQ(got, expected);
 }
@@ -435,6 +461,70 @@ void expect_rejected(const Graph& g, const EditBatch& batch,
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
         << e.what();
+  }
+}
+
+// Each node ChurnSpec inserts is wired to min(max(0, d), |survivors|)
+// distinct surviving old nodes and to nothing else, for d below zero,
+// zero, the default and above the survivor count, also when min_nodes
+// clamps the removals, and apply_edits accepts every batch.
+TEST(ChurnSpec, InsertedNodesWireToDistinctSurvivors) {
+  for (const int degree : {-1, 0, 2, 40}) {
+    for (const double remove_frac : {0.1, 0.9}) {
+      ChurnSpec churn;
+      churn.seed = 41;
+      churn.edge_remove_frac = 0.1;
+      churn.edge_add_frac = 0.1;
+      churn.node_remove_frac = remove_frac;
+      churn.node_add_frac = 0.3;
+      churn.new_node_degree = degree;
+      churn.min_nodes = 4;
+      Graph g = GraphSpec::gnp(20, 0.25, 7).build();
+      for (int epoch = 1; epoch <= 3; ++epoch) {
+        const std::string where = "degree " + std::to_string(degree) +
+                                  ", remove " + std::to_string(remove_frac) +
+                                  ", epoch " + std::to_string(epoch);
+        const EditBatch batch = churn.generate(g, epoch);
+        const std::set<Value> removed(batch.remove_nodes.begin(),
+                                      batch.remove_nodes.end());
+        std::set<Value> survivors;
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          if (removed.count(g.id(v)) == 0) survivors.insert(g.id(v));
+        }
+        if (remove_frac > 0.5) {  // 90% removal: min_nodes clamps it
+          EXPECT_EQ(survivors.size(), 4u) << where;
+        }
+        ASSERT_GT(batch.add_nodes, 0) << where;
+        const std::size_t want = std::min<std::size_t>(
+            survivors.size(), static_cast<std::size_t>(std::max(0, degree)));
+        std::vector<std::vector<Value>> wired(
+            static_cast<std::size_t>(batch.add_nodes));
+        for (const auto& [a, b] : batch.add_edges) {
+          const bool a_new = a > g.id_bound();
+          const bool b_new = b > g.id_bound();
+          if (!a_new && !b_new) continue;  // edge churn among survivors
+          ASSERT_FALSE(a_new && b_new) << where << ": two inserted nodes";
+          const Value fresh = a_new ? a : b;
+          const Value old = a_new ? b : a;
+          ASSERT_LE(fresh, g.id_bound() + batch.add_nodes) << where;
+          EXPECT_EQ(survivors.count(old), 1u)
+              << where << ": wired to " << old << ", not a survivor";
+          wired[static_cast<std::size_t>(fresh - g.id_bound() - 1)]
+              .push_back(old);
+        }
+        for (const std::vector<Value>& targets : wired) {
+          EXPECT_EQ(targets.size(), want) << where;
+          EXPECT_EQ(std::set<Value>(targets.begin(), targets.end()).size(),
+                    targets.size())
+              << where << ": repeated target";
+        }
+        ASSERT_NO_THROW(g = apply_edits(g, batch)) << where;
+        for (NodeId v = g.num_nodes() - static_cast<NodeId>(batch.add_nodes);
+             v < g.num_nodes(); ++v) {
+          EXPECT_EQ(static_cast<std::size_t>(g.degree(v)), want) << where;
+        }
+      }
+    }
   }
 }
 
