@@ -8,17 +8,13 @@
 
 namespace dgap {
 
-LinialSchedule linial_schedule(std::int64_t d, int delta,
-                               bool reduce_all_classes, bool kw_reduction) {
+LinialSchedule linial_schedule(std::int64_t d, int delta, bool all_classes) {
   DGAP_REQUIRE(d >= 1, "identifier bound must be positive");
   DGAP_REQUIRE(delta >= 0, "max degree must be non-negative");
-  DGAP_REQUIRE(!(reduce_all_classes && kw_reduction),
-               "output-respecting reduction and KW blocks are exclusive");
   LinialSchedule s;
   if (delta == 0) {
     // No conflicts possible: everyone can take color 0 right away.
     s.final_colors = 1;
-    s.reduction_rounds = 0;
     s.total_rounds = 1;  // the final announce round
     return s;
   }
@@ -39,38 +35,23 @@ LinialSchedule linial_schedule(std::int64_t d, int delta,
   s.final_colors = m;
   // The class tail of a palette of `colors` examines classes colors − 1
   // down to the floor, one per round.
-  const Value floor = reduce_all_classes ? 0 : delta + 1;
+  const Value floor = all_classes ? 0 : delta + 1;
   const auto tail_length = [floor](std::int64_t colors) {
     return std::max<std::int64_t>(colors - floor, 0);
   };
+  const std::int64_t q = next_prime(2 * static_cast<std::int64_t>(delta) + 1);
+  DGAP_ASSERT(ipow_sat(q, 2) >= m,
+              "the stage's pairs (a, b) must cover the post-Linial palette");
   std::int64_t tail_colors = m;
-  if (kw_reduction) {
-    // Kuhn–Wattenhofer block stages cost Δ+1 rounds each and roughly halve
-    // the palette; they only pay off while the palette is large, so keep
-    // them only when KW plus its tail is shorter than the plain tail (both
-    // are pure functions of (d, Δ), so every node picks the same plan).
-    std::vector<LinialReductionStep> kw_steps;
-    std::int64_t mk = m;
-    const Value block = 2 * (static_cast<Value>(delta) + 1);
-    while (mk > block) {
-      // Stop doubling down when finishing by classes is already cheaper.
-      if (mk - (delta + 1) <= delta + 1) break;
-      for (Value t = 0; t <= delta; ++t) {
-        kw_steps.push_back(
-            {block, static_cast<Value>(delta) + 1 + t, t == delta});
-      }
-      mk = ceil_div(mk, block) * (delta + 1);
-    }
-    if (static_cast<std::int64_t>(kw_steps.size()) + tail_length(mk) <
-        tail_length(m)) {
-      s.block_steps = std::move(kw_steps);
-      tail_colors = mk;
-    }
+  if (2 * delta + 1 + tail_length(q) < tail_length(m)) {
+    s.stage_q = q;
+    s.stage_rounds = 2 * delta + 1;
+    tail_colors = q;
   }
   s.tail_first = tail_colors - 1;
   s.tail_count = static_cast<int>(tail_length(tail_colors));
-  s.reduction_rounds = static_cast<int>(s.block_steps.size()) + s.tail_count;
-  s.total_rounds = static_cast<int>(s.steps.size()) + s.reduction_rounds + 1;
+  s.total_rounds = static_cast<int>(s.steps.size()) + s.stage_rounds +
+                   s.tail_count + 1;
   return s;
 }
 
@@ -78,19 +59,9 @@ int linial_total_rounds(std::int64_t d, int delta) {
   return linial_schedule(d, delta).total_rounds;
 }
 
-int linial_total_rounds_respecting(std::int64_t d, int delta) {
-  return linial_schedule(d, delta, /*reduce_all_classes=*/true).total_rounds;
-}
-
-int linial_total_rounds_kw(std::int64_t d, int delta) {
-  return linial_schedule(d, delta, false, /*kw_reduction=*/true).total_rounds;
-}
-
 void LinialColoringPhase::ensure_schedule(const NodeContext& ctx) {
   if (scheduled_) return;
-  schedule_ = linial_schedule(ctx.d(), ctx.delta(),
-                              options_.respect_terminated_outputs,
-                              options_.kw_reduction);
+  schedule_ = linial_schedule(ctx.d(), ctx.delta());
   color_ = ctx.delta() == 0 ? 0 : ctx.id() - 1;
   scheduled_ = true;
 }
@@ -116,6 +87,7 @@ PhaseProgram::Status LinialColoringPhase::on_receive(NodeContext& ctx,
     neighbor_color_[m->from] = m->words.at(0);
   }
   const int num_steps = static_cast<int>(schedule_.steps.size());
+  const int stage_end = num_steps + schedule_.stage_rounds;
   if (step_ <= num_steps) {
     // One Linial reduction: find x ∈ GF(q) separating us from every live
     // neighbor, new color = (x, p(x)).
@@ -146,69 +118,41 @@ PhaseProgram::Status LinialColoringPhase::on_receive(NodeContext& ctx,
     DGAP_ASSERT(chosen_x >= 0,
                 "q > kΔ guarantees a separating evaluation point");
     color_ = chosen_x * q + linial_eval(own, q, chosen_x);
-  } else if (step_ <= num_steps + schedule_.reduction_rounds) {
-    const LinialReductionStep op =
-        schedule_.reduction_step(step_ - num_steps - 1);
-    const Value delta = ctx.delta();
-    if (op.block > 0) {
-      // Kuhn–Wattenhofer step: the scheduled offset of every block
-      // recolors into its block's lower Δ+1 slots, avoiding same-block
-      // neighbors only (other blocks occupy disjoint color ranges).
-      if (color_ % op.block == op.target_or_offset) {
-        const Value base = (color_ / op.block) * op.block;
-        std::vector<bool> used(static_cast<std::size_t>(delta + 1), false);
-        for (NodeId u : ctx.active_neighbors()) {
-          auto it = neighbor_color_.find(u);
-          if (it == neighbor_color_.end()) continue;
-          const Value nc = it->second;
-          if (nc >= base && nc < base + delta + 1) {
-            used[static_cast<std::size_t>(nc - base)] = true;
-          }
-        }
-        Value fresh = -1;
-        for (Value slot = 0; slot <= delta; ++slot) {
-          if (!used[static_cast<std::size_t>(slot)]) {
-            fresh = base + slot;
-            break;
-          }
-        }
-        DGAP_ASSERT(fresh >= 0, "a block's lower Δ+1 slots cannot fill up");
-        color_ = fresh;
+  } else if (step_ <= stage_end) {
+    // Locally-iterative stage: settle on (0, b) unless a live neighbor's
+    // color shares the second coordinate b. Settled colors (a = 0) stay.
+    const std::int64_t q = schedule_.stage_q;
+    if (color_ >= q) {
+      bool blocked = false;
+      for (NodeId u : ctx.active_neighbors()) {
+        auto it = neighbor_color_.find(u);
+        if (it == neighbor_color_.end()) continue;
+        DGAP_ASSERT(it->second != color_,
+                    "Linial invariant: the running coloring stays proper");
+        blocked = blocked || it->second % q == color_ % q;
       }
-      if (op.relabel) {
-        // Stage complete: compact the color space (pure local map,
-        // applied by every node simultaneously).
-        color_ = (color_ / op.block) * (delta + 1) + color_ % op.block;
+      color_ = linial_stage_color(color_, q, blocked);
+    }
+  } else if (step_ <= stage_end + schedule_.tail_count) {
+    // One class per round recolors into {0..Δ}, avoiding all neighbors.
+    if (color_ == schedule_.tail_first - (step_ - stage_end - 1)) {
+      const Value delta = ctx.delta();
+      std::vector<bool> used(static_cast<std::size_t>(delta + 1), false);
+      for (NodeId u : ctx.active_neighbors()) {
+        auto it = neighbor_color_.find(u);
+        if (it != neighbor_color_.end() && it->second <= delta) {
+          used[static_cast<std::size_t>(it->second)] = true;
+        }
       }
-    } else {
-      // Classic one-class-per-round elimination into {0..Δ}.
-      if (color_ == op.target_or_offset) {
-        std::vector<bool> used(static_cast<std::size_t>(delta + 1), false);
-        for (NodeId u : ctx.active_neighbors()) {
-          auto it = neighbor_color_.find(u);
-          if (it != neighbor_color_.end() && it->second <= delta) {
-            used[static_cast<std::size_t>(it->second)] = true;
-          }
+      Value fresh = -1;
+      for (Value c = 0; c <= delta; ++c) {
+        if (!used[static_cast<std::size_t>(c)]) {
+          fresh = c;
+          break;
         }
-        if (options_.respect_terminated_outputs) {
-          // Palette colors already output by terminated neighbors (their
-          // outputs are 1-based palette colors; internal colors 0-based).
-          for (const Value out : ctx.neighbor_outputs()) {
-            if (out >= 1 && out <= delta + 1) {
-              used[static_cast<std::size_t>(out - 1)] = true;
-            }
-          }
-        }
-        Value fresh = -1;
-        for (Value c = 0; c <= delta; ++c) {
-          if (!used[static_cast<std::size_t>(c)]) {
-            fresh = c;
-            break;
-          }
-        }
-        DGAP_ASSERT(fresh >= 0, "a Δ+1 palette always has a free color");
-        color_ = fresh;
       }
+      DGAP_ASSERT(fresh >= 0, "a Δ+1 palette always has a free color");
+      color_ = fresh;
     }
   } else {
     // Final announce round already happened via this round's broadcast.

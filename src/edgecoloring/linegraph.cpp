@@ -31,7 +31,7 @@ Value edge_identifier(Value a, Value b, std::int64_t d) {
 int line_graph_linial_total_rounds(std::int64_t d, int delta) {
   const int delta_l = std::max(2 * delta - 2, 0);
   return linial_schedule(line_graph_id_space(d), delta_l,
-                         /*reduce_all_classes=*/true)
+                         /*all_classes=*/true)
       .total_rounds;
 }
 
@@ -40,7 +40,7 @@ void LineGraphLinialPhase::ensure_schedule(NodeContext& ctx) {
   delta_l_ = std::max(2 * static_cast<Value>(ctx.delta()) - 2, Value{0});
   schedule_ = linial_schedule(line_graph_id_space(ctx.d()),
                               static_cast<int>(delta_l_),
-                              /*reduce_all_classes=*/true);
+                              /*all_classes=*/true);
   for (NodeId u : ctx.active_neighbors()) {
     if (ctx.output_for(u) != kUndefined) continue;
     const Value uid = ctx.neighbor_id(u);
@@ -102,6 +102,30 @@ void LineGraphLinialPhase::on_send(NodeContext& ctx, Channel& ch) {
   ch.broadcast(words_);
 }
 
+template <class Fn>
+void LineGraphLinialPhase::for_each_adjacent_color(const NodeContext& ctx,
+                                                   Channel& ch, std::size_t i,
+                                                   Fn fn) const {
+  const Value mine = edges_[i].color;
+  for (std::size_t j = 0; j < edges_.size(); ++j) {
+    if (j == i) continue;
+    DGAP_ASSERT(edges_[j].color != mine,
+                "line-graph Linial invariant: proper throughout");
+    fn(edges_[j].color);
+  }
+  for (const Message* m : ch.inbox()) {
+    if (m->from != edges_[i].to) continue;
+    const WordSpan& w = m->words;
+    const auto cnt = static_cast<std::size_t>(w.at(0));
+    for (std::size_t t = 0; t < cnt; ++t) {
+      if (w.at(1 + 2 * t) == ctx.id()) continue;  // the shared edge
+      const Value c = w.at(2 + 2 * t);
+      DGAP_ASSERT(c != mine, "line-graph Linial invariant: proper throughout");
+      fn(c);
+    }
+  }
+}
+
 void LineGraphLinialPhase::linial_step(const NodeContext& ctx, Channel& ch,
                                        LinialStep step) {
   const auto [k, q] = step;
@@ -157,6 +181,24 @@ void LineGraphLinialPhase::linial_step(const NodeContext& ctx, Channel& ch,
   for (std::size_t i = 0; i < n; ++i) edges_[i].color = next_[i];
 }
 
+void LineGraphLinialPhase::stage_step(const NodeContext& ctx, Channel& ch) {
+  const std::int64_t q = schedule_.stage_q;
+  next_.resize(edges_.size());
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    // An edge settles on (0, b) unless an adjacent edge's color has second
+    // coordinate b.
+    const Value color = edges_[i].color;
+    next_[i] = color;
+    if (color < q) continue;  // a = 0: settled
+    const Value b = color % q;
+    bool blocked = false;
+    for_each_adjacent_color(ctx, ch, i,
+                            [&](Value c) { blocked = blocked || c % q == b; });
+    next_[i] = linial_stage_color(color, q, blocked);
+  }
+  for (std::size_t i = 0; i < edges_.size(); ++i) edges_[i].color = next_[i];
+}
+
 void LineGraphLinialPhase::reduce_class(const NodeContext& ctx, Channel& ch,
                                         Value target) {
   // Colors update in place: later edges see earlier edges' new colors.
@@ -166,19 +208,14 @@ void LineGraphLinialPhase::reduce_class(const NodeContext& ctx, Channel& ch,
     auto mark = [&](Value c) {
       if (c >= 0 && c <= delta_l_) used_[static_cast<std::size_t>(c)] = 1;
     };
-    for (std::size_t j = 0; j < edges_.size(); ++j) {
-      if (j != i) mark(edges_[j].color);
-    }
-    // The co-endpoint's other live edges, then the colors already OUTPUT
+    // The adjacent edges' current colors, then the colors already OUTPUT
     // on adjacent edges at either endpoint (palette values are 1-based;
     // internal colors 0-based).
+    for_each_adjacent_color(ctx, ch, i, mark);
     for (const Message* m : ch.inbox()) {
       if (m->from != edges_[i].to) continue;
       const WordSpan& w = m->words;
       const auto cnt = static_cast<std::size_t>(w.at(0));
-      for (std::size_t t = 0; t < cnt; ++t) {
-        if (w.at(1 + 2 * t) != ctx.id()) mark(w.at(2 + 2 * t));
-      }
       const auto used_cnt = static_cast<std::size_t>(w.at(1 + 2 * cnt));
       for (std::size_t t = 0; t < used_cnt; ++t) {
         mark(w.at(2 + 2 * cnt + t) - 1);
@@ -202,11 +239,14 @@ PhaseProgram::Status LineGraphLinialPhase::on_receive(NodeContext& ctx,
   ++step_;
   prune(ctx);
   const int num_steps = static_cast<int>(schedule_.steps.size());
+  const int stage_end = num_steps + schedule_.stage_rounds;
   if (step_ <= num_steps) {
     linial_step(ctx, ch,
                 schedule_.steps[static_cast<std::size_t>(step_ - 1)]);
-  } else if (step_ <= num_steps + schedule_.reduction_rounds) {
-    reduce_class(ctx, ch, schedule_.final_colors - (step_ - num_steps));
+  } else if (step_ <= stage_end) {
+    stage_step(ctx, ch);
+  } else if (step_ <= stage_end + schedule_.tail_count) {
+    reduce_class(ctx, ch, schedule_.tail_first - (step_ - stage_end - 1));
   } else {
     for (const Edge& e : edges_) {
       DGAP_ASSERT(e.color >= 0 && e.color <= delta_l_,

@@ -4,8 +4,9 @@
 // Section 8.3 observes that coloring the edges of G is exactly coloring
 // the vertices of its line graph L(G). L(G) has maximum degree
 // Δ_L = 2Δ − 2 and a natural identifier per edge (derived from the two
-// endpoint identifiers, bounded by (d+1)²), so Linial's reduction yields a
-// (Δ_L + 1) = (2Δ−1)-edge-coloring in O(Δ² + log* d) rounds — independent
+// endpoint identifiers, bounded by (d+1)²), so Linial's reduction and the
+// locally-iterative stage of coloring/linial.hpp yield a
+// (Δ_L + 1) = (2Δ−1)-edge-coloring in O(Δ + log* d) rounds — independent
 // of n. (d+1)² must fit in 64 bits, so the phase and its round bound
 // reject d > 3,037,000,498 with std::invalid_argument.
 //
@@ -21,10 +22,11 @@
 // terminated neighbors before it broadcasts, so both endpoints decide from
 // the same constraints.
 //
-// The final reduction stage re-examines every class and avoids colors
-// already OUTPUT on adjacent edges (the palette bookkeeping of Section
-// 8.3), so the phase correctly extends a partial edge coloring left by the
-// base algorithm.
+// Each edge runs the stage over its adjacent edges: the node's other live
+// edges and the co-endpoint's broadcast list. The class tail then
+// re-examines every class and avoids colors already OUTPUT on adjacent
+// edges (the palette bookkeeping of Section 8.3), so the phase correctly
+// extends a partial edge coloring left by the base algorithm.
 #pragma once
 
 #include <vector>
@@ -61,7 +63,16 @@ class LineGraphLinialPhase final : public PhaseProgram {
 
   void ensure_schedule(NodeContext& ctx);
   void prune(const NodeContext& ctx);
+  /// Calls fn(c) for the color c of every edge adjacent to edges_[i]: this
+  /// node's other live edges, then the co-endpoint's other live edges as
+  /// it broadcast them this round. The Linial step reads the same colors
+  /// itself, to split each of this node's colors once per step rather than
+  /// once per edge.
+  template <class Fn>
+  void for_each_adjacent_color(const NodeContext& ctx, Channel& ch,
+                               std::size_t i, Fn fn) const;
   void linial_step(const NodeContext& ctx, Channel& ch, LinialStep step);
+  void stage_step(const NodeContext& ctx, Channel& ch);
   void reduce_class(const NodeContext& ctx, Channel& ch, Value target);
 
   bool scheduled_ = false;
@@ -73,7 +84,7 @@ class LineGraphLinialPhase final : public PhaseProgram {
   std::vector<Edge> edges_;
   // Scratch reused from round to round.
   std::vector<Value> words_;   // the send buffer
-  std::vector<Value> next_;    // a Linial step's new colors
+  std::vector<Value> next_;    // a Linial or stage step's new colors
   std::vector<Value> digits_;  // split colors of one edge's constraints
   std::vector<char> used_;     // a reduction's palette bitmap
 };

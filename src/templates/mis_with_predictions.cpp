@@ -30,12 +30,10 @@ int interleave_count(NodeId n, int, std::int64_t) {
   return m;
 }
 
-TwoPartFactory linial_two_part_reference(bool kw = false) {
-  return [kw](NodeId) {
+TwoPartFactory linial_two_part_reference() {
+  return [](NodeId) {
     TwoPartReference ref;
-    auto part1 = std::make_unique<LinialColoringPhase>(
-        LinialOptions{.respect_terminated_outputs = false,
-                      .kw_reduction = kw});
+    auto part1 = std::make_unique<LinialColoringPhase>();
     LinialColoringPhase* raw = part1.get();
     ref.part1 = std::move(part1);
     ref.make_part2 = [raw](const NodeContext& ctx) {
@@ -119,11 +117,7 @@ ProgramFactory mis_consecutive_congest() {
 }
 
 ProgramFactory mis_consecutive_linial() {
-  return consecutive_template(
-      make_mis_init(), make_greedy_mis(), make_mis_cleanup(),
-      make_linial_mis_reference(), [](NodeId, int delta, std::int64_t d) {
-        return linial_mis_total_rounds(d, delta) + kMisCleanupRounds;
-      });
+  return mis_consecutive_linial_lambda(1, 1);
 }
 
 ProgramFactory mis_interleaved_gather() {
@@ -214,18 +208,6 @@ PhaseFactory make_bw_greedy_mis() {
 
 ProgramFactory mis_simple_bw() {
   return simple_template(make_mis_init(), make_bw_greedy_mis());
-}
-
-ProgramFactory mis_parallel_linial_kw() {
-  ParallelConfig cfg;
-  cfg.init = make_mis_init();
-  cfg.uniform = make_greedy_mis();
-  cfg.reference = linial_two_part_reference(/*kw=*/true);
-  cfg.part1_budget = [](NodeId, int delta, std::int64_t d) {
-    return linial_total_rounds_kw(d, delta);
-  };
-  cfg.cleanup = nullptr;
-  return parallel_template(std::move(cfg));
 }
 
 ProgramFactory mis_parallel_bw() {

@@ -5,16 +5,16 @@
 //                            complexity ≤ η1 + 3 and ≤ η2 + 4.
 //   mis_simple_linial()      The second Simple-template example: the
 //                            Linial-based reference as R (consistent, but
-//                            O(Δ'² + log* d), not O(η)-degrading).
+//                            O(Δ' + log* d), not O(η)-degrading).
 //   mis_consecutive_gather() Lemma 8's shape with the gather reference
 //                            (r(n) ∈ O(n)): consistent, 2η-degrading,
 //                            robust w.r.t. the gather reference.
 //   mis_consecutive_linial() Same template, Linial reference
-//                            (r ∈ O(Δ² + log* d)).
+//                            (r ∈ O(Δ + log* d)).
 //   mis_interleaved_gather() Corollary 10's shape: U and the phase-
 //                            decomposed gather reference interleaved.
 //   mis_parallel_linial()    Corollary 12: consistency 3, round complexity
-//                            min{η2 + 4, O(Δ² + log* d)}, η2-degrading.
+//                            min{η2 + 4, O(Δ + log* d)}, η2-degrading.
 //   mis_simple_bw()          Section 9.1: the black/white alternating
 //                            measure-uniform algorithm U_bw after the
 //                            initialization algorithm (η_bw-degrading).
@@ -44,13 +44,10 @@ ProgramFactory mis_consecutive_congest();
 ProgramFactory mis_consecutive_linial();
 ProgramFactory mis_interleaved_gather();
 ProgramFactory mis_parallel_linial();
-/// Corollary 12 with the Kuhn-Wattenhofer reduction inside the reference:
-/// robustness cap O(Δ log Δ + log* d) instead of O(Δ² + log* d).
-ProgramFactory mis_parallel_linial_kw();
 ProgramFactory mis_simple_bw();
 /// Section 9.1's closing remark: U_bw "could be combined with a reference
 /// algorithm, using whichever template is appropriate" — here the Parallel
-/// template with the Linial reference: min{O(η_bw), O(Δ² + log* d)}.
+/// template with the Linial reference: min{O(η_bw), O(Δ + log* d)}.
 ProgramFactory mis_parallel_bw();
 ProgramFactory tree_mis_simple(const RootedTree& tree);
 ProgramFactory tree_mis_parallel(const RootedTree& tree);
@@ -74,10 +71,10 @@ PhaseFactory make_bw_greedy_mis();
 /// The Consecutive template's U-budget knob (experiment E14): run the
 /// measure-uniform algorithm for lambda_num/lambda_den times the reference
 /// bound before switching to the Linial reference. lambda = 1 reproduces
-/// Lemma 8; smaller lambda trades degradation for earlier robustness. The
-/// Linial reference is used because its bound O(Δ² + log* d) is typically
-/// far below the measure-uniform worst case, so the robustness clause is
-/// actually exercised.
+/// Lemma 8 (mis_consecutive_linial); smaller lambda trades degradation for
+/// earlier robustness. The Linial reference is used because its bound
+/// O(Δ + log* d) is typically far below the measure-uniform worst case, so
+/// the robustness clause is actually exercised.
 ProgramFactory mis_consecutive_linial_lambda(int lambda_num, int lambda_den);
 
 }  // namespace dgap

@@ -11,7 +11,7 @@
 //                                  Lemma 8 with R = line-graph Linial
 //                                  (2Δ−1)-edge coloring + one-class-per-
 //                                  round matching extraction: robust cap
-//                                  O(Δ² + log* d).
+//                                  O(Δ + log* d).
 //   matching_parallel_linegraph()  Lemma 11: the uniform matcher runs in
 //                                  parallel with the (fault-tolerant)
 //                                  line-graph coloring; budget granularity
@@ -19,7 +19,8 @@
 //
 // (Δ+1)-Vertex Coloring (Section 8.2) — no clean-up algorithm needed:
 //   coloring_simple_greedy()       Init + local-max measure-uniform.
-//   coloring_consecutive_linial()  R = output-respecting Linial.
+//   coloring_consecutive_linial()  R = Linial + the clash-repairing
+//                                  class-by-class emit.
 //   coloring_parallel_linial()     Parallel, budget granularity 1 (every
 //                                  proper partial coloring is extendable).
 //

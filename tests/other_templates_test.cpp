@@ -180,13 +180,13 @@ TEST(LineGraphLinial, FaultTolerantUnderMidRunCrashes) {
   }
 }
 
-// Pins the reference's results on runs that take Linial steps, re-examine
-// every reduction class and then run part 2, paths the sweep_templates
-// witness never reaches. The gnp graphs (d ≥ 40) take one Linial step; on
-// the sorted lines all-wrong predictions leave the uniform algorithm short
-// of its budget, so the reference decides nodes. No node terminates during
-// part 1 in any of these runs. The values were recorded from the phase as
-// it stood before its edge state moved to flat storage.
+// Pins the reference's results on runs that take Linial steps, the stage
+// and every reduction class and then run part 2, paths the sweep_templates
+// witness never reaches. The gnp graphs (d ≥ 40) take one Linial step and
+// the lines two; on the sorted lines all-wrong predictions leave the
+// uniform algorithm short of its budget, so the reference decides nodes.
+// No node terminates during part 1 in any of these runs. The values were
+// recorded when the stage replaced the post-Linial class tail.
 TEST(LineGraphLinial, ResultsUnchanged) {
   Rng rng(17);
   std::vector<std::uint64_t> got;
@@ -230,9 +230,9 @@ TEST(LineGraphLinial, ResultsUnchanged) {
   }
   // gnp 40, 48, 56; then per line (60, 120): matching, edge coloring.
   const std::vector<std::uint64_t> expected = {
-      0xe2692617ae65b4feULL, 0xddf04ce03528aef1ULL, 0x31e2e6e2d3250c81ULL,
-      0x5662afe46443ebc6ULL, 0x48904eed5488954dULL, 0xe1d8c07ae84a4c74ULL,
-      0x2d9cb3188238d481ULL,
+      0x534514fe676aa798ULL, 0xe88ddc70673720fbULL, 0x7fef2734b2dde125ULL,
+      0xb08423a499e78bb9ULL, 0xdf2e50d17415f1f0ULL, 0x8e8d52f90c58fc73ULL,
+      0xef3385e2fd9c3800ULL,
   };
   EXPECT_EQ(got, expected);
 }
