@@ -20,11 +20,9 @@
 #include <exception>
 #include <optional>
 
-#include "coloring/algorithms.hpp"
 #include "coloring/checkers.hpp"
 #include "coloring/linial.hpp"
 #include "common/rng.hpp"
-#include "edgecoloring/algorithms.hpp"
 #include "edgecoloring/checkers.hpp"
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
@@ -43,7 +41,6 @@
 #include "sim/batch.hpp"
 #include "sim/compile.hpp"
 #include "sim/engine.hpp"
-#include "sim/phase.hpp"
 #include "templates/epoch_problems.hpp"
 #include "templates/mis_with_predictions.hpp"
 #include "templates/problems_with_predictions.hpp"
@@ -698,17 +695,6 @@ void e9b(Claims& c) {
   }
 }
 
-// B then U as one program: a Section 8 problem without a reference.
-template <typename Initialization, typename Uniform>
-ProgramFactory init_then_uniform() {
-  return phase_as_algorithm([](NodeId) {
-    std::vector<std::unique_ptr<PhaseProgram>> phases;
-    phases.push_back(std::make_unique<Initialization>());
-    phases.push_back(std::make_unique<Uniform>());
-    return std::make_unique<SequencePhase>(std::move(phases));
-  });
-}
-
 void e10a(Claims& c) {
   c.begin("E10a", "Section 8.1",
           "Maximal Matching: Init (2 rounds) + the measure-uniform algorithm "
@@ -719,8 +705,7 @@ void e10a(Claims& c) {
     auto base = matching_correct_prediction(g, rng);
     for (int breaks : {0, 1, 4, 16, n / 2}) {
       auto pred = break_matches(g, base, breaks, rng);
-      auto r = run_with_predictions(
-          g, pred, init_then_uniform<MatchingInitPhase, GreedyMatchingPhase>());
+      auto r = run_with_predictions(g, pred, matching_simple_greedy());
       const int e1 = eta1_matching(g, pred);
       c.run({"line_" + fmt(n), "breaks=" + fmt(breaks), "init+greedy_matching",
              m("η1", e1)},
@@ -742,9 +727,7 @@ void e10b(Claims& c) {
     auto base = coloring_correct_prediction(graph, rng);
     for (int scrambles : {0, 2, 8, 32}) {
       auto pred = scramble_colors(graph, base, scrambles, rng);
-      auto r = run_with_predictions(
-          graph, pred,
-          init_then_uniform<ColoringInitPhase, GreedyColoringPhase>());
+      auto r = run_with_predictions(graph, pred, coloring_simple_greedy());
       const int e1 = eta1_coloring(graph, pred);
       c.run({name, "scrambles=" + fmt(scrambles), "init+greedy_coloring",
              m("η1", e1)},
@@ -767,9 +750,8 @@ void e10c(Claims& c) {
     auto base = edge_coloring_correct_prediction(graph, rng);
     for (int scrambles : {0, 1, 4, 16}) {
       auto pred = scramble_edge_colors(graph, base, scrambles, rng);
-      auto r = run_with_predictions(
-          graph, pred,
-          init_then_uniform<EdgeColoringBasePhase, GreedyEdgeColoringPhase>());
+      auto r =
+          run_with_predictions(graph, pred, edge_coloring_simple_greedy());
       const int e1 = eta1_edge_coloring(graph, pred);
       c.run({name, "scrambles=" + fmt(scrambles),
              "base+greedy_edge_coloring", m("η1", e1)},

@@ -50,5 +50,5 @@ int main() {
   std::printf("MIS algo, eta = 0:         %d rounds  (consistency 3 — a\n"
               "                           constant multiple of the check)\n",
               algo.rounds);
-  return 0;
+  return ok.accepted && !bad.accepted ? 0 : 1;
 }

@@ -33,15 +33,18 @@ int main() {
   std::printf("%-7s %-7s %-9s %-14s %-14s %s\n", "epoch", "churn", "eta1",
               "rounds_reuse", "rounds_blind", "valid");
   long long total_reuse = 0, total_blind = 0;
+  bool all_valid = true;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     auto reuse = run_with_predictions(g, current, mis_parallel_linial());
     auto blind =
         run_with_predictions(g, all_same(g, 0), mis_parallel_linial());
     total_reuse += reuse.rounds;
     total_blind += blind.rounds;
+    const bool valid = is_valid_mis(g, reuse.outputs);
+    all_valid &= valid;
     std::printf("%-7d %-7d %-9d %-14d %-14d %s\n", epoch,
                 epoch == 0 ? 0 : kChurn, eta1_mis(g, current), reuse.rounds,
-                blind.rounds, is_valid_mis(g, reuse.outputs) ? "yes" : "NO");
+                blind.rounds, valid ? "yes" : "NO");
 
     // The network evolves; this epoch's solution becomes the next epoch's
     // prediction.
@@ -53,5 +56,5 @@ int main() {
               kEpochs, total_reuse, total_blind,
               static_cast<double>(total_blind) /
                   static_cast<double>(total_reuse));
-  return 0;
+  return all_valid ? 0 : 1;
 }

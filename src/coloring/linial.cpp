@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "coloring/algorithms.hpp"
 #include "common/math_util.hpp"
 #include "common/require.hpp"
 #include "mis/algorithms.hpp"
@@ -184,45 +185,38 @@ class LinialColoringAlgorithm final : public NodeProgram {
   LinialColoringPhase phase_;
 };
 
-/// Corollary 12's reference: Linial coloring (part 1, fault-tolerant,
-/// results held locally) followed by the augmented coloring→MIS sweep
-/// (part 2).
-class LinialMisPhase final : public PhaseProgram {
- public:
-  void on_send(NodeContext& ctx, Channel& ch) override {
-    if (part2_) {
-      part2_->on_send(ctx, ch);
-    } else {
-      part1_.on_send(ctx, ch);
-    }
-  }
-
-  Status on_receive(NodeContext& ctx, Channel& ch) override {
-    if (!part2_) {
-      if (part1_.on_receive(ctx, ch) == Status::kFinished) {
-        part2_ = std::make_unique<ColorToMisPhase>(
-            static_cast<Value>(ctx.delta() + 1),
-            [this] { return part1_.palette_color(); },
-            [this](NodeId u) { return part1_.neighbor_palette_color(u); });
-      }
-      return Status::kRunning;
-    }
-    return part2_->on_receive(ctx, ch);
-  }
-
- private:
-  LinialColoringPhase part1_;
-  std::unique_ptr<ColorToMisPhase> part2_;
-};
-
 }  // namespace
 
 ProgramFactory linial_coloring_algorithm() {
   return [](NodeId) { return std::make_unique<LinialColoringAlgorithm>(); };
 }
 
-PhaseFactory make_linial_mis_reference() {
-  return [](NodeId) { return std::make_unique<LinialMisPhase>(); };
+TwoPartFactory linial_mis_reference() {
+  return [](NodeId) {
+    auto part1 = std::make_unique<LinialColoringPhase>();
+    const LinialColoringPhase* colors = part1.get();
+    return TwoPartReference{
+        std::move(part1), [colors](const NodeContext& ctx) {
+          return std::make_unique<ColorToMisPhase>(
+              static_cast<Value>(ctx.delta() + 1),
+              [colors] { return colors->palette_color(); },
+              [colors](NodeId u) {
+                return colors->neighbor_palette_color(u);
+              });
+        }};
+  };
+}
+
+TwoPartFactory linial_coloring_reference() {
+  return [](NodeId) {
+    auto part1 = std::make_unique<LinialColoringPhase>();
+    const LinialColoringPhase* colors = part1.get();
+    return TwoPartReference{
+        std::move(part1), [colors](const NodeContext&) {
+          return std::make_unique<ColorClassEmitPhase>(
+              [colors] { return colors->palette_color(); });
+        }};
+  };
 }
 
 int linial_mis_total_rounds(std::int64_t d, int delta) {

@@ -30,7 +30,9 @@
 //
 // LinialColoringPhase does not write node outputs: the final color is held
 // in local state (own_color / neighbor color accessors), because in the
-// Parallel template part 1 must stash results locally.
+// Parallel template part 1 must stash results locally. The two references
+// built on it, for MIS and for (Δ+1)-coloring, are defined here once each,
+// as TwoPartFactory values.
 #pragma once
 
 #include <span>
@@ -132,10 +134,17 @@ class LinialColoringPhase final : public PhaseProgram {
 /// outputs its palette color and terminates (one extra round).
 ProgramFactory linial_coloring_algorithm();
 
-/// Corollary 12's full reference for MIS: Linial part 1 feeding the
-/// augmented coloring→MIS part 2. Usable standalone (Simple/Consecutive
-/// templates) — the Parallel template wires the two parts itself.
-PhaseFactory make_linial_mis_reference();
+/// Corollary 12's reference for MIS: Linial part 1 feeding the augmented
+/// coloring→MIS part 2 (ColorToMisPhase). The Parallel template takes it
+/// as is; whole_reference() runs it as one phase.
+TwoPartFactory linial_mis_reference();
+
+/// The (Δ+1)-coloring reference: Linial part 1 holds colors locally, and
+/// the class-by-class emit (ColorClassEmitPhase) outputs them while
+/// repairing clashes with colors that terminated neighbors output while
+/// part 1 ran — the repair is what makes it composable with a
+/// concurrently running uniform algorithm.
+TwoPartFactory linial_coloring_reference();
 
 /// Round bound of the full Linial-MIS reference (part 1 + part 2).
 int linial_mis_total_rounds(std::int64_t d, int delta);

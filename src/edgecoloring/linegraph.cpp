@@ -341,42 +341,33 @@ PhaseProgram::Status EdgeColorClassEmitPhase::on_receive(NodeContext& ctx,
   return step_ > palette ? Status::kFinished : Status::kRunning;
 }
 
-namespace {
+TwoPartFactory line_graph_edge_coloring_reference() {
+  return [](NodeId) {
+    auto part1 = std::make_unique<LineGraphLinialPhase>();
+    const LineGraphLinialPhase* colors = part1.get();
+    return TwoPartReference{
+        std::move(part1), [colors](const NodeContext&) {
+          return std::make_unique<EdgeColorEmitPhase>(
+              [colors](NodeId u) { return colors->edge_palette_color(u); });
+        }};
+  };
+}
 
-class LineGraphEdgeColoringPhase final : public PhaseProgram {
- public:
-  void on_send(NodeContext& ctx, Channel& ch) override {
-    if (emit_) {
-      emit_->on_send(ctx, ch);
-    } else {
-      part1_.on_send(ctx, ch);
-    }
-  }
-
-  Status on_receive(NodeContext& ctx, Channel& ch) override {
-    if (!emit_) {
-      if (part1_.on_receive(ctx, ch) == Status::kFinished) {
-        emit_ = std::make_unique<EdgeColorEmitPhase>(
-            [this](NodeId u) { return part1_.edge_palette_color(u); });
-      }
-      return Status::kRunning;
-    }
-    return emit_->on_receive(ctx, ch);
-  }
-
- private:
-  LineGraphLinialPhase part1_;
-  std::unique_ptr<EdgeColorEmitPhase> emit_;
-};
-
-}  // namespace
-
-PhaseFactory make_line_graph_edge_coloring_reference() {
-  return [](NodeId) { return std::make_unique<LineGraphEdgeColoringPhase>(); };
+TwoPartFactory line_graph_edge_coloring_repair_reference() {
+  return [](NodeId) {
+    auto part1 = std::make_unique<LineGraphLinialPhase>();
+    const LineGraphLinialPhase* colors = part1.get();
+    return TwoPartReference{
+        std::move(part1), [colors](const NodeContext&) {
+          return std::make_unique<EdgeColorClassEmitPhase>(
+              [colors](NodeId u) { return colors->edge_palette_color(u); });
+        }};
+  };
 }
 
 ProgramFactory line_graph_edge_coloring_algorithm() {
-  return phase_as_algorithm(make_line_graph_edge_coloring_reference());
+  return phase_as_algorithm(
+      whole_reference(line_graph_edge_coloring_reference()));
 }
 
 }  // namespace dgap

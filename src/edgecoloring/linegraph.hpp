@@ -27,6 +27,10 @@
 // re-examines every class and avoids colors already OUTPUT on adjacent
 // edges (the palette bookkeeping of Section 8.3), so the phase correctly
 // extends a partial edge coloring left by the base algorithm.
+//
+// The two edge-coloring references built on the phase, with the one-round
+// emit and with the clash-repairing class emit, are defined here once
+// each, as TwoPartFactory values.
 #pragma once
 
 #include <vector>
@@ -127,9 +131,14 @@ class EdgeColorClassEmitPhase final : public PhaseProgram {
   int step_ = 0;
 };
 
-/// The full reference algorithm for (2Δ−1)-Edge Coloring: line-graph
-/// Linial followed by the emit round.
-PhaseFactory make_line_graph_edge_coloring_reference();
+/// The reference algorithm for (2Δ−1)-Edge Coloring: line-graph Linial
+/// (part 1) followed by the emit round (EdgeColorEmitPhase).
+TwoPartFactory line_graph_edge_coloring_reference();
+
+/// Its clash-repairing twin: line-graph Linial followed by the
+/// class-by-class emit (EdgeColorClassEmitPhase), for compositions in
+/// which a uniform algorithm colors edges while part 1 runs.
+TwoPartFactory line_graph_edge_coloring_repair_reference();
 
 ProgramFactory line_graph_edge_coloring_algorithm();
 

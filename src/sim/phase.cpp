@@ -34,6 +34,32 @@ class PhaseRunner final : public NodeProgram {
   Value leftover_output_;
 };
 
+class WholeReference final : public PhaseProgram {
+ public:
+  explicit WholeReference(TwoPartReference reference)
+      : reference_(std::move(reference)) {}
+
+  void on_send(NodeContext& ctx, Channel& ch) override {
+    if (part2_) {
+      part2_->on_send(ctx, ch);
+    } else {
+      reference_.part1->on_send(ctx, ch);
+    }
+  }
+
+  Status on_receive(NodeContext& ctx, Channel& ch) override {
+    if (part2_) return part2_->on_receive(ctx, ch);
+    if (reference_.part1->on_receive(ctx, ch) == Status::kFinished) {
+      part2_ = reference_.make_part2(ctx);
+    }
+    return Status::kRunning;
+  }
+
+ private:
+  TwoPartReference reference_;
+  std::unique_ptr<PhaseProgram> part2_;
+};
+
 }  // namespace
 
 ProgramFactory phase_as_algorithm(PhaseFactory factory,
@@ -41,6 +67,12 @@ ProgramFactory phase_as_algorithm(PhaseFactory factory,
   return [factory = std::move(factory),
           leftover_output](NodeId index) -> std::unique_ptr<NodeProgram> {
     return std::make_unique<PhaseRunner>(factory(index), leftover_output);
+  };
+}
+
+PhaseFactory whole_reference(TwoPartFactory reference) {
+  return [reference = std::move(reference)](NodeId index) {
+    return std::make_unique<WholeReference>(reference(index));
   };
 }
 

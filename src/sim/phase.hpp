@@ -17,6 +17,7 @@
 // other's traffic.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -112,8 +113,8 @@ class PhaseProgram {
   /// message arrives or a neighbor terminates. When a phase runs bare
   /// (phase_as_algorithm), the runner forwards the promise to the engine
   /// (NodeContext::idle()) so the node's hooks are skipped until a wake
-  /// event. Composition wrappers (BudgetedPhase, SequencePhase, the
-  /// template drivers) must keep counting rounds for their lockstep
+  /// event. The composition wrappers (the four template drivers and
+  /// whole_reference) must keep counting rounds for their lockstep
   /// schedules, so they treat kIdle exactly like kRunning — which every
   /// `== kFinished` comparison already does.
   enum class Status { kRunning, kIdle, kFinished };
@@ -137,78 +138,21 @@ inline constexpr Value kLeftoverActive = -999;
 ProgramFactory phase_as_algorithm(PhaseFactory factory,
                                   Value leftover_output = kLeftoverActive);
 
-/// A phase that does nothing for a fixed number of rounds (used to pad
-/// schedules so that all nodes switch blocks simultaneously).
-class IdlePhase final : public PhaseProgram {
- public:
-  explicit IdlePhase(int rounds) : remaining_(rounds) {}
-  void on_send(NodeContext&, Channel&) override {}
-  Status on_receive(NodeContext&, Channel&) override {
-    if (remaining_ > 0) --remaining_;
-    return remaining_ <= 0 ? Status::kFinished : Status::kRunning;
-  }
-
- private:
-  int remaining_;
+/// A reference algorithm split into a fault-tolerant part 1 (which must
+/// not write outputs — results stay in local state) and a part 2 built
+/// once part 1 finishes. The Parallel template runs part 1 beside the
+/// measure-uniform algorithm; every other composition runs the reference
+/// whole, through whole_reference.
+struct TwoPartReference {
+  std::unique_ptr<PhaseProgram> part1;
+  /// Invoked after part 1 finished; typically captures part1's state.
+  std::function<std::unique_ptr<PhaseProgram>(const NodeContext&)> make_part2;
 };
 
-/// Wrap a phase with a hard round budget: reports kFinished when either the
-/// inner phase finishes or the budget is exhausted, whichever comes first,
-/// and idles (without touching the inner phase) if the inner phase finishes
-/// early but `pad_to_budget` asks for lockstep switching.
-class BudgetedPhase final : public PhaseProgram {
- public:
-  BudgetedPhase(std::unique_ptr<PhaseProgram> inner, int budget,
-                bool pad_to_budget)
-      : inner_(std::move(inner)), remaining_(budget), pad_(pad_to_budget) {}
+using TwoPartFactory = std::function<TwoPartReference(NodeId node)>;
 
-  void on_send(NodeContext& ctx, Channel& ch) override {
-    if (!inner_done_ && remaining_ > 0) inner_->on_send(ctx, ch);
-  }
-
-  Status on_receive(NodeContext& ctx, Channel& ch) override {
-    if (remaining_ <= 0) return Status::kFinished;
-    if (!inner_done_) {
-      if (inner_->on_receive(ctx, ch) == Status::kFinished) inner_done_ = true;
-    }
-    --remaining_;
-    if (inner_done_ && !pad_) return Status::kFinished;
-    if (remaining_ <= 0) return Status::kFinished;
-    return Status::kRunning;
-  }
-
- private:
-  std::unique_ptr<PhaseProgram> inner_;
-  int remaining_;
-  bool pad_;
-  bool inner_done_ = false;
-};
-
-/// Run phases one after another (all on the same channel). Used by the
-/// Simple and Consecutive templates. Each node advances to the next phase
-/// the round after its current phase reports kFinished; with budgeted
-/// phases (deterministic schedules) all nodes advance in lockstep, which is
-/// what the templates require.
-class SequencePhase final : public PhaseProgram {
- public:
-  explicit SequencePhase(std::vector<std::unique_ptr<PhaseProgram>> phases)
-      : phases_(std::move(phases)) {}
-
-  void on_send(NodeContext& ctx, Channel& ch) override {
-    if (current_ < phases_.size()) phases_[current_]->on_send(ctx, ch);
-  }
-
-  Status on_receive(NodeContext& ctx, Channel& ch) override {
-    if (current_ >= phases_.size()) return Status::kFinished;
-    if (phases_[current_]->on_receive(ctx, ch) == Status::kFinished) {
-      ++current_;
-    }
-    return current_ >= phases_.size() ? Status::kFinished : Status::kRunning;
-  }
-
- private:
-  std::vector<std::unique_ptr<PhaseProgram>> phases_;
-  std::size_t current_ = 0;
-};
+/// The reference as one phase: part 1 until it finishes, then part 2 from
+/// the next round on. Reports kFinished when part 2 does.
+PhaseFactory whole_reference(TwoPartFactory reference);
 
 }  // namespace dgap

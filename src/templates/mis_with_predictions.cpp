@@ -30,38 +30,6 @@ int interleave_count(NodeId n, int, std::int64_t) {
   return m;
 }
 
-TwoPartFactory linial_two_part_reference() {
-  return [](NodeId) {
-    TwoPartReference ref;
-    auto part1 = std::make_unique<LinialColoringPhase>();
-    LinialColoringPhase* raw = part1.get();
-    ref.part1 = std::move(part1);
-    ref.make_part2 = [raw](const NodeContext& ctx) {
-      return std::make_unique<ColorToMisPhase>(
-          static_cast<Value>(ctx.delta() + 1),
-          [raw] { return raw->palette_color(); },
-          [raw](NodeId u) { return raw->neighbor_palette_color(u); });
-    };
-    return ref;
-  };
-}
-
-TwoPartFactory gps_two_part_reference(const RootedTree& tree) {
-  auto parents = tree.parent;
-  return [parents](NodeId node) {
-    TwoPartReference ref;
-    auto part1 = std::make_unique<GpsColoringPhase>(
-        parents[static_cast<std::size_t>(node)]);
-    GpsColoringPhase* raw = part1.get();
-    ref.part1 = std::move(part1);
-    ref.make_part2 = [raw](const NodeContext&) {
-      return std::make_unique<TreeColorToMisPhase>(
-          [raw] { return raw->color(); });
-    };
-    return ref;
-  };
-}
-
 }  // namespace
 
 ProgramFactory mis_simple_greedy() {
@@ -82,7 +50,8 @@ ProgramFactory mis_simple_luby(std::uint64_t seed) {
 }
 
 ProgramFactory mis_simple_linial() {
-  return simple_template(make_mis_init(), make_linial_mis_reference());
+  return simple_template(make_mis_init(),
+                         whole_reference(linial_mis_reference()));
 }
 
 ProgramFactory mis_consecutive_gather() {
@@ -98,7 +67,7 @@ ProgramFactory mis_consecutive_linial_lambda(int lambda_num, int lambda_den) {
   DGAP_REQUIRE(lambda_num >= 0 && lambda_den >= 1, "bad lambda");
   return consecutive_template(
       make_mis_init(), make_greedy_mis(), make_mis_cleanup(),
-      make_linial_mis_reference(),
+      whole_reference(linial_mis_reference()),
       [lambda_num, lambda_den](NodeId, int delta, std::int64_t d) {
         const int r = linial_mis_total_rounds(d, delta) + kMisCleanupRounds;
         return static_cast<int>(
@@ -136,7 +105,7 @@ ProgramFactory mis_parallel_linial() {
   ParallelConfig cfg;
   cfg.init = make_mis_init();
   cfg.uniform = make_greedy_mis();
-  cfg.reference = linial_two_part_reference();
+  cfg.reference = linial_mis_reference();
   cfg.part1_budget = [](NodeId, int delta, std::int64_t d) {
     return linial_total_rounds(d, delta);
   };
@@ -214,7 +183,7 @@ ProgramFactory mis_parallel_bw() {
   ParallelConfig cfg;
   cfg.init = make_mis_init();
   cfg.uniform = make_bw_greedy_mis();
-  cfg.reference = linial_two_part_reference();
+  cfg.reference = linial_mis_reference();
   cfg.part1_budget = [](NodeId, int delta, std::int64_t d) {
     return linial_total_rounds(d, delta);
   };
@@ -238,7 +207,7 @@ ProgramFactory tree_mis_parallel(const RootedTree& tree) {
   ParallelConfig cfg;
   cfg.init = make_tree_mis_init(tree);
   cfg.uniform = make_tree_mis_uniform(tree);
-  cfg.reference = gps_two_part_reference(tree);
+  cfg.reference = gps_tree_mis_reference(tree);
   cfg.part1_budget = [](NodeId, int, std::int64_t d) {
     return gps_total_rounds(d);
   };

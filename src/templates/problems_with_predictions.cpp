@@ -17,136 +17,22 @@ namespace dgap {
 namespace {
 
 /// Matching reference: line-graph Linial (part 1) + color-class matching
-/// extraction (part 2), packaged as a single phase for the Consecutive
-/// template.
-class LineGraphMatchingPhase final : public PhaseProgram {
- public:
-  void on_send(NodeContext& ctx, Channel& ch) override {
-    if (part2_) {
-      part2_->on_send(ctx, ch);
-    } else {
-      part1_.on_send(ctx, ch);
-    }
-  }
-
-  Status on_receive(NodeContext& ctx, Channel& ch) override {
-    if (!part2_) {
-      if (part1_.on_receive(ctx, ch) == Status::kFinished) {
-        part2_ = std::make_unique<EdgeColorToMatchingPhase>(
-            [this](NodeId u) { return part1_.edge_palette_color(u); });
-      }
-      return Status::kRunning;
-    }
-    return part2_->on_receive(ctx, ch);
-  }
-
- private:
-  LineGraphLinialPhase part1_;
-  std::unique_ptr<EdgeColorToMatchingPhase> part2_;
-};
-
-TwoPartFactory line_graph_matching_two_part() {
+/// extraction (part 2). The matching library does not depend on edge
+/// coloring, so the reference is joined here.
+TwoPartFactory line_graph_matching_reference() {
   return [](NodeId) {
-    TwoPartReference ref;
     auto part1 = std::make_unique<LineGraphLinialPhase>();
-    LineGraphLinialPhase* raw = part1.get();
-    ref.part1 = std::move(part1);
-    ref.make_part2 = [raw](const NodeContext&) {
-      return std::make_unique<EdgeColorToMatchingPhase>(
-          [raw](NodeId u) { return raw->edge_palette_color(u); });
-    };
-    return ref;
+    const LineGraphLinialPhase* colors = part1.get();
+    return TwoPartReference{
+        std::move(part1), [colors](const NodeContext&) {
+          return std::make_unique<EdgeColorToMatchingPhase>(
+              [colors](NodeId u) { return colors->edge_palette_color(u); });
+        }};
   };
 }
-
-/// Vertex-coloring reference as a two-part program: Linial part 1 holds
-/// colors locally; the class-by-class emit (ColorClassEmitPhase) outputs
-/// them while repairing clashes with colors that terminated nodes output
-/// while part 1 was running — the repair is what makes the reference
-/// composable with a concurrently running uniform algorithm.
-TwoPartFactory linial_coloring_two_part() {
-  return [](NodeId) {
-    TwoPartReference ref;
-    auto part1 = std::make_unique<LinialColoringPhase>();
-    LinialColoringPhase* raw = part1.get();
-    ref.part1 = std::move(part1);
-    ref.make_part2 = [raw](const NodeContext&) {
-      return std::make_unique<ColorClassEmitPhase>(
-          [raw] { return raw->palette_color(); });
-    };
-    return ref;
-  };
-}
-
-class LinialColoringReferencePhase final : public PhaseProgram {
- public:
-  void on_send(NodeContext& ctx, Channel& ch) override {
-    if (!emit_) part1_.on_send(ctx, ch);
-  }
-
-  Status on_receive(NodeContext& ctx, Channel& ch) override {
-    if (!emit_) {
-      if (part1_.on_receive(ctx, ch) == Status::kFinished) {
-        emit_ = std::make_unique<ColorClassEmitPhase>(
-            [this] { return part1_.palette_color(); });
-      }
-      return Status::kRunning;
-    }
-    return emit_->on_receive(ctx, ch);
-  }
-
- private:
-  LinialColoringPhase part1_;
-  std::unique_ptr<ColorClassEmitPhase> emit_;
-};
-
-/// Line-graph Linial + clash-repairing class emit, packaged for the
-/// Consecutive/Interleaved templates' single-reference slots.
-class LineGraphEdgeColoringRepairPhase final : public PhaseProgram {
- public:
-  void on_send(NodeContext& ctx, Channel& ch) override {
-    if (emit_) {
-      emit_->on_send(ctx, ch);
-    } else {
-      part1_.on_send(ctx, ch);
-    }
-  }
-
-  Status on_receive(NodeContext& ctx, Channel& ch) override {
-    if (!emit_) {
-      if (part1_.on_receive(ctx, ch) == Status::kFinished) {
-        emit_ = std::make_unique<EdgeColorClassEmitPhase>(
-            [this](NodeId u) { return part1_.edge_palette_color(u); });
-      }
-      return Status::kRunning;
-    }
-    return emit_->on_receive(ctx, ch);
-  }
-
- private:
-  LineGraphLinialPhase part1_;
-  std::unique_ptr<EdgeColorClassEmitPhase> emit_;
-};
-
-TwoPartFactory line_graph_edge_coloring_two_part() {
-  return [](NodeId) {
-    TwoPartReference ref;
-    auto part1 = std::make_unique<LineGraphLinialPhase>();
-    LineGraphLinialPhase* raw = part1.get();
-    ref.part1 = std::move(part1);
-    ref.make_part2 = [raw](const NodeContext&) {
-      return std::make_unique<EdgeColorClassEmitPhase>(
-          [raw](NodeId u) { return raw->edge_palette_color(u); });
-    };
-    return ref;
-  };
-}
-
-}  // namespace
 
 /// Doubling segment schedule sized so the U/R segments can cover a
 /// reference needing `total` rounds: sum_{i=1..m} 2^i >= total.
-namespace {
 int doubling_phase_count(int total) {
   int m = 1;
   while ((1 << (m + 1)) - 2 < total) ++m;
@@ -157,6 +43,7 @@ int doubling_phase_budget(int phase) {
   DGAP_REQUIRE(phase >= 1 && phase < 31, "phase index out of range");
   return 1 << phase;
 }
+
 }  // namespace
 
 int matching_reference_total_rounds(std::int64_t d, int delta) {
@@ -182,9 +69,7 @@ ProgramFactory matching_simple_greedy() {
 ProgramFactory matching_consecutive_linegraph() {
   return consecutive_template(
       make_matching_init(), make_greedy_matching(), make_matching_cleanup(),
-      [](NodeId) -> std::unique_ptr<PhaseProgram> {
-        return std::make_unique<LineGraphMatchingPhase>();
-      },
+      whole_reference(line_graph_matching_reference()),
       [](NodeId, int delta, std::int64_t d) {
         return matching_reference_total_rounds(d, delta) +
                kMatchingCleanupRounds;
@@ -195,7 +80,7 @@ ProgramFactory matching_parallel_linegraph() {
   ParallelConfig cfg;
   cfg.init = make_matching_init();
   cfg.uniform = make_greedy_matching();
-  cfg.reference = line_graph_matching_two_part();
+  cfg.reference = line_graph_matching_reference();
   cfg.part1_budget = [](NodeId, int delta, std::int64_t d) {
     return line_graph_linial_total_rounds(d, delta);
   };
@@ -211,9 +96,7 @@ ProgramFactory matching_interleaved_linegraph() {
   InterleavedConfig cfg;
   cfg.init = make_matching_init();
   cfg.uniform = make_greedy_matching();
-  cfg.reference_persistent = [](NodeId) -> std::unique_ptr<PhaseProgram> {
-    return std::make_unique<LineGraphMatchingPhase>();
-  };
+  cfg.reference_persistent = whole_reference(line_graph_matching_reference());
   cfg.phase_budget = [](int phase, NodeId, int, std::int64_t) {
     return doubling_phase_budget(phase);
   };
@@ -234,9 +117,7 @@ ProgramFactory coloring_simple_greedy() {
 ProgramFactory coloring_consecutive_linial() {
   return consecutive_template(
       make_coloring_init(), make_greedy_coloring(), /*cleanup=*/nullptr,
-      [](NodeId) -> std::unique_ptr<PhaseProgram> {
-        return std::make_unique<LinialColoringReferencePhase>();
-      },
+      whole_reference(linial_coloring_reference()),
       [](NodeId, int delta, std::int64_t d) {
         return linial_total_rounds(d, delta) + delta + 1;
       });
@@ -246,7 +127,7 @@ ProgramFactory coloring_parallel_linial() {
   ParallelConfig cfg;
   cfg.init = make_coloring_init();
   cfg.uniform = make_greedy_coloring();
-  cfg.reference = linial_coloring_two_part();
+  cfg.reference = linial_coloring_reference();
   cfg.part1_budget = [](NodeId, int delta, std::int64_t d) {
     return linial_total_rounds(d, delta);
   };
@@ -259,9 +140,7 @@ ProgramFactory coloring_interleaved_linial() {
   InterleavedConfig cfg;
   cfg.init = make_coloring_init();
   cfg.uniform = make_greedy_coloring();
-  cfg.reference_persistent = [](NodeId) -> std::unique_ptr<PhaseProgram> {
-    return std::make_unique<LinialColoringReferencePhase>();
-  };
+  cfg.reference_persistent = whole_reference(linial_coloring_reference());
   cfg.phase_budget = [](int phase, NodeId, int, std::int64_t) {
     return doubling_phase_budget(phase);
   };
@@ -283,7 +162,8 @@ ProgramFactory edge_coloring_simple_greedy() {
 ProgramFactory edge_coloring_consecutive_linegraph() {
   return consecutive_template(
       make_edge_coloring_base(), make_greedy_edge_coloring(),
-      /*cleanup=*/nullptr, make_line_graph_edge_coloring_reference(),
+      /*cleanup=*/nullptr,
+      whole_reference(line_graph_edge_coloring_reference()),
       [](NodeId, int delta, std::int64_t d) {
         return line_graph_linial_total_rounds(d, delta) + 1;
       });
@@ -293,7 +173,7 @@ ProgramFactory edge_coloring_parallel_linegraph() {
   ParallelConfig cfg;
   cfg.init = make_edge_coloring_base();
   cfg.uniform = make_greedy_edge_coloring();
-  cfg.reference = line_graph_edge_coloring_two_part();
+  cfg.reference = line_graph_edge_coloring_repair_reference();
   cfg.part1_budget = [](NodeId, int delta, std::int64_t d) {
     return line_graph_linial_total_rounds(d, delta);
   };
@@ -308,9 +188,8 @@ ProgramFactory edge_coloring_interleaved_linegraph() {
   InterleavedConfig cfg;
   cfg.init = make_edge_coloring_base();
   cfg.uniform = make_greedy_edge_coloring();
-  cfg.reference_persistent = [](NodeId) -> std::unique_ptr<PhaseProgram> {
-    return std::make_unique<LineGraphEdgeColoringRepairPhase>();
-  };
+  cfg.reference_persistent =
+      whole_reference(line_graph_edge_coloring_repair_reference());
   cfg.phase_budget = [](int phase, NodeId, int, std::int64_t) {
     return doubling_phase_budget(phase);
   };

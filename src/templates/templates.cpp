@@ -52,7 +52,7 @@ class ConsecutiveProgram final : public NodeProgram {
                      std::unique_ptr<PhaseProgram> uniform,
                      std::unique_ptr<PhaseProgram> cleanup,
                      std::unique_ptr<PhaseProgram> reference,
-                     ScheduleFn uniform_budget)
+                     std::shared_ptr<const ScheduleFn> uniform_budget)
       : init_(std::move(init)), uniform_(std::move(uniform)),
         cleanup_(std::move(cleanup)), reference_(std::move(reference)),
         uniform_budget_(std::move(uniform_budget)) {}
@@ -104,7 +104,7 @@ class ConsecutiveProgram final : public NodeProgram {
 
   void ensure_budget(const NodeContext& ctx) {
     if (budget_ >= 0) return;
-    budget_ = uniform_budget_(ctx.n(), ctx.delta(), ctx.d());
+    budget_ = (*uniform_budget_)(ctx.n(), ctx.delta(), ctx.d());
     DGAP_REQUIRE(budget_ >= 0, "uniform budget must be non-negative");
   }
 
@@ -112,7 +112,7 @@ class ConsecutiveProgram final : public NodeProgram {
   std::unique_ptr<PhaseProgram> uniform_;
   std::unique_ptr<PhaseProgram> cleanup_;  // may be null
   std::unique_ptr<PhaseProgram> reference_;
-  ScheduleFn uniform_budget_;
+  std::shared_ptr<const ScheduleFn> uniform_budget_;
   Stage stage_ = Stage::kInit;
   int budget_ = -1;
 };
@@ -123,14 +123,11 @@ class ConsecutiveProgram final : public NodeProgram {
 
 class InterleavedProgram final : public NodeProgram {
  public:
-  InterleavedProgram(NodeId node, InterleavedConfig cfg)
-      : node_(node), cfg_(std::move(cfg)), init_(cfg_.init(node)),
-        uniform_(cfg_.uniform(node)) {
-    DGAP_REQUIRE((cfg_.reference_phase != nullptr) !=
-                     (cfg_.reference_persistent != nullptr),
-                 "set exactly one of reference_phase / reference_persistent");
-    if (cfg_.reference_persistent) {
-      reference_segment_ = cfg_.reference_persistent(node);
+  InterleavedProgram(NodeId node, std::shared_ptr<const InterleavedConfig> cfg)
+      : node_(node), cfg_(std::move(cfg)), init_(cfg_->init(node)),
+        uniform_(cfg_->uniform(node)) {
+    if (cfg_->reference_persistent) {
+      reference_segment_ = cfg_->reference_persistent(node);
     }
   }
 
@@ -170,7 +167,7 @@ class InterleavedProgram final : public NodeProgram {
     n_ = ctx.n();
     delta_ = ctx.delta();
     d_ = ctx.d();
-    phase_count_ = cfg_.phase_count(n_, delta_, d_);
+    phase_count_ = cfg_->phase_count(n_, delta_, d_);
     DGAP_REQUIRE(phase_count_ >= 1, "interleaving needs at least one phase");
   }
 
@@ -182,7 +179,7 @@ class InterleavedProgram final : public NodeProgram {
 
   void begin_segment() {
     segment_is_uniform_ = true;
-    segment_left_ = cfg_.phase_budget(phase_, n_, delta_, d_);
+    segment_left_ = cfg_->phase_budget(phase_, n_, delta_, d_);
     DGAP_REQUIRE(segment_left_ >= 1, "phase budgets must be positive");
   }
 
@@ -193,10 +190,10 @@ class InterleavedProgram final : public NodeProgram {
     }
     if (segment_is_uniform_) {
       segment_is_uniform_ = false;
-      if (cfg_.reference_phase) {
-        reference_segment_ = cfg_.reference_phase(phase_, node_);
+      if (cfg_->reference_phase) {
+        reference_segment_ = cfg_->reference_phase(phase_, node_);
       }  // persistent references resume where they left off
-      segment_left_ = cfg_.phase_budget(phase_, n_, delta_, d_);
+      segment_left_ = cfg_->phase_budget(phase_, n_, delta_, d_);
     } else {
       ++phase_;
       if (phase_ > phase_count_) {
@@ -209,7 +206,7 @@ class InterleavedProgram final : public NodeProgram {
   }
 
   NodeId node_;
-  InterleavedConfig cfg_;
+  std::shared_ptr<const InterleavedConfig> cfg_;
   std::unique_ptr<PhaseProgram> init_;
   std::unique_ptr<PhaseProgram> uniform_;
   std::unique_ptr<PhaseProgram> reference_segment_;
@@ -229,9 +226,9 @@ class InterleavedProgram final : public NodeProgram {
 
 class ParallelProgram final : public NodeProgram {
  public:
-  ParallelProgram(NodeId node, ParallelConfig cfg)
-      : cfg_(std::move(cfg)), init_(cfg_.init(node)),
-        uniform_(cfg_.uniform(node)), reference_(cfg_.reference(node)) {}
+  ParallelProgram(NodeId node, std::shared_ptr<const ParallelConfig> cfg)
+      : cfg_(std::move(cfg)), init_(cfg_->init(node)),
+        uniform_(cfg_->uniform(node)), reference_(cfg_->reference(node)) {}
 
   void on_send(NodeContext& ctx) override {
     ensure_budget(ctx);
@@ -313,13 +310,13 @@ class ParallelProgram final : public NodeProgram {
 
   void ensure_budget(const NodeContext& ctx) {
     if (budget_ >= 0) return;
-    int b = cfg_.part1_budget(ctx.n(), ctx.delta(), ctx.d());
+    int b = cfg_->part1_budget(ctx.n(), ctx.delta(), ctx.d());
     DGAP_REQUIRE(b >= 1, "part 1 budget must be positive");
-    const int g = cfg_.budget_granularity;
+    const int g = cfg_->budget_granularity;
     DGAP_REQUIRE(g >= 1, "budget granularity must be positive");
     if (b % g != 0) b += g - b % g;  // cut only on extendable boundaries
     budget_ = b;
-    cleanup_ = cfg_.cleanup ? cfg_.cleanup(ctx.index()) : nullptr;
+    cleanup_ = cfg_->cleanup ? cfg_->cleanup(ctx.index()) : nullptr;
   }
 
   void enter_part2(const NodeContext& ctx) {
@@ -327,7 +324,7 @@ class ParallelProgram final : public NodeProgram {
     stage_ = Stage::kPart2;
   }
 
-  ParallelConfig cfg_;
+  std::shared_ptr<const ParallelConfig> cfg_;
   std::unique_ptr<PhaseProgram> init_;
   std::unique_ptr<PhaseProgram> uniform_;
   TwoPartReference reference_;
@@ -353,7 +350,8 @@ ProgramFactory consecutive_template(PhaseFactory init, PhaseFactory uniform,
                                     ScheduleFn uniform_budget) {
   return [init = std::move(init), uniform = std::move(uniform),
           cleanup = std::move(cleanup), reference = std::move(reference),
-          uniform_budget = std::move(uniform_budget)](NodeId node) {
+          uniform_budget = std::make_shared<const ScheduleFn>(
+              std::move(uniform_budget))](NodeId node) {
     return std::make_unique<ConsecutiveProgram>(
         init(node), uniform(node), cleanup ? cleanup(node) : nullptr,
         reference(node), uniform_budget);
@@ -361,13 +359,18 @@ ProgramFactory consecutive_template(PhaseFactory init, PhaseFactory uniform,
 }
 
 ProgramFactory interleaved_template(InterleavedConfig cfg) {
-  return [cfg = std::move(cfg)](NodeId node) {
+  DGAP_REQUIRE((cfg.reference_phase != nullptr) !=
+                   (cfg.reference_persistent != nullptr),
+               "set exactly one of reference_phase / reference_persistent");
+  return [cfg = std::make_shared<const InterleavedConfig>(std::move(cfg))](
+             NodeId node) {
     return std::make_unique<InterleavedProgram>(node, cfg);
   };
 }
 
 ProgramFactory parallel_template(ParallelConfig cfg) {
-  return [cfg = std::move(cfg)](NodeId node) {
+  return [cfg = std::make_shared<const ParallelConfig>(std::move(cfg))](
+             NodeId node) {
     return std::make_unique<ParallelProgram>(node, cfg);
   };
 }

@@ -11,6 +11,12 @@
 // functions of those values, evaluated lazily once the node context is
 // available, so all nodes compute identical budgets and switch blocks in
 // lockstep.
+//
+// A reference split into parts (Corollaries 12 and 15) is written once, as
+// a TwoPartFactory (sim/phase.hpp): the Parallel template takes it as is,
+// and the others take whole_reference(...) of it. Each template builds
+// its configuration once and every node's program points at that one
+// copy, so a run's memory does not grow with what the factories capture.
 #pragma once
 
 #include <functional>
@@ -46,7 +52,8 @@ struct InterleavedConfig {
   PhaseFactory uniform;
   /// Phase i of the reference algorithm (fresh instance per segment) —
   /// the Corollary 10 shape, where each phase is self-contained.
-  /// Exactly one of reference_phase / reference_persistent must be set.
+  /// Exactly one of reference_phase / reference_persistent must be set;
+  /// interleaved_template checks it.
   std::function<std::unique_ptr<PhaseProgram>(int phase, NodeId node)>
       reference_phase;
   /// Alternative: a monolithic reference that RESUMES across segments
@@ -66,17 +73,6 @@ struct InterleavedConfig {
 /// all m phases (which a complete reference algorithm never allows), the
 /// uniform algorithm keeps running as a defensive fallback.
 ProgramFactory interleaved_template(InterleavedConfig cfg);
-
-/// A reference algorithm split into a fault-tolerant part 1 (which must
-/// not write outputs — results stay in local state) and a part 2 built
-/// once part 1 finishes.
-struct TwoPartReference {
-  std::unique_ptr<PhaseProgram> part1;
-  /// Invoked after part 1 finished; typically captures part1's state.
-  std::function<std::unique_ptr<PhaseProgram>(const NodeContext&)> make_part2;
-};
-
-using TwoPartFactory = std::function<TwoPartReference(NodeId node)>;
 
 struct ParallelConfig {
   PhaseFactory init;

@@ -152,35 +152,6 @@ PhaseProgram::Status TreeColorToMisPhase::on_receive(NodeContext& ctx,
 
 namespace {
 
-/// GPS part 1 feeding part 2 — the full Corollary 15 reference.
-class GpsTreeMisPhase final : public PhaseProgram {
- public:
-  explicit GpsTreeMisPhase(NodeId parent) : part1_(parent) {}
-
-  void on_send(NodeContext& ctx, Channel& ch) override {
-    if (part2_) {
-      part2_->on_send(ctx, ch);
-    } else {
-      part1_.on_send(ctx, ch);
-    }
-  }
-
-  Status on_receive(NodeContext& ctx, Channel& ch) override {
-    if (!part2_) {
-      if (part1_.on_receive(ctx, ch) == Status::kFinished) {
-        part2_ = std::make_unique<TreeColorToMisPhase>(
-            [this] { return part1_.color(); });
-      }
-      return Status::kRunning;
-    }
-    return part2_->on_receive(ctx, ch);
-  }
-
- private:
-  GpsColoringPhase part1_;
-  std::unique_ptr<TreeColorToMisPhase> part2_;
-};
-
 class GpsColoringAlgorithm final : public NodeProgram {
  public:
   explicit GpsColoringAlgorithm(NodeId parent) : phase_(parent) {}
@@ -203,11 +174,17 @@ class GpsColoringAlgorithm final : public NodeProgram {
 
 }  // namespace
 
-PhaseFactory make_gps_tree_mis_reference(const RootedTree& tree) {
+TwoPartFactory gps_tree_mis_reference(const RootedTree& tree) {
   auto parents = tree.parent;
   return [parents](NodeId index) {
-    return std::make_unique<GpsTreeMisPhase>(
+    auto part1 = std::make_unique<GpsColoringPhase>(
         parents[static_cast<std::size_t>(index)]);
+    const GpsColoringPhase* colors = part1.get();
+    return TwoPartReference{
+        std::move(part1), [colors](const NodeContext&) {
+          return std::make_unique<TreeColorToMisPhase>(
+              [colors] { return colors->color(); });
+        }};
   };
 }
 

@@ -11,7 +11,8 @@
 // The round schedule is a pure function of d, so all nodes agree on it, and
 // the algorithm is fault-tolerant: every rule refers only to live
 // neighbors. Like Linial part 1, the phase writes no outputs — the final
-// color is held locally for part 2.
+// color is held locally for part 2, and the reference that joins the two
+// parts is defined here once, as a TwoPartFactory.
 #pragma once
 
 #include <unordered_map>
@@ -68,8 +69,10 @@ class TreeColorToMisPhase final : public PhaseProgram {
   int step_ = 0;
 };
 
-/// GPS followed by part 2, as one phase (Simple/Consecutive-style use).
-PhaseFactory make_gps_tree_mis_reference(const RootedTree& tree);
+/// Corollary 15's reference: GPS part 1 feeding the two-round part 2
+/// (TreeColorToMisPhase). The Parallel template takes it as is;
+/// whole_reference() runs it as one phase.
+TwoPartFactory gps_tree_mis_reference(const RootedTree& tree);
 
 /// GPS 3-coloring as a standalone algorithm (outputs color + 1 ∈ {1,2,3}).
 ProgramFactory gps_coloring_algorithm(const RootedTree& tree);

@@ -8,6 +8,7 @@
 #include "predict/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
+#include "templates/problems_with_predictions.hpp"
 
 namespace dgap {
 namespace {
@@ -124,20 +125,14 @@ TEST(ColoringInitPhase, ContainsBaseDecisions) {
 }
 
 TEST(GreedyColoring, CompletesAPartialColoringAfterInit) {
-  // Init + greedy via a sequence: the completed coloring must still be
-  // proper — the survivors respect the colors already output.
+  // Init + greedy (the Simple assembly): the completed coloring must still
+  // be proper — the survivors respect the colors already output.
   Rng rng(6);
   for (int trial = 0; trial < 15; ++trial) {
     Graph g = make_gnp(14, 0.3, rng);
     randomize_ids(g, rng);
     auto pred = scramble_colors(g, coloring_correct_prediction(g, rng), 6, rng);
-    auto factory = phase_as_algorithm([](NodeId) {
-      std::vector<std::unique_ptr<PhaseProgram>> phases;
-      phases.push_back(std::make_unique<ColoringInitPhase>());
-      phases.push_back(std::make_unique<GreedyColoringPhase>());
-      return std::make_unique<SequencePhase>(std::move(phases));
-    });
-    auto result = run_with_predictions(g, pred, factory);
+    auto result = run_with_predictions(g, pred, coloring_simple_greedy());
     EXPECT_TRUE(result.completed);
     EXPECT_TRUE(is_valid_coloring(g, result.outputs, g.max_degree() + 1))
         << check_coloring(g, result.outputs, g.max_degree() + 1);

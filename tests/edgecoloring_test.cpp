@@ -11,6 +11,7 @@
 #include "predict/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
+#include "templates/problems_with_predictions.hpp"
 
 namespace dgap {
 namespace {
@@ -119,13 +120,8 @@ TEST(EdgeColoring, BasePlusGreedyCompletes) {
     auto pred = scramble_edge_colors(
         g, edge_coloring_correct_prediction(g, rng),
         static_cast<int>(rng.next_below(8)), rng);
-    auto factory = phase_as_algorithm([](NodeId) {
-      std::vector<std::unique_ptr<PhaseProgram>> phases;
-      phases.push_back(std::make_unique<EdgeColoringBasePhase>());
-      phases.push_back(std::make_unique<GreedyEdgeColoringPhase>());
-      return std::make_unique<SequencePhase>(std::move(phases));
-    });
-    auto result = run_with_predictions(g, pred, factory);
+    auto result =
+        run_with_predictions(g, pred, edge_coloring_simple_greedy());
     EXPECT_TRUE(result.completed);
     EXPECT_TRUE(is_valid_edge_coloring(g, outputs_of(result)))
         << "trial " << trial << ": "

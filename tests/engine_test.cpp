@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "mis/algorithms.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
 #include "sim/transcript.hpp"
@@ -373,33 +374,15 @@ TEST(Engine, CompletionRoundPerComponent) {
 }
 
 TEST(Phase, PhaseAsAlgorithmEmitsLeftoverMarker) {
-  auto factory =
-      phase_as_algorithm([](NodeId) { return std::make_unique<IdlePhase>(2); });
+  // All-0 predictions: the MIS initialization decides nothing in its 3
+  // rounds, so both nodes finish it still active.
   Graph g = make_line(2);
-  auto result = run_algorithm(g, factory);
+  auto result = run_with_predictions(g, Predictions(std::vector<Value>(2, 0)),
+                                     phase_as_algorithm(make_mis_init()));
   EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.rounds, 2);
+  EXPECT_EQ(result.rounds, kMisInitRounds);
   EXPECT_EQ(result.outputs[0], kLeftoverActive);
-}
-
-TEST(Phase, BudgetedPhaseCutsEarly) {
-  auto factory = phase_as_algorithm([](NodeId) {
-    return std::make_unique<BudgetedPhase>(std::make_unique<IdlePhase>(100),
-                                           3, /*pad_to_budget=*/false);
-  });
-  Graph g = make_line(2);
-  auto result = run_algorithm(g, factory);
-  EXPECT_EQ(result.rounds, 3);
-}
-
-TEST(Phase, BudgetedPhasePadsToBudget) {
-  auto factory = phase_as_algorithm([](NodeId) {
-    return std::make_unique<BudgetedPhase>(std::make_unique<IdlePhase>(1), 5,
-                                           /*pad_to_budget=*/true);
-  });
-  Graph g = make_line(2);
-  auto result = run_algorithm(g, factory);
-  EXPECT_EQ(result.rounds, 5);
+  EXPECT_EQ(result.outputs[1], kLeftoverActive);
 }
 
 /// Sends {round} to every *graph* neighbor each round — including ones
@@ -640,20 +623,6 @@ TEST(Engine, PhaseProfilerLinkAndTraceSpans) {
   auto traced = run_algorithm(g, factory, topt);
   ASSERT_TRUE(traced.completed);
   EXPECT_GT(traced.phase_ns.trace_ns, 0);
-}
-
-TEST(Phase, SequencePhaseRunsInOrder) {
-  std::vector<std::unique_ptr<PhaseProgram>> phases;
-  phases.push_back(std::make_unique<IdlePhase>(2));
-  phases.push_back(std::make_unique<IdlePhase>(3));
-  auto seq = std::make_unique<SequencePhase>(std::move(phases));
-  // Wrap in a one-node run and count rounds.
-  Graph g(1);
-  auto raw = seq.release();
-  auto factory = phase_as_algorithm(
-      [raw](NodeId) { return std::unique_ptr<PhaseProgram>(raw); });
-  auto result = run_algorithm(g, factory);
-  EXPECT_EQ(result.rounds, 5);
 }
 
 }  // namespace

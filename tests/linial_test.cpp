@@ -405,8 +405,8 @@ TEST(LinialMisReference, SolvesMis) {
   for (int trial = 0; trial < 10; ++trial) {
     Graph g = make_gnp(14, 0.3, rng);
     randomize_ids(g, rng);
-    auto result =
-        run_algorithm(g, phase_as_algorithm(make_linial_mis_reference()));
+    auto result = run_algorithm(
+        g, phase_as_algorithm(whole_reference(linial_mis_reference())));
     EXPECT_TRUE(result.completed);
     EXPECT_TRUE(is_valid_mis(g, result.outputs)) << check_mis(g, result.outputs);
     EXPECT_LE(result.rounds,

@@ -9,6 +9,7 @@
 #include "predict/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
+#include "templates/problems_with_predictions.hpp"
 
 namespace dgap {
 namespace {
@@ -141,13 +142,7 @@ TEST(Matching, InitPlusGreedyCompletesToValidMatching) {
     Graph g = make_gnp(14, 0.25, rng);
     randomize_ids(g, rng);
     auto pred = break_matches(g, matching_correct_prediction(g, rng), 3, rng);
-    auto factory = phase_as_algorithm([](NodeId) {
-      std::vector<std::unique_ptr<PhaseProgram>> phases;
-      phases.push_back(std::make_unique<MatchingInitPhase>());
-      phases.push_back(std::make_unique<GreedyMatchingPhase>());
-      return std::make_unique<SequencePhase>(std::move(phases));
-    });
-    auto result = run_with_predictions(g, pred, factory);
+    auto result = run_with_predictions(g, pred, matching_simple_greedy());
     EXPECT_TRUE(result.completed);
     EXPECT_TRUE(is_valid_maximal_matching(g, result.outputs))
         << check_matching(g, result.outputs);

@@ -9,6 +9,7 @@
 #include "predict/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
+#include "templates/templates.hpp"
 
 namespace dgap {
 namespace {
@@ -245,29 +246,28 @@ TEST(MisInitPhase, ConsistencyIsThreeRounds) {
 // ---- Cleanup ---------------------------------------------------------------------
 
 TEST(MisCleanup, CoversNeighborsOfWinners) {
-  // Run greedy for exactly 1 round (odd cutoff): winners exist whose
-  // neighbors are undecided; one cleanup round restores extendability.
+  // A one-round Greedy cut leaves winners whose neighbors are undecided;
+  // one clean-up round restores extendability.
   Rng rng(11);
   Graph g = make_gnp(12, 0.3, rng);
   randomize_ids(g, rng);
-  auto cut = [&](int rounds) {
-    EngineOptions opt;
-    opt.max_rounds = rounds;
-    return run_algorithm(g, greedy_mis_algorithm(), opt);
-  };
-  auto after1 = cut(1);
-  // Typically not extendable after an odd round (winners uncovered).
-  std::vector<std::unique_ptr<PhaseProgram>> unused;
-  auto combined = phase_as_algorithm([&](NodeId) {
-    std::vector<std::unique_ptr<PhaseProgram>> phases;
-    phases.push_back(std::make_unique<BudgetedPhase>(
-        std::make_unique<GreedyMisPhase>(), 1, true));
-    phases.push_back(std::make_unique<MisCleanupPhase>());
-    return std::make_unique<SequencePhase>(std::move(phases));
-  });
-  auto result = run_algorithm(g, combined, EngineOptions{.max_rounds = 2});
+  auto after1 =
+      run_algorithm(g, greedy_mis_algorithm(), EngineOptions{.max_rounds = 1});
+  EXPECT_FALSE(is_extendable_partial_mis(g, after1.outputs));
+  // All-0 predictions decide nothing in the 3 init rounds; then one Greedy
+  // round and one clean-up round run before the reference would start.
+  auto consecutive = consecutive_template(
+      make_mis_init(), make_greedy_mis(), make_mis_cleanup(),
+      make_greedy_mis(), [](NodeId, int, std::int64_t) { return 1; });
+  auto result = run_with_predictions(
+      g, Predictions(std::vector<Value>(12, 0)), consecutive,
+      EngineOptions{.max_rounds = kMisInitRounds + 1 + kMisCleanupRounds});
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (after1.outputs[v] == 1) {
+      EXPECT_EQ(result.outputs[v], 1) << "Greedy's winner " << v;
+    }
+  }
   EXPECT_TRUE(is_extendable_partial_mis(g, result.outputs));
-  (void)after1;
 }
 
 // ---- Coloring → MIS (part 2 of Corollary 12's reference) ---------------------------

@@ -9,10 +9,8 @@
 
 #include "coloring/checkers.hpp"
 #include "common/rng.hpp"
-#include "edgecoloring/algorithms.hpp"
 #include "edgecoloring/checkers.hpp"
 #include "graph/generators.hpp"
-#include "matching/algorithms.hpp"
 #include "matching/checkers.hpp"
 #include "mis/checkers.hpp"
 #include "predict/generators.hpp"
@@ -121,13 +119,7 @@ TEST_P(OtherProblemsSweep, MatchingPipelineValid) {
   for (int breaks : {0, 2, 100}) {
     auto pred =
         break_matches(g, matching_correct_prediction(g, rng), breaks, rng);
-    auto factory = phase_as_algorithm([](NodeId) {
-      std::vector<std::unique_ptr<PhaseProgram>> phases;
-      phases.push_back(std::make_unique<MatchingInitPhase>());
-      phases.push_back(std::make_unique<GreedyMatchingPhase>());
-      return std::make_unique<SequencePhase>(std::move(phases));
-    });
-    auto result = run_with_predictions(g, pred, factory);
+    auto result = run_with_predictions(g, pred, matching_simple_greedy());
     ASSERT_TRUE(result.completed) << "breaks " << breaks;
     EXPECT_TRUE(is_valid_maximal_matching(g, result.outputs))
         << check_matching(g, result.outputs);
@@ -141,13 +133,8 @@ TEST_P(OtherProblemsSweep, EdgeColoringPipelineValid) {
   for (int scrambles : {0, 3, 50}) {
     auto pred = scramble_edge_colors(
         g, edge_coloring_correct_prediction(g, rng), scrambles, rng);
-    auto factory = phase_as_algorithm([](NodeId) {
-      std::vector<std::unique_ptr<PhaseProgram>> phases;
-      phases.push_back(std::make_unique<EdgeColoringBasePhase>());
-      phases.push_back(std::make_unique<GreedyEdgeColoringPhase>());
-      return std::make_unique<SequencePhase>(std::move(phases));
-    });
-    auto result = run_with_predictions(g, pred, factory);
+    auto result =
+        run_with_predictions(g, pred, edge_coloring_simple_greedy());
     ASSERT_TRUE(result.completed) << "scrambles " << scrambles;
     EXPECT_TRUE(is_valid_edge_coloring(g, result.edge_outputs))
         << check_edge_coloring(g, result.edge_outputs);

@@ -263,5 +263,92 @@ TEST(TradeoffKnob, LambdaZeroSkipsUniformPhase) {
   EXPECT_LT(r0.rounds, r1.rounds);  // bad predictions: skipping U wins
 }
 
+// ---- Each template shares one configuration between its nodes -----------------
+
+/// Wraps a callable and counts how often it is copied; moves are free.
+template <class F>
+struct CopyCounted {
+  CopyCounted(F fn, std::shared_ptr<int> counter)
+      : f(std::move(fn)), copies(std::move(counter)) {}
+  CopyCounted(const CopyCounted& other) : f(other.f), copies(other.copies) {
+    ++*copies;
+  }
+  CopyCounted(CopyCounted&&) noexcept = default;
+
+  template <class... Args>
+  auto operator()(Args... args) const {
+    return f(args...);
+  }
+
+  F f;
+  std::shared_ptr<int> copies;
+};
+
+TEST(TemplateConfig, CopiesDoNotGrowWithN) {
+  // A template that handed every node its own copy of the configuration
+  // would copy a factory or a schedule function n times per run.
+  using Assemble = ProgramFactory (*)(const std::shared_ptr<int>&);
+  const std::pair<const char*, Assemble> kAssemblies[] = {
+      {"consecutive",
+       [](const std::shared_ptr<int>& copies) {
+         return consecutive_template(
+             CopyCounted(make_mis_init(), copies), make_greedy_mis(),
+             make_mis_cleanup(), whole_reference(linial_mis_reference()),
+             CopyCounted(
+                 [](NodeId, int delta, std::int64_t d) {
+                   return linial_mis_total_rounds(d, delta) + kMisCleanupRounds;
+                 },
+                 copies));
+       }},
+      {"interleaved",
+       [](const std::shared_ptr<int>& copies) {
+         InterleavedConfig cfg;
+         cfg.init = CopyCounted(make_mis_init(), copies);
+         cfg.uniform = make_greedy_mis();
+         cfg.reference_phase = [](int phase, NodeId node) {
+           return make_mis_gather_phase(phase)(node);
+         };
+         cfg.phase_budget = [](int phase, NodeId, int, std::int64_t) {
+           return 1 << phase;
+         };
+         cfg.phase_count = CopyCounted(
+             [](NodeId n, int, std::int64_t) {
+               int m = 1;
+               while ((1 << m) < n) ++m;
+               return m;
+             },
+             copies);
+         return interleaved_template(std::move(cfg));
+       }},
+      {"parallel",
+       [](const std::shared_ptr<int>& copies) {
+         ParallelConfig cfg;
+         cfg.init = CopyCounted(make_mis_init(), copies);
+         cfg.uniform = make_greedy_mis();
+         cfg.reference = linial_mis_reference();
+         cfg.part1_budget = CopyCounted(
+             [](NodeId, int delta, std::int64_t d) {
+               return linial_total_rounds(d, delta);
+             },
+             copies);
+         return parallel_template(std::move(cfg));
+       }},
+  };
+  for (const auto& [name, assemble] : kAssemblies) {
+    std::vector<int> copies_at;
+    for (NodeId n : {20, 200}) {
+      Rng rng(static_cast<std::uint64_t>(n));
+      Graph g = make_line(n);
+      randomize_ids(g, rng);
+      auto copies = std::make_shared<int>(0);
+      auto result = run_with_predictions(g, all_same(g, 0), assemble(copies));
+      EXPECT_TRUE(result.completed) << name << " at n = " << n;
+      EXPECT_TRUE(is_valid_mis(g, result.outputs)) << name << " at n = " << n;
+      copies_at.push_back(*copies);
+    }
+    EXPECT_EQ(copies_at[0], copies_at[1]) << name;
+  }
+}
+
 }  // namespace
 }  // namespace dgap

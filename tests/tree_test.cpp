@@ -173,7 +173,8 @@ TEST(GpsTreeMisReference, SolvesMis) {
     RootedTree t = make_rooted_random_tree(35, rng);
     randomize_ids(t.graph, rng);
     auto result = run_algorithm(
-        t.graph, phase_as_algorithm(make_gps_tree_mis_reference(t)));
+        t.graph,
+        phase_as_algorithm(whole_reference(gps_tree_mis_reference(t))));
     EXPECT_TRUE(result.completed);
     EXPECT_TRUE(is_valid_mis(t.graph, result.outputs))
         << check_mis(t.graph, result.outputs);
